@@ -97,7 +97,7 @@ class ExpSum:
         return modes
 
 
-def _pole_distance_check(order: Order, v_depth: int, den, n: int, j: int, tol: float) -> None:
+def _pole_distance_check(den, n: int, j: int, tol: float) -> None:
     if abs(den) <= tol:
         raise PoleProximityError(
             f"evaluation point within {tol} of the (n={n}, j={j}) pole", indices=(n, j)
@@ -122,7 +122,7 @@ def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None 
             for n in range(1, alpha + 1):
                 coeff = v.table[j - 1, n - 1, alpha - 1]
                 den = 1j * n + k * (1 - w[j])
-                _pole_distance_check(order, n_cap, den, n, j, pole_tol)
+                _pole_distance_check(den, n, j, pole_tol)
                 if coeff == 0:
                     continue
                 val += coeff / den * factor
@@ -150,11 +150,27 @@ def eval_phi(v: VTable, x: complex, lam: complex, tau: int = 0, deriv: int = 0,
             for n in range(1, alpha + 1):
                 coeff = v.table[j - 1, n - 1, alpha - 1]
                 den = n + lw * (1 - w[j])
-                _pole_distance_check(order, n_cap, den, n, j, pole_tol)
+                _pole_distance_check(den, n, j, pole_tol)
                 if coeff == 0:
                     continue
                 val += coeff / (1j * den) * factor
     return complex(val)
+
+
+def _ode_terms(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
+               depth: int | None, pole_tol: float) -> list[complex]:
+    """The terms whose sum is the half-line residual, leading order first."""
+    order = p.order
+    m = order.m
+    n_cap = min(v.n_max, p.n_max) if depth is None else depth
+    q = series_q(p)
+    terms = [(-1) ** m * eval_f(v, t, k, deriv=2 * m, depth=n_cap, pole_tol=pole_tol),
+             -k ** (2 * m) * eval_f(v, t, k, deriv=0, depth=n_cap, pole_tol=pole_tol)]
+    for gamma in range(order.gamma_count):
+        q_gamma = sum(q[gamma, n - 1] * np.exp(-n * t) for n in range(1, p.n_max + 1))
+        if q_gamma != 0:
+            terms.append(q_gamma * eval_f(v, t, k, deriv=gamma, depth=n_cap, pole_tol=pole_tol))
+    return terms
 
 
 def ode_residual(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
@@ -164,17 +180,17 @@ def ode_residual(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
     Uses the coefficient table the recurrences encode (forward.series_q), so a
     correct (p, V) pair drives the residual to zero as the depth grows.
     """
-    order = p.order
-    m = order.m
-    n_cap = min(v.n_max, p.n_max) if depth is None else depth
-    q = series_q(p)
-    res = (-1) ** m * eval_f(v, t, k, deriv=2 * m, depth=n_cap, pole_tol=pole_tol)
-    res -= k ** (2 * m) * eval_f(v, t, k, deriv=0, depth=n_cap, pole_tol=pole_tol)
-    for gamma in range(order.gamma_count):
-        q_gamma = sum(q[gamma, n - 1] * np.exp(-n * t) for n in range(1, p.n_max + 1))
-        if q_gamma != 0:
-            res += q_gamma * eval_f(v, t, k, deriv=gamma, depth=n_cap, pole_tol=pole_tol)
-    return complex(res)
+    return complex(sum(_ode_terms(p, v, t, k, depth, pole_tol)))
+
+
+def ode_residual_scale(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
+                       depth: int | None = None, pole_tol: float = POLE_TOL) -> float:
+    """Sum of the magnitudes of the terms ode_residual adds up.
+
+    Rounding alone leaves the residual at a small multiple of eps times this
+    scale, however deep the truncation.
+    """
+    return float(sum(abs(term) for term in _ode_terms(p, v, t, k, depth, pole_tol)))
 
 
 def _kernel_terms(v: VTable, depth: int | None = None):

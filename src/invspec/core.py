@@ -79,19 +79,6 @@ def _check_nj(order: Order, n: int, j: int) -> None:
         raise InputError(f"root index j={j} outside 1..{order.j_count} (j=0 is excluded: 1 - omega_0 = 0)")
 
 
-@dataclass(frozen=True)
-class PoleLattice:
-    """Lazy view of the pole families lambda_nj and k_nj over an order."""
-
-    order: Order
-
-    def lam(self, n: int, j: int) -> complex:
-        return pole(self.order, n, j)
-
-    def k(self, n: int, j: int) -> complex:
-        return k_pole(self.order, n, j)
-
-
 def _frozen_array(values, shape, what: str) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     if arr.shape != shape:

@@ -5,15 +5,21 @@ columns of the same row, then one joint (2m-1)-dimensional solve produces the
 diagonal entries V_aa^(j); these diagonals are the spectral data.  The column
 sweep is lower triangular, so entries with alpha <= N never depend on deeper
 potential modes.
+
+Both steps read the tables of the shared kernel (``kernel.py``): the
+off-diagonal entries of a column are one contraction over (j, n, s) with the
+precomputed weights, and the diagonal relation's convolution is one
+contraction with the column moments of the finished columns.  A sweep is
+O(m^2 N^2) small contractions plus N diagonal solves.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import linalg
-from .core import DEGENERACY_TOL, Order, PotentialCoefficients, SpectralData, VTable
+from .core import Order, PotentialCoefficients, SpectralData, VTable
 from .errors import InputError, ResonantIndexError, SingularSystemError
-from .polyalg import d_coeffs_a, d_coeffs_b
+from .kernel import DiagonalKernel, diagonal_kernel
 
 LEFT_FACTOR_RTOL = 1e-12
 COND_LIMIT = 1e12
@@ -25,27 +31,24 @@ def left_factor(order: Order, n: int, alpha: int, j: int) -> complex:
     return (alpha - c) ** (2 * order.m) - c ** (2 * order.m)
 
 
-def _offdiag_value(order: Order, pc: np.ndarray, v: np.ndarray, n: int, alpha: int, j: int,
-                   left_tol: float) -> complex:
-    m = order.m
-    c = n / (1 - order.root(j))
-    left = (alpha - c) ** (2 * m) - c ** (2 * m)
-    # relative scale keeps the resonance guard meaningful at large alpha
-    if abs(left) <= left_tol * (alpha / abs(1 - order.root(j))) ** (2 * m):
-        raise ResonantIndexError(
-            f"resonant left factor at (n={n}, alpha={alpha}, j={j})", indices=(n, alpha, j)
-        )
-    gammas = np.arange(order.gamma_count)
-    acc = 0j
-    for s in range(n, alpha):
-        vns = v[j - 1, n - 1, s - 1]
-        if np.isnan(vns):
-            raise InputError(f"missing prerequisite entry V(n={n}, s={s}, j={j})")
-        if vns == 0:
-            continue
-        weights = (1j * (s - c)) ** gammas
-        acc += np.dot(weights, pc[:, alpha - s - 1]) * vns
-    return (-1) ** (m + 1) * acc / left
+def _resonant(kern: DiagonalKernel, alpha: int, left_tol: float) -> np.ndarray:
+    """Mask [n-1, j-1], n < alpha, of left factors that vanish relative to their scale."""
+    # the relative scale keeps the resonance guard meaningful at large alpha
+    return np.abs(kern.left[:alpha - 1, alpha - 1]) <= left_tol * kern.left_scale[alpha - 1]
+
+
+def _resonance_error(n: int, alpha: int, j: int) -> ResonantIndexError:
+    return ResonantIndexError(f"resonant left factor at (n={n}, alpha={alpha}, j={j})",
+                              indices=(n, alpha, j))
+
+
+def _offdiag_values(kern: DiagonalKernel, pc: np.ndarray, v: np.ndarray, alpha: int) -> np.ndarray:
+    """V[j, n, alpha] for n < alpha, as a (j, n) array, from columns 1..alpha-1 of v."""
+    k = alpha - 1
+    # p[gamma, alpha - s] for s = 1..alpha-1
+    p_lag = pc[:, :k][:, ::-1]
+    acc = np.einsum("njsg,gs,jns->jn", kern.weights[:k, :, :k], p_lag, v[:, :k, :k])
+    return (-1) ** (kern.order.m + 1) * acc / kern.left[:k, k].T
 
 
 def offdiag_step(p: PotentialCoefficients, v: VTable, n: int, alpha: int, j: int,
@@ -53,41 +56,25 @@ def offdiag_step(p: PotentialCoefficients, v: VTable, n: int, alpha: int, j: int
     """One off-diagonal recurrence step; requires V(n, s) present for n <= s < alpha."""
     if not 1 <= n < alpha <= v.n_max:
         raise InputError(f"off-diagonal step needs 1 <= n < alpha <= {v.n_max}, got n={n}, alpha={alpha}")
-    return _offdiag_value(p.order, p.coeffs, v.table, n, alpha, j, left_tol)
+    missing = np.flatnonzero(np.isnan(v.table[j - 1, n - 1, n - 1:alpha - 1]))
+    if missing.size:
+        raise InputError(f"missing prerequisite entry V(n={n}, s={n + missing[0]}, j={j})")
+    kern = diagonal_kernel(p.order.m, v.n_max)
+    if _resonant(kern, alpha, left_tol)[n - 1, j - 1]:
+        raise _resonance_error(n, alpha, j)
+    return complex(_offdiag_values(kern, p.coeffs, v.table, alpha)[j - 1, n - 1])
 
 
-def _convolution_terms(order: Order, pc: np.ndarray, v: np.ndarray, alpha: int) -> np.ndarray:
-    """Vector over gamma of the mixed p*V convolution entering the diagonal relation."""
-    jc = order.j_count
-    out = np.zeros(jc, dtype=complex)
-    for nu in range(1, order.gamma_count):
-        for r in range(1, alpha):
-            pv = pc[nu, r - 1]
-            if pv == 0:
-                continue
-            s = alpha - r
-            for j in range(1, jc + 1):
-                for n in range(1, s + 1):
-                    vns = v[j - 1, n - 1, s - 1]
-                    if vns == 0 or np.isnan(vns):
-                        continue
-                    out[:nu] += pv * d_coeffs_b(order, n, s, nu, j) * vns
-    return out
-
-
-def _diag_values(order: Order, pc: np.ndarray, v: np.ndarray, alpha: int,
+def _diag_values(kern: DiagonalKernel, pc: np.ndarray, v: np.ndarray, w: np.ndarray, alpha: int,
                  cond_limit: float) -> np.ndarray:
-    jc = order.j_count
-    a_mat = np.zeros((jc, jc), dtype=complex)
-    for j in range(1, jc + 1):
-        a_mat[:, j - 1] = d_coeffs_a(order, alpha, alpha, j)
-    rhs = -(pc[:, alpha - 1].astype(complex)) - _convolution_terms(order, pc, v, alpha)
-    for j in range(1, jc + 1):
-        for n in range(1, alpha):
-            vna = v[j - 1, n - 1, alpha - 1]
-            if vna == 0:
-                continue
-            rhs -= d_coeffs_a(order, n, alpha, j) * vna
+    """Solve the diagonal relation at column alpha for V[., alpha, alpha].
+
+    v holds zeros at the unknown diagonal entries, and w the column moments of
+    columns 1..alpha-1.
+    """
+    kern.check_remainders(alpha, diag_first=True)
+    a_mat = kern.d_a[alpha - 1, alpha - 1].T
+    rhs = -pc[:, alpha - 1] - kern.convolution(pc, w, alpha) - kern.a_terms(v, alpha - 1, alpha)[0]
     if linalg.pivot_ratio(a_mat) > cond_limit:
         raise SingularSystemError(f"diagonal system at alpha={alpha} is numerically singular", alpha=alpha)
     return linalg.lu_solve(a_mat, rhs)
@@ -98,23 +85,29 @@ def diag_solve(p: PotentialCoefficients, v: VTable, alpha: int,
     """Solve the coupled diagonal relation at column alpha for the 2m-1 values V_aa^(j)."""
     if not 1 <= alpha <= v.n_max:
         raise InputError(f"alpha={alpha} outside 1..{v.n_max}")
-    return _diag_values(p.order, p.coeffs, v.table, alpha, cond_limit)
+    kern = diagonal_kernel(p.order.m, v.n_max)
+    table = np.array(v.table)
+    table[:, alpha - 1, alpha - 1] = 0.0
+    return _diag_values(kern, p.coeffs, table, kern.moments(table, 0, alpha - 1), alpha, cond_limit)
 
 
 def forward_map(p: PotentialCoefficients, left_tol: float = LEFT_FACTOR_RTOL,
                 cond_limit: float = COND_LIMIT) -> tuple[VTable, SpectralData]:
     """Build the full V table from the potential and read off the spectral data."""
     order = p.order
-    jc = order.j_count
     n_max = p.n_max
-    v = np.full((jc, n_max, n_max), np.nan, dtype=complex)
+    kern = diagonal_kernel(order.m, n_max)
+    v = np.zeros((order.j_count, n_max, n_max), dtype=complex)
+    w = np.zeros((n_max, order.gamma_count, order.gamma_count), dtype=complex)
     for alpha in range(1, n_max + 1):
-        for n in range(1, alpha):
-            for j in range(1, jc + 1):
-                v[j - 1, n - 1, alpha - 1] = _offdiag_value(order, p.coeffs, v, n, alpha, j, left_tol)
-        v[:, alpha - 1, alpha - 1] = _diag_values(order, p.coeffs, v, alpha, cond_limit)
-    lower = np.tril_indices(n_max, -1)
-    v[:, lower[0], lower[1]] = 0.0
+        if alpha > 1:
+            small = _resonant(kern, alpha, left_tol)
+            if small.any():
+                n, j = np.argwhere(small)[0] + 1
+                raise _resonance_error(int(n), alpha, int(j))
+            v[:, :alpha - 1, alpha - 1] = _offdiag_values(kern, p.coeffs, v, alpha)
+        v[:, alpha - 1, alpha - 1] = _diag_values(kern, p.coeffs, v, w, alpha, cond_limit)
+        w[alpha - 1] = kern.moments(v, alpha - 1, alpha)[0]
     vt = VTable(order, n_max, v)
     return vt, vt.diagonal()
 

@@ -7,7 +7,7 @@ consumers see it.  Flat indexing packs block index a and sub index b as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,13 +127,17 @@ def det_truncated(s: SpectralData, z: complex, n_min: int = 4, n_max: int | None
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Half-plane scan verdict: modulus floor, winding count, and flagged points."""
+    """Half-plane scan verdict: modulus floor, winding count, and flagged points.
+
+    ``values[iy, ix]`` is the determinant at grid point re_grid[ix] + i im_grid[iy].
+    """
 
     min_modulus: float
     argmin: complex
     zero_free: bool
     winding: int
     flagged: tuple
+    values: np.ndarray = field(compare=False, repr=False)
     convention: str = CONVENTION
 
 
@@ -195,10 +199,11 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
     min_mod = np.inf
     argmin = complex(re_grid[0], im_grid[0])
     flagged = []
-    for y in im_grid:
-        for x in re_grid:
+    values = np.empty((im_grid.size, re_grid.size), dtype=complex)
+    for iy, y in enumerate(im_grid):
+        for ix, x in enumerate(re_grid):
             z = complex(x, y)
-            d = det_at(z)
+            d = values[iy, ix] = det_at(z)
             if truncating and n_cap > 1:
                 gap = abs(d - det_at(z, n_cap - 1))
                 if gap >= det_tol * (1.0 + abs(d)):
@@ -208,7 +213,8 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
                 argmin = z
     winding = _winding(det_at, re_grid, im_grid)
     zero_free = bool(min_mod > tol and winding == 0)
-    return ScanReport(float(min_mod), argmin, zero_free, winding, tuple(flagged))
+    values.setflags(write=False)
+    return ScanReport(float(min_mod), argmin, zero_free, winding, tuple(flagged), values)
 
 
 def solve_system(s: SpectralData, rhs, n_blocks: int | None = None,

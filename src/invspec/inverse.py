@@ -2,9 +2,13 @@
 
 The V table is rebuilt from the diagonal outward: V_nn^(j) = S_nj seeds each
 column, and an entry at column n + beta is a weighted sum over the full
-column beta.  The potential then falls out of the diagonal relation read as a
-definition of p_{gamma alpha}, descending in gamma so the mixed convolution
-only touches coefficients that already exist.
+column beta, so each diagonal offset beta is one contraction with the
+kernel's reciprocal denominators.  The potential then falls out of the
+diagonal relation read as a definition of p_{gamma alpha}: the column moments
+and the d_a terms of the finished table are formed in one step, and a short
+causal sweep over alpha adds the mixed convolution, which only touches
+coefficients that already exist.  Both stages read the tables of the kernel
+shared with the forward map (``kernel.py``).
 """
 from __future__ import annotations
 
@@ -12,71 +16,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERACY_TOL, Order, PotentialCoefficients, SpectralData, VTable, roots_of_unity
+from .core import DEGENERACY_TOL, PotentialCoefficients, SpectralData, VTable, roots_of_unity
 from .errors import DegenerateDenominatorError, InputError
-from .polyalg import d_coeffs_a, d_coeffs_b
+from .kernel import DiagonalKernel, diagonal_kernel
+
+
+def _check_denominators(kern: DiagonalKernel, table: np.ndarray, tol: float) -> None:
+    """Raise at the first denominator below tol that the column sweep would divide by.
+
+    Entry (n, j, r, l) is first read at column n + r, and only when S_nj != 0;
+    within a column the sweep runs over n, then j, then l.
+    """
+    n_max = table.shape[0]
+    modes = np.arange(1, n_max + 1)
+    small = ((kern.abs_den <= tol) & (table != 0)[:, :, None, None]
+             & (modes[:, None, None, None] + modes[None, None, :, None] <= n_max))
+    if small.any():
+        hit = np.argwhere(small)
+        n, j, r, l = hit[np.lexsort((hit[:, 3], hit[:, 1], hit[:, 0], hit[:, 0] + hit[:, 2]))[0]] + 1
+        indices = (int(n), int(j), int(r), int(l))
+        raise DegenerateDenominatorError(
+            "degenerate denominator at (n={}, j={}, r={}, l={})".format(*indices), indices=indices)
 
 
 def v_from_s(s: SpectralData, tol: float = DEGENERACY_TOL) -> VTable:
-    """Fill the triangular V table from spectral data, columns in ascending order."""
+    """Fill the triangular V table from spectral data, one diagonal offset at a time."""
     order = s.order
-    jc = order.j_count
     n_max = s.n_max
-    w = roots_of_unity(order)
-    v = np.zeros((jc, n_max, n_max), dtype=complex)
-    for col in range(1, n_max + 1):
-        for j in range(1, jc + 1):
-            v[j - 1, col - 1, col - 1] = s.table[col - 1, j - 1]
-        for n in range(1, col):
-            beta = col - n
-            for j in range(1, jc + 1):
-                snj = s.table[n - 1, j - 1]
-                if snj == 0:
-                    v[j - 1, n - 1, col - 1] = 0.0
-                    continue
-                acc = 0j
-                for l in range(1, jc + 1):
-                    for r in range(1, beta + 1):
-                        den = n * w[j] * (1 - w[l]) - r * (1 - w[j])
-                        if abs(den) <= tol:
-                            raise DegenerateDenominatorError(
-                                f"degenerate denominator at (n={n}, j={j}, r={r}, l={l})",
-                                indices=(n, j, r, l),
-                            )
-                        acc += v[l - 1, r - 1, beta - 1] / den
-                v[j - 1, n - 1, col - 1] = 1j * (1 - w[j]) * snj * acc
+    kern = diagonal_kernel(order.m, n_max)
+    _check_denominators(kern, s.table, tol)
+    lead = 1j * (1 - roots_of_unity(order)[1:]) * s.table
+    v = np.zeros((order.j_count, n_max, n_max), dtype=complex)
+    rows = np.arange(n_max)
+    v[:, rows, rows] = s.table.T
+    for beta in range(1, n_max):
+        head = rows[:n_max - beta]
+        acc = np.einsum("njrl,lr->nj", kern.inv_den[:n_max - beta, :, :beta], v[:, :beta, beta - 1])
+        v[:, head, head + beta] = (lead[:n_max - beta] * acc).T
     return VTable(order, n_max, v)
 
 
 def p_from_v(v: VTable) -> PotentialCoefficients:
     """Read the diagonal relation backwards to recover the potential coefficients."""
     order = v.order
-    jc = order.j_count
     n_max = v.n_max
+    kern = diagonal_kernel(order.m, n_max)
+    for alpha in range(1, n_max + 1):
+        kern.check_remainders(alpha, diag_first=False)
+    w = kern.moments(v.table)
+    a_terms = kern.a_terms(v.table)
     p = np.zeros((order.gamma_count, n_max), dtype=complex)
     for alpha in range(1, n_max + 1):
-        conv = np.zeros(jc, dtype=complex)
-        for nu in range(1, order.gamma_count):
-            for r in range(1, alpha):
-                pv = p[nu, r - 1]
-                if pv == 0:
-                    continue
-                s = alpha - r
-                for j in range(1, jc + 1):
-                    for n in range(1, s + 1):
-                        vns = v.table[j - 1, n - 1, s - 1]
-                        if vns == 0:
-                            continue
-                        conv[:nu] += pv * d_coeffs_b(order, n, s, nu, j) * vns
-        for gamma in range(order.gamma_count - 1, -1, -1):
-            acc = conv[gamma]
-            for j in range(1, jc + 1):
-                for n in range(1, alpha + 1):
-                    vna = v.table[j - 1, n - 1, alpha - 1]
-                    if vna == 0:
-                        continue
-                    acc += d_coeffs_a(order, n, alpha, j)[gamma] * vna
-            p[gamma, alpha - 1] = -acc
+        p[:, alpha - 1] = -(kern.convolution(p, w, alpha) + a_terms[alpha - 1])
     return PotentialCoefficients(order, n_max, p)
 
 

@@ -3,27 +3,21 @@
 Polynomials are 1-d complex arrays of ascending-degree coefficients.  The
 divisions that extract the d-coefficient families are synthetic (Horner) at
 the known pole k_nj; the scalar prefactor in + k(1 - w_j) = (1 - w_j)(k - k_nj)
-is applied after dividing, which keeps the root-based division exact.
+is applied after dividing, which keeps the root-based division exact.  Each
+family is built as a whole table by one division vectorised over every pole
+(d_a_table, d_b_table); d_coeffs_a and d_coeffs_b are single entries of the
+same construction.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .core import Order, k_pole, _check_nj
+from .core import Order, _check_nj, k_pole, roots_of_unity
 from .errors import DivisionRemainderError, InputError
 
 REMAINDER_RTOL = 1e-9
-
-
-def poly_trim(p) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    nz = np.nonzero(p)[0]
-    if nz.size == 0:
-        return np.zeros(1, dtype=complex)
-    return p[: nz[-1] + 1]
 
 
 def poly_add(a, b) -> np.ndarray:
@@ -49,51 +43,99 @@ def poly_eval(p, z: complex) -> complex:
     return complex(acc)
 
 
-def divide_by_linear(p, root: complex):
-    """Synthetic division: p(k) = (k - root) q(k) + rem, rem = p(root)."""
+def divide_by_linear(p, root):
+    """Synthetic division along the last axis: p(k) = (k - root) q(k) + rem, rem = p(root).
+
+    The leading axes of p broadcast against root, so one call divides a whole
+    table of numerators, each at its own root.
+    """
     p = np.atleast_1d(np.asarray(p, dtype=complex))
-    if p.size == 1:
-        return np.zeros(1, dtype=complex), complex(p[0])
-    q = np.zeros(p.size - 1, dtype=complex)
-    carry = p[-1]
-    for i in range(p.size - 2, -1, -1):
-        q[i] = carry
-        carry = p[i] + root * carry
-    return q, complex(carry)
+    root = np.asarray(root, dtype=complex)
+    shape = np.broadcast_shapes(p.shape[:-1], root.shape)
+    q = np.zeros(shape + (p.shape[-1] - 1,), dtype=complex)
+    carry = np.broadcast_to(p[..., -1], shape)
+    for i in range(p.shape[-1] - 2, -1, -1):
+        q[..., i] = carry
+        # the product is formed componentwise: numpy's complex array loops may
+        # fuse multiply-adds, and each step must round like the scalar recurrence
+        step = np.empty(shape, dtype=complex)
+        step.real = root.real * carry.real - root.imag * carry.imag
+        step.imag = root.real * carry.imag + root.imag * carry.real
+        carry = p[..., i] + step
+    return q, carry
 
 
-def binomial_power(shift: complex, power: int) -> np.ndarray:
-    """Ascending coefficients of (shift + k)^power with exact integer binomials."""
+def binomial_power(shift, power: int) -> np.ndarray:
+    """Ascending coefficients of (shift + k)^power with exact integer binomials.
+
+    An array of shifts gives one coefficient row per shift, along a new last axis.
+    """
     if power < 0:
         raise InputError(f"power must be >= 0, got {power}")
-    return np.array([comb(power, t) * shift ** (power - t) for t in range(power + 1)], dtype=complex)
+    t = np.arange(power + 1)
+    binom = np.array([comb(power, i) for i in t], dtype=float)
+    return binom * np.asarray(shift, dtype=complex)[..., None] ** (power - t)
 
 
-def _divide_at_pole(num: np.ndarray, order: Order, n: int, j: int) -> np.ndarray:
-    root = k_pole(order, n, j)
-    q, rem = divide_by_linear(num, root)
-    scale = max(float(np.abs(num).max()), 1e-300)
-    if abs(rem) > REMAINDER_RTOL * scale:
-        raise DivisionRemainderError(
-            f"nonzero remainder {abs(rem):.3e} dividing at pole (n={n}, j={j}); numerator scale {scale:.3e}"
-        )
-    return q / (1 - order.root(j))
+def _poles(order: Order, ns) -> np.ndarray:
+    """k_nj as an [n, j] table over j = 1..2m-1, from Python ints as k_pole divides them."""
+    return np.array([[k_pole(order, int(n), j) for j in range(1, order.j_count + 1)] for n in ns])
 
 
-@lru_cache(maxsize=None)
-def _d_a_cached(m: int, n: int, alpha: int, j: int) -> tuple:
-    order = Order(m)
-    two_m = 2 * m
-    if alpha == 0:
-        return tuple(np.zeros(two_m - 1, dtype=complex))
-    knj = k_pole(order, n, j)
-    ia = 1j * alpha
-    num = binomial_power(ia, two_m)
-    num[two_m] -= 1.0
-    num[0] -= (ia + knj) ** two_m - knj ** two_m
+def _divide_at_poles(num: np.ndarray, poles: np.ndarray, one_minus_w: np.ndarray):
+    """Divide each numerator by in + k (1 - w_j); also return |remainder| / max |numerator|.
+
+    The numerators vanish at their poles, so the division is exact up to
+    rounding, and the relative remainder measures that rounding.  The tables
+    round like the scalar definitions, entry for entry: powers use np.power,
+    because ndarray ** 2 takes a squaring shortcut, divide_by_linear multiplies
+    componentwise, and the remainder's modulus is hypot, as abs() of a scalar.
+    """
+    q, rem = divide_by_linear(num, poles)
+    scale = np.maximum(np.abs(num).max(axis=-1), 1e-300)
+    return q / one_minus_w[..., None], np.hypot(rem.real, rem.imag) / scale
+
+
+def d_a_table(order: Order, alphas, ns) -> tuple[np.ndarray, np.ndarray]:
+    """d_a(n, alpha, j) as an [alpha, n, j, gamma] table, and its relative remainders [alpha, n, j].
+
+    Entry (alpha, n, j) holds the 2m-1 quotient coefficients pairing the V
+    entry (n, alpha, j) with each k power; alpha >= 1.
+    """
+    two_m = 2 * order.m
+    ia = 1j * np.asarray(alphas)
+    poles = _poles(order, ns)
+    num = np.broadcast_to(binomial_power(ia, two_m)[:, None, None, :two_m],
+                          (ia.size, *poles.shape, two_m)).copy()
     # the k^2m terms cancel exactly, so the numerator has degree 2m-1
-    num = num[:two_m]
-    return tuple(_divide_at_pole(num, order, n, j))
+    num[..., 0] -= np.power(ia[:, None, None] + poles, two_m) - np.power(poles, two_m)
+    return _divide_at_poles(num, poles, 1 - roots_of_unity(order)[1:])
+
+
+def d_b_table(order: Order, ss, ns, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """d_b(n, s, nu, j) as an [s, n, j, nu, gamma] table, and its relative remainders [s, n, j, nu].
+
+    nu and gamma both run over 0..nu_max; entry (.., nu, gamma) is zero for
+    gamma >= nu, so the whole nu = 0 plane is zero.
+    """
+    size = nu_max + 1
+    i_s = 1j * np.asarray(ss)
+    poles = _poles(order, ns)
+    # numerators padded to degree nu_max: leading zeros leave Horner's quotient unchanged
+    num = np.zeros((i_s.size, *poles.shape, size, size), dtype=complex)
+    for nu in range(size):
+        num[..., nu, :nu + 1] = binomial_power(i_s, nu)[:, None, None, :]
+        num[..., nu, 0] -= np.power(i_s[:, None, None] + poles, nu)
+    q, rel = _divide_at_poles(num, poles[..., None], (1 - roots_of_unity(order)[1:])[:, None])
+    d = np.zeros(num.shape, dtype=complex)
+    d[..., :nu_max] = q
+    return d, rel
+
+
+def remainder_error(rel: float, n: int, j: int) -> DivisionRemainderError:
+    """The error for a division at pole (n, j) whose relative remainder exceeds REMAINDER_RTOL."""
+    return DivisionRemainderError(
+        f"nonzero remainder dividing at pole (n={n}, j={j}): {rel:.3e} of the numerator scale")
 
 
 def d_coeffs_a(order: Order, n: int, alpha: int, j: int) -> np.ndarray:
@@ -101,17 +143,12 @@ def d_coeffs_a(order: Order, n: int, alpha: int, j: int) -> np.ndarray:
     _check_nj(order, n, j)
     if alpha < 0:
         raise InputError(f"alpha must be >= 0, got {alpha}")
-    return np.array(_d_a_cached(order.m, n, alpha, j))
-
-
-@lru_cache(maxsize=None)
-def _d_b_cached(m: int, n: int, s: int, nu: int, j: int) -> tuple:
-    order = Order(m)
-    knj = k_pole(order, n, j)
-    i_s = 1j * s
-    num = binomial_power(i_s, nu)
-    num[0] -= (i_s + knj) ** nu
-    return tuple(_divide_at_pole(num, order, n, j))
+    if alpha == 0:
+        return np.zeros(order.gamma_count, dtype=complex)
+    d, rel = d_a_table(order, [alpha], [n])
+    if rel[0, 0, j - 1] > REMAINDER_RTOL:
+        raise remainder_error(rel[0, 0, j - 1], n, j)
+    return d[0, 0, j - 1]
 
 
 def d_coeffs_b(order: Order, n: int, s: int, nu: int, j: int) -> np.ndarray:
@@ -121,4 +158,7 @@ def d_coeffs_b(order: Order, n: int, s: int, nu: int, j: int) -> np.ndarray:
         raise InputError(f"nu must be >= 0, got {nu}")
     if nu == 0:
         return np.zeros(0, dtype=complex)
-    return np.array(_d_b_cached(order.m, n, s, nu, j))
+    d, rel = d_b_table(order, [s], [n], nu)
+    if rel[0, 0, j - 1, nu] > REMAINDER_RTOL:
+        raise remainder_error(rel[0, 0, j - 1, nu], n, j)
+    return d[0, 0, j - 1, nu, :nu]

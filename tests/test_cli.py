@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invspec import det_truncated
 from invspec.cli import exit_code_for, load_problem
 from invspec.errors import (ConvergenceError, InputError, ResonantIndexError,
                             SingularMatrixError, VerificationError)
@@ -137,6 +138,31 @@ def test_det_exit_3_when_truncation_forced(tmp_path):
     assert "not converged" in result.stderr
 
 
+def test_det_csv_holds_the_scanned_values(tmp_path):
+    inp = tmp_path / "s.json"
+    csv_out = tmp_path / "grid.csv"
+    verdict_out = tmp_path / "verdict.json"
+    rng = np.random.default_rng(11)
+    table = (rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))) * 0.1 * 2.0 ** -np.arange(6)[:, None]
+    write_problem(inp, "spectral", 2, 6, [{"j": j, "n": n, "re": table[n - 1, j - 1].real,
+                                           "im": table[n - 1, j - 1].imag}
+                                          for n in range(1, 7) for j in range(1, 4)])
+    result = run_cli("det", "--input", str(inp), "--output", str(csv_out),
+                     "--report", str(verdict_out), "--re-steps", "9", "--im-steps", "5")
+    assert result.returncode == 0, result.stderr
+    with open(csv_out, newline="") as fh:
+        rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == 45
+    verdict = json.loads(verdict_out.read_text())
+    at_argmin = [row for row in rows
+                 if (row[0], row[1]) == (verdict["argmin"]["re"], verdict["argmin"]["im"])]
+    assert [row[4] for row in at_argmin] == [verdict["min_modulus"]]
+    s = load_problem(str(inp))
+    for x, y, d_re, d_im, _ in rows:
+        want = det_truncated(s, complex(x, y)).final
+        assert abs(complex(d_re, d_im) - want) <= 1e-10 * (1 + abs(want))
+
+
 def test_verify_zero_potential_passes(tmp_path):
     inp = tmp_path / "p.json"
     report = tmp_path / "scorecard.json"
@@ -159,6 +185,38 @@ def test_verify_geometric_m1_passes(tmp_path):
     assert result.returncode == 0, result.stderr
     card = json.loads(report.read_text())
     assert card["all_pass"] is True
+
+
+def _exp_decay_potential(path: Path, scale: float = 1.0):
+    n = np.arange(1, 25)
+    write_problem(path, "potential", 2, 24, [potential_entry(g, int(k), scale * np.exp(-k / 2) + 0j)
+                                             for g in range(3) for k in n])
+
+
+def test_verify_skips_pairs_at_the_rounding_floor(tmp_path):
+    # the residual at t = 1.1 is flat at about 1e-15 from depth 22 on: converged, not failing
+    inp = tmp_path / "p.json"
+    report = tmp_path / "scorecard.json"
+    _exp_decay_potential(inp)
+    result = run_cli("verify", "--input", str(inp), "--report", str(report))
+    assert result.returncode == 0, result.stderr
+    card = json.loads(report.read_text())
+    ode = next(c for c in card["checks"] if c["name"] == "ode_residual_halving")
+    assert card["all_pass"] is True
+    assert ode["skipped_pairs"] >= 1
+    assert len(ode["noise_floors"]) == 3 and all(0 < f < 1e-12 for f in ode["noise_floors"])
+
+
+def test_verify_fails_a_residual_above_the_floor_that_does_not_halve(tmp_path):
+    inp = tmp_path / "p.json"
+    report = tmp_path / "scorecard.json"
+    write_problem(inp, "potential", 1, 6, [potential_entry(0, n, 4.0 + 0j) for n in range(1, 7)])
+    result = run_cli("verify", "--input", str(inp), "--report", str(report))
+    assert result.returncode == 4
+    ode = next(c for c in json.loads(report.read_text())["checks"]
+               if c["name"] == "ode_residual_halving")
+    assert ode["pass"] is False and ode["value"] > 0.6
+    assert ode["skipped_pairs"] == 0
 
 
 def test_verify_exit_4_on_impossible_threshold(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invspec import (Order, PoleLattice, PotentialCoefficients, SpectralData, VTable,
+from invspec import (Order, PotentialCoefficients, SpectralData, VTable,
                      a_m_constant, k_pole, pole, roots_of_unity, vandermonde_det)
 from invspec.errors import InputError
 
@@ -36,10 +36,10 @@ def test_pole_rejects_trivial_root():
 
 
 def test_k_pole_is_i_times_lambda():
-    lattice = PoleLattice(Order(2))
+    order = Order(2)
     for n in (1, 2, 5):
         for j in (1, 2, 3):
-            assert lattice.k(n, j) == pytest.approx(1j * lattice.lam(n, j))
+            assert k_pole(order, n, j) == pytest.approx(1j * pole(order, n, j))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

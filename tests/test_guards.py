@@ -1,0 +1,73 @@
+"""Each degeneracy guard of the forward and inverse maps, tripped on purpose.
+
+The tolerances are pushed until a guard fires; the error must carry the index
+the column sweep reaches first.  The expected indices are those of the
+original scalar loops.
+"""
+import numpy as np
+import pytest
+
+from conftest import random_potential, random_spectral
+from invspec import Order, SpectralData, forward_map, inverse_map, polyalg, v_from_s
+from invspec.errors import (DegenerateDenominatorError, DivisionRemainderError,
+                            ResonantIndexError, SingularSystemError)
+
+
+@pytest.mark.parametrize("m, n_max, left_tol, indices", [
+    (1, 16, 0.5, (7, 8, 1)),
+    (2, 10, 0.5, (9, 10, 1)),
+    (2, 10, 1.0, (3, 4, 1)),
+    (3, 6, 0.5, (1, 2, 1)),
+])
+def test_resonant_left_factor_guard(m, n_max, left_tol, indices):
+    p = random_potential(Order(m), n_max, np.random.default_rng(3))
+    with pytest.raises(ResonantIndexError) as info:
+        forward_map(p, left_tol=left_tol)
+    assert info.value.indices == indices
+
+
+def test_degenerate_denominator_guard():
+    _, s = forward_map(random_potential(Order(3), 10, np.random.default_rng(3)))
+    v_from_s(s, tol=0.8)
+    with pytest.raises(DegenerateDenominatorError) as info:
+        v_from_s(s, tol=1.0)
+    assert info.value.indices == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("m, zeros, tol, indices", [
+    (2, [(1, 1)], 2.5, (1, 3, 1, 3)),
+    (3, [(1, 1), (1, 2)], 2.5, (1, 4, 1, 5)),
+    (3, [(1, j) for j in range(1, 6)], 2.0, (2, 1, 1, 1)),
+    (3, [(1, j) for j in range(1, 6)] + [(2, 1)], 2.0, (2, 5, 1, 5)),
+])
+def test_degenerate_denominator_skips_zero_data(m, zeros, tol, indices):
+    # a vanishing S_nj multiplies its whole sum, so its denominators are never read
+    table = np.full((6, 2 * m - 1), 0.01 + 0.002j)
+    for n, j in zeros:
+        table[n - 1, j - 1] = 0.0
+    with pytest.raises(DegenerateDenominatorError) as info:
+        v_from_s(SpectralData(Order(m), 6, table), tol=tol)
+    assert info.value.indices == indices
+
+
+@pytest.mark.parametrize("m, cond_limit, alpha", [(2, 5.0, 4), (3, 50.0, 4), (3, 30.0, 1)])
+def test_singular_diagonal_system_guard(m, cond_limit, alpha):
+    p = random_potential(Order(m), 8, np.random.default_rng(3))
+    with pytest.raises(SingularSystemError) as info:
+        forward_map(p, cond_limit=cond_limit)
+    assert info.value.alpha == alpha
+
+
+@pytest.mark.parametrize("m, rtol, forward_nj, inverse_nj", [
+    (2, -1.0, (1, 1), (1, 1)),
+    (2, 1e-16, (3, 1), (3, 1)),
+    (3, 1e-16, (2, 1), (1, 1)),
+])
+def test_division_remainder_guard(monkeypatch, m, rtol, forward_nj, inverse_nj):
+    p = random_potential(Order(m), 8, np.random.default_rng(3))
+    s = random_spectral(Order(m), 8, np.random.default_rng(4))
+    monkeypatch.setattr(polyalg, "REMAINDER_RTOL", rtol)
+    with pytest.raises(DivisionRemainderError, match=r"\(n=%d, j=%d\)" % forward_nj):
+        forward_map(p)
+    with pytest.raises(DivisionRemainderError, match=r"\(n=%d, j=%d\)" % inverse_nj):
+        inverse_map(s)

@@ -1,0 +1,64 @@
+"""Round trips and kernel identities past the acceptance sizes (N <= 8, m <= 2)."""
+import numpy as np
+import pytest
+
+from conftest import random_potential
+from invspec import (Order, a_m_constant, contraction_conditions, forward_map, inverse_map,
+                     roots_of_unity, v_from_s)
+from invspec.kernel import diagonal_kernel
+from invspec.polyalg import binomial_power, d_coeffs_a, d_coeffs_b
+
+SIZES = [(m, n) for m in (1, 2, 3, 4) for n in (16, 32)] + [(2, 64), (3, 64)]
+
+
+def relative(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("m, n_max", SIZES)
+def test_round_trip_and_table_equivalence(rng, m, n_max):
+    p = random_potential(Order(m), n_max, rng)
+    v, s = forward_map(p)
+    assert relative(inverse_map(s).coeffs, p.coeffs) <= (3e-12 if m == 4 else 3e-14)
+    assert relative(v_from_s(s).table, v.table) <= 1e-15
+
+
+def test_round_trip_at_contraction_sum_66():
+    order = Order(2)
+    p = random_potential(order, 24, np.random.default_rng(20240811), scale=10.85)
+    _, s = forward_map(p)
+    contraction = contraction_conditions(s, a_m_constant(order, cap=50).value).condition_ii_p
+    assert 60 < contraction < 70
+    assert relative(inverse_map(s).coeffs, p.coeffs) <= 3e-14
+
+
+def _quotient(num, n, j, order):
+    """Exact division by in + k (1 - w_j) through numpy's polynomial division."""
+    quo, rem = np.polynomial.polynomial.polydiv(num, [1j * n, 1 - roots_of_unity(order)[j]])
+    assert np.abs(rem).max() <= 1e-12 * np.abs(num).max()
+    return quo
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_tensors_match_scalar_coefficients(m):
+    order = Order(m)
+    two_m = 2 * m
+    n_max = 8
+    kern = diagonal_kernel(m, n_max)
+    for n in range(1, n_max + 1):
+        for j in range(1, order.j_count + 1):
+            knj = -1j * n / (1 - roots_of_unity(order)[j])
+            for alpha in range(1, n_max + 1):
+                scalar = d_coeffs_a(order, n, alpha, j)
+                assert np.array_equal(kern.d_a[alpha - 1, n - 1, j - 1], scalar)
+                num = binomial_power(1j * alpha, two_m)[:two_m]
+                num[0] -= (1j * alpha + knj) ** two_m - knj ** two_m
+                assert np.allclose(scalar, _quotient(num, n, j, order), rtol=1e-12, atol=1e-12)
+            for s in range(1, n_max + 1):
+                for nu in range(1, order.gamma_count):
+                    scalar = d_coeffs_b(order, n, s, nu, j)
+                    entry = kern.d_b[s - 1, n - 1, j - 1, nu]
+                    assert np.array_equal(entry[:nu], scalar) and not entry[nu:].any()
+                    num = binomial_power(1j * s, nu)
+                    num[0] -= (1j * s + knj) ** nu
+                    assert np.allclose(scalar, _quotient(num, n, j, order), rtol=1e-12, atol=1e-12)
