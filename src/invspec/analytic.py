@@ -97,36 +97,40 @@ class ExpSum:
         return modes
 
 
-def _pole_distance_check(den, n: int, j: int, tol: float) -> None:
-    if abs(den) <= tol:
+def _series(v: VTable, depth: int | None, den, rate0: complex, rates, x: complex, deriv: int,
+            pole_tol: float) -> complex:
+    """rate0^d e^{rate0 x} + sum over j and n <= alpha <= depth of
+    V[j, n, alpha] / den(n, j) * rates(alpha)^d e^{rates(alpha) x}.
+
+    ``den`` and ``rates`` are callables on 1-based mode arrays; ``den`` gets the
+    (n, j) grid and returns the denominator table.  The first entry within
+    pole_tol of a pole, lowest j first and then lowest n, raises
+    PoleProximityError.
+    """
+    n_cap = v.n_max if depth is None else depth
+    if n_cap > v.n_max:
+        raise TruncationError(f"depth {n_cap} exceeds stored table depth {v.n_max}",
+                              needed_depth=n_cap)
+    modes = np.arange(1, n_cap + 1)
+    table = den(modes[:, None], roots_of_unity(v.order)[None, 1:])
+    near = np.argwhere(np.abs(table.T) <= pole_tol)
+    if near.size:
+        j, n = (int(i) + 1 for i in near[0])
         raise PoleProximityError(
-            f"evaluation point within {tol} of the (n={n}, j={j}) pole", indices=(n, j)
+            f"evaluation point within {pole_tol} of the (n={n}, j={j}) pole", indices=(n, j)
         )
+    rate = rates(modes)
+    factor = rate ** deriv * np.exp(rate * x)
+    head = rate0 ** deriv * np.exp(rate0 * x)
+    return complex(head + np.einsum("jna,nj,a->", v.table[:, :modes.size, :modes.size],
+                                    1 / table, factor))
 
 
 def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None = None,
            pole_tol: float = POLE_TOL) -> complex:
     """Half-line solution series (or its t-derivative) at (t, k), truncated at depth."""
-    order = v.order
-    n_cap = v.n_max if depth is None else depth
-    if n_cap > v.n_max:
-        raise TruncationError(f"depth {n_cap} exceeds stored table depth {v.n_max}",
-                              needed_depth=n_cap)
-    w = roots_of_unity(order)
-    rate0 = 1j * k
-    val = rate0 ** deriv * np.exp(rate0 * t)
-    for j in range(1, order.j_count + 1):
-        for alpha in range(1, n_cap + 1):
-            rate = 1j * k - alpha
-            factor = rate ** deriv * np.exp(rate * t)
-            for n in range(1, alpha + 1):
-                coeff = v.table[j - 1, n - 1, alpha - 1]
-                den = 1j * n + k * (1 - w[j])
-                _pole_distance_check(den, n, j, pole_tol)
-                if coeff == 0:
-                    continue
-                val += coeff / den * factor
-    return complex(val)
+    return _series(v, depth, lambda n, w: 1j * n + k * (1 - w), 1j * k,
+                   lambda alpha: 1j * k - alpha, t, deriv, pole_tol)
 
 
 def eval_phi(v: VTable, x: complex, lam: complex, tau: int = 0, deriv: int = 0,
@@ -135,39 +139,21 @@ def eval_phi(v: VTable, x: complex, lam: complex, tau: int = 0, deriv: int = 0,
     order = v.order
     if not 0 <= tau <= 2 * order.m - 1:
         raise InputError(f"branch index tau={tau} outside 0..{2 * order.m - 1}")
-    n_cap = v.n_max if depth is None else depth
-    if n_cap > v.n_max:
-        raise TruncationError(f"depth {n_cap} exceeds stored table depth {v.n_max}",
-                              needed_depth=n_cap)
-    w = roots_of_unity(order)
     lw = lam * order.root(tau)
-    rate0 = 1j * lw
-    val = rate0 ** deriv * np.exp(rate0 * x)
-    for j in range(1, order.j_count + 1):
-        for alpha in range(1, n_cap + 1):
-            rate = 1j * (lw + alpha)
-            factor = rate ** deriv * np.exp(rate * x)
-            for n in range(1, alpha + 1):
-                coeff = v.table[j - 1, n - 1, alpha - 1]
-                den = n + lw * (1 - w[j])
-                _pole_distance_check(den, n, j, pole_tol)
-                if coeff == 0:
-                    continue
-                val += coeff / (1j * den) * factor
-    return complex(val)
+    # |i d| = |d|, so the pole guard sees the same distance n + lw (1 - w_j)
+    return _series(v, depth, lambda n, w: 1j * (n + lw * (1 - w)), 1j * lw,
+                   lambda alpha: 1j * (lw + alpha), x, deriv, pole_tol)
 
 
 def _ode_terms(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
                depth: int | None, pole_tol: float) -> list[complex]:
     """The terms whose sum is the half-line residual, leading order first."""
-    order = p.order
-    m = order.m
+    m = p.order.m
     n_cap = min(v.n_max, p.n_max) if depth is None else depth
-    q = series_q(p)
     terms = [(-1) ** m * eval_f(v, t, k, deriv=2 * m, depth=n_cap, pole_tol=pole_tol),
              -k ** (2 * m) * eval_f(v, t, k, deriv=0, depth=n_cap, pole_tol=pole_tol)]
-    for gamma in range(order.gamma_count):
-        q_gamma = sum(q[gamma, n - 1] * np.exp(-n * t) for n in range(1, p.n_max + 1))
+    q_t = series_q(p) @ np.exp(-np.arange(1, p.n_max + 1) * t)
+    for gamma, q_gamma in enumerate(q_t):
         if q_gamma != 0:
             terms.append(q_gamma * eval_f(v, t, k, deriv=gamma, depth=n_cap, pole_tol=pole_tol))
     return terms
@@ -193,44 +179,23 @@ def ode_residual_scale(p: PotentialCoefficients, v: VTable, t: complex, k: compl
     return float(sum(abs(term) for term in _ode_terms(p, v, t, k, depth, pole_tol)))
 
 
-def _kernel_terms(v: VTable, depth: int | None = None):
-    """Arrays (coeff, t_rate, u_rate, alpha) of the kernel's exponential terms."""
-    order = v.order
-    n_cap = v.n_max if depth is None else depth
-    w = roots_of_unity(order)
-    coeffs, t_rates, u_rates, cols = [], [], [], []
-    for j in range(1, order.j_count + 1):
-        for alpha in range(1, n_cap + 1):
-            for n in range(1, alpha + 1):
-                coeff = v.table[j - 1, n - 1, alpha - 1]
-                if coeff == 0:
-                    continue
-                c = n / (1 - w[j])
-                coeffs.append(coeff / (1j * (1 - w[j])))
-                t_rates.append(-alpha + c)
-                u_rates.append(-c)
-                cols.append(alpha)
-    return (np.array(coeffs, dtype=complex), np.array(t_rates, dtype=complex),
-            np.array(u_rates, dtype=complex), np.array(cols, dtype=int))
+def _kernel_terms(v: VTable):
+    """Arrays (coeff, t_rate, u_rate, alpha) of the kernel's nonzero exponential terms,
+    ordered by j, then alpha, then n."""
+    w = roots_of_unity(v.order)[1:]
+    by_col = v.table.transpose(0, 2, 1)  # [j, alpha, n]
+    j, alpha, n = np.nonzero(by_col)
+    c = (n + 1) / (1 - w[j])
+    return by_col[j, alpha, n] / (1j * (1 - w[j])), c - (alpha + 1), -c, alpha + 1
 
 
 def _transition_terms(s: SpectralData):
-    """Arrays (coeff, t_rate, u_rate, n) of the transition function's terms."""
-    order = s.order
-    w = roots_of_unity(order)
-    coeffs, t_rates, u_rates, rows = [], [], [], []
-    for j in range(1, order.j_count + 1):
-        for n in range(1, s.n_max + 1):
-            coeff = s.table[n - 1, j - 1]
-            if coeff == 0:
-                continue
-            c = n / (1 - w[j])
-            coeffs.append(coeff / (1j * (1 - w[j])))
-            t_rates.append(c * w[j])
-            u_rates.append(-c)
-            rows.append(n)
-    return (np.array(coeffs, dtype=complex), np.array(t_rates, dtype=complex),
-            np.array(u_rates, dtype=complex), np.array(rows, dtype=int))
+    """Arrays (coeff, t_rate, u_rate, n) of the transition function's nonzero terms,
+    ordered by j, then n."""
+    w = roots_of_unity(s.order)[1:]
+    j, n = np.nonzero(s.table.T)
+    c = (n + 1) / (1 - w[j])
+    return s.table[n, j] / (1j * (1 - w[j])), c * w[j], -c, n + 1
 
 
 def kernel_K(v: VTable, t: float, u: float, dt: int = 0, du: int = 0) -> complex:
@@ -305,15 +270,15 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float, u: float,
     if fc.size:
         val -= np.sum(fc * np.exp(fg * t + fh * u))
     if kc.size and fc.size:
-        srates = np.add.outer(kb, fg)
-        if np.any(srates.real >= 0):
+        # int_t^inf e^{a s} ds = -e^{a t}/a, so each pair contributes
+        # -kc e^{(ka+kb) t} * fc e^{fg t + fh u} / (kb + fg): one bilinear form
+        pair = np.add.outer(kb, fg)
+        if np.any(pair.real >= 0):
             raise InputError("inconsistent tables: a product rate has nonnegative real part")
-        # int_t^inf e^{a s} ds = -e^{a t}/a, so each pair contributes -kc*fc*e^{...}/(kb+fg)
-        terms = -np.outer(kc, fc) * np.exp(np.add.outer(ka + kb, fg) * t + fh[None, :] * u) / srates
+        np.reciprocal(pair, out=pair)
         if projected:
-            keep = np.add.outer(kcol, frow) <= min(v.n_max, s.n_max)
-            terms = np.where(keep, terms, 0.0)
-        val -= np.sum(terms)
+            pair *= np.add.outer(kcol, frow) <= min(v.n_max, s.n_max)
+        val += (kc * np.exp((ka + kb) * t)) @ pair @ (fc * np.exp(fg * t + fh * u))
     return complex(val)
 
 
@@ -334,14 +299,11 @@ def jump_relation_check(v: VTable, s: SpectralData, t: float, n: int, j: int,
     truncated table determines; at that depth the identity is exact for a
     consistent pair.
     """
-    order = v.order
     if n > v.n_max:
         raise TruncationError(f"pole index n={n} beyond table depth {v.n_max}", needed_depth=n)
-    w = roots_of_unity(order)
+    w = roots_of_unity(v.order)
     c = n / (1 - w[j])
-    lhs = 0j
-    for alpha in range(n, v.n_max + 1):
-        lhs += v.table[j - 1, n - 1, alpha - 1] * np.exp((c - alpha) * t)
+    lhs = v.table[j - 1, n - 1, n - 1:] @ np.exp((c - np.arange(n, v.n_max + 1)) * t)
     k_nj_wj = (-1j * c) * w[j]
     rhs = s.table[n - 1, j - 1] * eval_f(v, t, k_nj_wj, depth=v.n_max - n, pole_tol=pole_tol)
     return JumpCheck(complex(lhs), complex(rhs), float(abs(lhs - rhs)))

@@ -260,4 +260,4 @@ def vandermonde_det(order: Order) -> complex:
     w = roots_of_unity(order)
     k = np.arange(2 * order.m)
     mat = w[None, :] ** k[:, None]
-    return linalg.lu_det(mat)
+    return complex(linalg.det(mat))

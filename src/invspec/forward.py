@@ -73,11 +73,10 @@ def _diag_values(kern: DiagonalKernel, pc: np.ndarray, v: np.ndarray, w: np.ndar
     columns 1..alpha-1.
     """
     kern.check_remainders(alpha, diag_first=True)
-    a_mat = kern.d_a[alpha - 1, alpha - 1].T
     rhs = -pc[:, alpha - 1] - kern.convolution(pc, w, alpha) - kern.a_terms(v, alpha - 1, alpha)[0]
-    if linalg.pivot_ratio(a_mat) > cond_limit:
+    if kern.diag_ratio[alpha - 1] > cond_limit:
         raise SingularSystemError(f"diagonal system at alpha={alpha} is numerically singular", alpha=alpha)
-    return linalg.lu_solve(a_mat, rhs)
+    return linalg.solve_factored(kern.diag_lu[alpha - 1], kern.diag_piv[alpha - 1], rhs)
 
 
 def diag_solve(p: PotentialCoefficients, v: VTable, alpha: int,

@@ -17,6 +17,8 @@ from .errors import DegenerateDenominatorError, InputError
 
 CONVENTION = "det(E-F)"
 HARD_BLOCK_CAP = 256
+# largest stack of matrices the scan hands to one determinant call
+STACK_BYTES = 256 * 1024
 
 
 def _prefactor(s: SpectralData, n_blocks: int, tol: float) -> np.ndarray:
@@ -104,7 +106,7 @@ def det_truncated(s: SpectralData, z: complex, n_min: int = 4, n_max: int | None
 
     def det_at(n: int) -> complex:
         side = min(n, s.n_max) * jc
-        return linalg.lu_det(np.eye(side) - full[:side, :side])
+        return complex(linalg.det(np.eye(side) - full[:side, :side]))
 
     def gap_ok(a: complex, b: complex) -> bool:
         return abs(a - b) < tol * (1.0 + abs(a))
@@ -141,29 +143,26 @@ class ScanReport:
     convention: str = CONVENTION
 
 
-def _winding(det_at, re_grid, im_grid) -> int:
-    """Winding number of the determinant along the grid rectangle boundary."""
-    re0, re1 = re_grid[0], re_grid[-1]
-    im0, im1 = im_grid[0], im_grid[-1]
-    path = [complex(x, im0) for x in re_grid]
-    path += [complex(re1, y) for y in im_grid[1:]]
-    path += [complex(x, im1) for x in re_grid[::-1][1:]]
-    path += [complex(re0, y) for y in im_grid[::-1][1:]]
-    vals = [det_at(z) for z in path]
-    if min(abs(v) for v in vals) < 0.3:
+def _boundary(grid: np.ndarray) -> np.ndarray:
+    """Counter-clockwise walk around the rectangle of a [iy, ix] grid, closing on its first point."""
+    return np.concatenate([grid[0, :], grid[1:, -1], grid[-1, ::-1][1:], grid[::-1, 0][1:]])
+
+
+def _winding(dets, values, re_grid, im_grid) -> int:
+    """Winding number of the determinant along the grid rectangle boundary.
+
+    ``values`` holds the determinant on the grid, so the boundary costs
+    nothing unless it runs near a zero; ``dets`` evaluates it at other points.
+    """
+    vals = _boundary(values)
+    if np.abs(vals).min() < 0.3:
         # refine when the boundary runs near a zero; phase steps must stay < pi
-        refined = []
-        for a, b in zip(path, path[1:] + path[:1]):
-            for frac in np.linspace(0.0, 1.0, 9)[:-1]:
-                refined.append(a + (b - a) * frac)
-        path = refined
-        vals = [det_at(z) for z in path]
-    if min(abs(v) for v in vals) < 1e-13:
+        path = _boundary(re_grid[None, :] + 1j * im_grid[:, None])
+        step = np.roll(path, -1) - path
+        vals = dets((path[:, None] + step[:, None] * np.linspace(0.0, 1.0, 9)[:-1]).ravel())
+    if np.abs(vals).min() < 1e-13:
         raise DegenerateDenominatorError("determinant vanishes on the scan boundary")
-    total = 0.0
-    closed = vals + vals[:1]
-    for a, b in zip(closed, closed[1:]):
-        total += np.angle(b / a)
+    total = np.angle(np.roll(vals, -1) / vals).sum()
     return int(round(total / (2 * np.pi)))
 
 
@@ -174,6 +173,7 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
 
     The verdict combines a modulus floor with a boundary winding number: the
     grid minimum alone can straddle a zero, the winding number cannot.
+    Determinants are taken in stacks of at most STACK_BYTES of matrices.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
@@ -181,40 +181,37 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
         raise InputError("scan grids need at least two points per axis")
     if im_grid.min() < 0:
         raise InputError("scan stays in the closed upper half plane")
-    order = s.order
-    jc = order.j_count
+    jc = s.order.j_count
     n_cap = min(n_max or HARD_BLOCK_CAP, s.n_max, HARD_BLOCK_CAP)
     pre = _prefactor(s, n_cap, DEGENERACY_TOL)
-    eye = np.eye(n_cap * jc)
     block_n = np.repeat(np.arange(1, n_cap + 1), jc)
+
+    def dets(zs: np.ndarray, blocks: int = n_cap) -> np.ndarray:
+        side = blocks * jc
+        eye, sub, weight = np.eye(side), pre[:side, :side], 1j * block_n[:side]
+        per = max(1, STACK_BYTES // (16 * side * side))
+        out = np.empty(zs.size, dtype=complex)
+        for lo in range(0, zs.size, per):
+            col = np.exp(weight * zs[lo:lo + per, None])
+            out[lo:lo + per] = linalg.det(eye - sub * col[:, None, :])
+        return out
+
+    zs = (re_grid[None, :] + 1j * im_grid[:, None]).ravel()
+    values = dets(zs).reshape(im_grid.size, re_grid.size)
+    flagged = ()
     # values are exact once every data block is included; the consecutive-N
     # convergence check only matters when n_max cuts the data short
-    truncating = n_cap < s.n_max
-
-    def det_at(z: complex, blocks: int = n_cap) -> complex:
-        side = blocks * jc
-        mat = eye[:side, :side] - pre[:side, :side] * np.exp(1j * block_n[:side] * z)[None, :]
-        return linalg.lu_det(mat)
-
-    min_mod = np.inf
-    argmin = complex(re_grid[0], im_grid[0])
-    flagged = []
-    values = np.empty((im_grid.size, re_grid.size), dtype=complex)
-    for iy, y in enumerate(im_grid):
-        for ix, x in enumerate(re_grid):
-            z = complex(x, y)
-            d = values[iy, ix] = det_at(z)
-            if truncating and n_cap > 1:
-                gap = abs(d - det_at(z, n_cap - 1))
-                if gap >= det_tol * (1.0 + abs(d)):
-                    flagged.append(z)
-            if abs(d) < min_mod:
-                min_mod = abs(d)
-                argmin = z
-    winding = _winding(det_at, re_grid, im_grid)
+    if n_cap < s.n_max and n_cap > 1:
+        d = values.ravel()
+        gap = np.abs(d - dets(zs, n_cap - 1))
+        flagged = tuple(complex(z) for z in zs[gap >= det_tol * (1.0 + np.abs(d))])
+    modulus = np.abs(values)
+    iy, ix = np.unravel_index(np.argmin(modulus), modulus.shape)
+    min_mod = float(modulus[iy, ix])
+    winding = _winding(dets, values, re_grid, im_grid)
     zero_free = bool(min_mod > tol and winding == 0)
     values.setflags(write=False)
-    return ScanReport(float(min_mod), argmin, zero_free, winding, tuple(flagged), values)
+    return ScanReport(min_mod, complex(re_grid[ix], im_grid[iy]), zero_free, winding, flagged, values)
 
 
 def solve_system(s: SpectralData, rhs, n_blocks: int | None = None,

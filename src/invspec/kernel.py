@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import polyalg
+from . import linalg, polyalg
 from .core import Order, roots_of_unity
 
 
@@ -37,6 +37,9 @@ class DiagonalKernel:
     off-diagonal step; left_scale[alpha, j] = (alpha / |1 - w_j|)^2m is the
     scale its resonance guard measures against.  inv_den[n, j, r, l] =
     1 / (n w_j (1 - w_l) - r (1 - w_j)) and abs_den are the inverse map's.
+    diag_lu[alpha], diag_piv[alpha] and diag_ratio[alpha] are the in-house LU
+    factors and pivot ratio of the forward map's diagonal system d_a(alpha,
+    alpha)^T, which depends only on m and alpha.
     """
 
     def __init__(self, m: int, n_max: int):
@@ -56,6 +59,10 @@ class DiagonalKernel:
                - modes[None, None, :, None] * (1 - w)[None, :, None, None])
         self.abs_den = np.abs(den)
         self.inv_den = 1 / den
+        factors = [linalg.lu_factor(self.d_a[a, a].T) for a in range(n_max)]
+        self.diag_lu = np.array([lu for lu, _, _ in factors])
+        self.diag_piv = np.array([piv for _, piv, _ in factors])
+        self.diag_ratio = np.array([linalg.factor_ratio(lu) for lu, _, _ in factors])
         # largest remainder among the coefficients column alpha reads: its own
         # d_a entries (n <= alpha) and the d_b entries of every earlier column
         tri = np.tri(n_max, dtype=bool)

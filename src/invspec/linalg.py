@@ -1,13 +1,24 @@
-"""Dense complex LU with partial pivoting: determinant and linear solve.
+"""Dense linear algebra: batched determinants and a small deterministic LU solve.
 
-Row operations are vectorized but the elimination order is fixed, so results
-are bit-reproducible across runs; no BLAS-backed factorization is used.
+``det`` evaluates stacks of determinants through numpy.linalg (LAPACK), so its
+values agree with an exact determinant to rounding but need not agree bit for
+bit across BLAS builds.  The LU factorization with partial pivoting is
+in-house: its elimination order is fixed, so the solves it drives (the
+forward map's diagonal systems, ``lu_solve``) are bit-reproducible.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import InputError, SingularMatrixError
+
+
+def det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., n, n) stack of matrices; an exactly singular matrix yields 0."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InputError(f"square matrix required, got shape {a.shape}")
+    return np.linalg.det(a)
 
 
 def lu_factor(a: np.ndarray):
@@ -32,13 +43,8 @@ def lu_factor(a: np.ndarray):
     return lu, piv, sign
 
 
-def lu_det(a: np.ndarray) -> complex:
-    """Determinant via LU; an exactly singular matrix yields 0."""
-    lu, _, sign = lu_factor(a)
-    return complex(sign * np.prod(np.diag(lu)))
-
-
-def solve_factored(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def solve_factored(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, tol: float = 1e-300) -> np.ndarray:
+    """Solve with packed LU factors; raises SingularMatrixError on a negligible pivot."""
     n = lu.shape[0]
     scale = max(np.abs(np.diag(lu)).max(), 1.0)
     x = np.array(b, dtype=complex)[piv]
@@ -61,11 +67,15 @@ def lu_solve(a: np.ndarray, b: np.ndarray, tol: float = 1e-300) -> np.ndarray:
     return solve_factored(lu, piv, b, tol=tol)
 
 
-def pivot_ratio(a: np.ndarray) -> float:
-    """Crude condition estimate: max |U_ii| / min |U_ii| from the LU factors."""
-    lu, _, _ = lu_factor(a)
+def factor_ratio(lu: np.ndarray) -> float:
+    """max |U_ii| / min |U_ii| of packed LU factors; inf when a pivot is 0."""
     d = np.abs(np.diag(lu))
     lo = d.min()
     if lo == 0:
         return np.inf
     return float(d.max() / lo)
+
+
+def pivot_ratio(a: np.ndarray) -> float:
+    """Crude condition estimate: max |U_ii| / min |U_ii| from the LU factors."""
+    return factor_ratio(lu_factor(a)[0])

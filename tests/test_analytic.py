@@ -3,9 +3,9 @@ import pytest
 
 from conftest import random_potential
 from invspec import (ExpSum, Order, PotentialCoefficients, SpectralData, VTable, eval_f,
-                     eval_phi, forward_map, jump_relation_check, kernel_K, marchenko_residual,
-                     ode_residual, q0_from_kernel, q_from_p, shift_spectral, transform_lhs,
-                     transition, transition_m1)
+                     eval_phi, forward_map, jump_relation_check, k_pole, kernel_K,
+                     marchenko_residual, ode_residual, q0_from_kernel, q_from_p,
+                     roots_of_unity, shift_spectral, transform_lhs, transition, transition_m1)
 from invspec.analytic import e_vector, k_vector
 from invspec.errors import InputError, PoleProximityError
 
@@ -272,3 +272,105 @@ def test_k_vector_matches_boundary_identity(rng):
         gaps = [identity_gap(m, n_max, 5) for n_max in (4, 6, 8)]
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] <= 1e-9
+
+
+# Scalar reference loops: the term-by-term sums the vectorised code replaces.
+
+def scalar_eval_f(v, t, k, deriv=0, depth=None, pole_tol=1e-9):
+    w = roots_of_unity(v.order)
+    n_cap = v.n_max if depth is None else depth
+    val = (1j * k) ** deriv * np.exp(1j * k * t)
+    for j in range(1, v.order.j_count + 1):
+        for alpha in range(1, n_cap + 1):
+            rate = 1j * k - alpha
+            for n in range(1, alpha + 1):
+                den = 1j * n + k * (1 - w[j])
+                if abs(den) <= pole_tol:
+                    raise PoleProximityError("pole", indices=(n, j))
+                val += v.table[j - 1, n - 1, alpha - 1] / den * rate ** deriv * np.exp(rate * t)
+    return complex(val)
+
+
+def scalar_eval_phi(v, x, lam, tau=0, deriv=0, depth=None, pole_tol=1e-9):
+    w = roots_of_unity(v.order)
+    n_cap = v.n_max if depth is None else depth
+    lw = lam * v.order.root(tau)
+    val = (1j * lw) ** deriv * np.exp(1j * lw * x)
+    for j in range(1, v.order.j_count + 1):
+        for alpha in range(1, n_cap + 1):
+            rate = 1j * (lw + alpha)
+            for n in range(1, alpha + 1):
+                den = n + lw * (1 - w[j])
+                if abs(den) <= pole_tol:
+                    raise PoleProximityError("pole", indices=(n, j))
+                val += v.table[j - 1, n - 1, alpha - 1] / (1j * den) * rate ** deriv * np.exp(rate * x)
+    return complex(val)
+
+
+def scalar_marchenko(v, s, t, u):
+    """Projected Marchenko residual summed pair by pair, and the sum of the magnitudes of its terms."""
+    w = roots_of_unity(v.order)
+    jc = v.order.j_count
+    kernel = [(v.table[j - 1, n - 1, a - 1] / (1j * (1 - w[j])), n / (1 - w[j]), a)
+              for j in range(1, jc + 1) for a in range(1, v.n_max + 1) for n in range(1, a + 1)]
+    trans = [(s.table[n - 1, j - 1] / (1j * (1 - w[j])), n / (1 - w[j]), w[j], n)
+             for j in range(1, jc + 1) for n in range(1, s.n_max + 1)]
+    terms = [kc * np.exp((c - a) * t - c * u) for kc, c, a in kernel]
+    terms += [-fc * np.exp(d * wj * t - d * u) for fc, d, wj, _ in trans]
+    for kc, c, a in kernel:
+        for fc, d, wj, n in trans:
+            if a + n <= min(v.n_max, s.n_max):
+                rate = -c + d * wj
+                terms.append(kc * fc * np.exp((-a + d * wj) * t - d * u) / rate)
+    return complex(sum(terms)), sum(abs(x) for x in terms)
+
+
+def test_series_match_scalar_loops(rng):
+    for m in (1, 2, 3):
+        p = random_potential(Order(m), 10, rng, scale=0.3)
+        v, _ = forward_map(p)
+        for deriv in (0, 1, 2 * m):
+            for depth in (None, 4, 0):
+                for t, k in [(0.5, 0.8), (1.2, 0.3 + 0.4j), (0.0, -1.1 + 0.2j)]:
+                    want = scalar_eval_f(v, t, k, deriv, depth)
+                    assert abs(eval_f(v, t, k, deriv, depth) - want) <= 1e-13 * max(1.0, abs(want))
+                for x, lam, tau in [(0.4, 0.6, 0), (1j * 0.7, 0.2 - 0.5j, 1), (0.3 + 0.2j, 1.3, 2 * m - 1)]:
+                    want = scalar_eval_phi(v, x, lam, tau, deriv, depth)
+                    got = eval_phi(v, x, lam, tau=tau, deriv=deriv, depth=depth)
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("k, pole_tol, first", [
+    (k_pole(Order(2), 3, 2), 1e-9, (3, 2)),
+    (k_pole(Order(2), 3, 2), 1.2, (2, 2)),  # catches the j = 2 poles n = 2, 3, 4
+    (k_pole(Order(2), 3, 2), 2.0, (1, 1)),  # also poles of every other j
+    (-0.5 - 1.5j, 1.6, (2, 2)),  # catches (n=1, j=3) too: j orders before n
+])
+def test_pole_guard_reports_the_scalar_loops_first_pole(rng, k, pole_tol, first):
+    # eval_phi(i t, -i k) is eval_f(t, k), with the same distances to the poles
+    v, _ = forward_map(random_potential(Order(2), 6, rng))
+    for series, scalar, args in [(eval_f, scalar_eval_f, (0.4, k)),
+                                 (eval_phi, scalar_eval_phi, (0.4j, -1j * k))]:
+        for depth in (None, 3, 1):
+            try:
+                want = scalar(v, *args, depth=depth, pole_tol=pole_tol)
+            except PoleProximityError as exc:
+                with pytest.raises(PoleProximityError) as got:
+                    series(v, *args, depth=depth, pole_tol=pole_tol)
+                assert got.value.indices == exc.indices
+            else:
+                assert series(v, *args, depth=depth, pole_tol=pole_tol) == pytest.approx(want, rel=1e-13)
+        with pytest.raises(PoleProximityError) as full:
+            series(v, *args, pole_tol=pole_tol)
+        assert full.value.indices == first
+
+
+@pytest.mark.parametrize("m, n_max", [(2, 24), (3, 12)])
+def test_marchenko_bilinear_form_matches_pairwise_sum(m, n_max):
+    p = random_potential(Order(m), n_max, np.random.default_rng(17))
+    v, s = forward_map(p)
+    bumped = SpectralData(Order(m), n_max, s.table * 1.01)
+    for data in (s, bumped):
+        for t, u in [(0.0, 0.0), (0.4, 1.1), (1.5, 3.0)]:
+            want, scale = scalar_marchenko(v, data, t, u)
+            assert abs(marchenko_residual(v, data, t, u) - want) <= 1e-13 * scale

@@ -120,3 +120,25 @@ def test_series_q_differs_by_parity_sign():
     p = PotentialCoefficients(Order(1), 1, np.array([[0.5]], dtype=complex))
     assert series_q(p)[0, 0] == pytest.approx(0.5)
     assert q_from_p(p)[0, 0] == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 16), (2, 24), (3, 12), (4, 8)])
+def test_stored_diagonal_factors_keep_v_bitwise(monkeypatch, m, n_max):
+    # reference: factor the diagonal system afresh at every column, as a
+    # pivot-ratio check followed by lu_solve
+    from invspec import forward, linalg
+    from invspec.errors import SingularSystemError
+
+    def refactoring(kern, pc, v, w, alpha, cond_limit):
+        kern.check_remainders(alpha, diag_first=True)
+        a_mat = kern.d_a[alpha - 1, alpha - 1].T
+        rhs = -pc[:, alpha - 1] - kern.convolution(pc, w, alpha) - kern.a_terms(v, alpha - 1, alpha)[0]
+        if linalg.pivot_ratio(a_mat) > cond_limit:
+            raise SingularSystemError("singular", alpha=alpha)
+        return linalg.lu_solve(a_mat, rhs)
+
+    p = random_potential(Order(m), n_max, np.random.default_rng(m * 100 + n_max), scale=0.3)
+    stored, _ = forward_map(p)
+    monkeypatch.setattr(forward, "_diag_values", refactoring)
+    refactored, _ = forward_map(p)
+    assert np.array_equal(stored.table, refactored.table)

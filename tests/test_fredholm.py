@@ -5,7 +5,7 @@ from conftest import random_potential, random_spectral
 from invspec import (Order, SpectralData, det_truncated, f_matrix, forward_map, scan_halfplane,
                      solve_system)
 from invspec.analytic import e_vector, k_vector
-from invspec.errors import InputError, SingularMatrixError
+from invspec.errors import DegenerateDenominatorError, InputError, SingularMatrixError
 
 
 def rank_one_m1(value: complex) -> SpectralData:
@@ -152,3 +152,67 @@ def test_scan_consistency_with_round_trip_data(rng):
         report = scan_halfplane(s, np.linspace(0, 2 * np.pi, 13), np.linspace(0, 10, 9))
         assert report.zero_free
         assert report.min_modulus > 0.5
+
+
+def scalar_scan(s, re_grid, im_grid, tol=1e-6, n_max=None, det_tol=1e-10):
+    """Point-by-point reference scan: one np.linalg.det per grid and boundary point."""
+    jc = s.order.j_count
+    n_cap = min(n_max or s.n_max, s.n_max)
+    pre = f_matrix(s, 0.0, n_cap, mode="z")
+    block_n = np.repeat(np.arange(1, n_cap + 1), jc)
+
+    def det_at(z, blocks=n_cap):
+        side = blocks * jc
+        return np.linalg.det(np.eye(side) - pre[:side, :side] * np.exp(1j * block_n[:side] * z))
+
+    values = np.array([[det_at(complex(x, y)) for x in re_grid] for y in im_grid])
+    flagged = [complex(x, y) for y in im_grid for x in re_grid
+               if n_cap < s.n_max and n_cap > 1
+               and abs(det_at(complex(x, y)) - det_at(complex(x, y), n_cap - 1))
+               >= det_tol * (1 + abs(det_at(complex(x, y))))]
+    re0, re1, im0, im1 = re_grid[0], re_grid[-1], im_grid[0], im_grid[-1]
+    path = [complex(x, im0) for x in re_grid] + [complex(re1, y) for y in im_grid[1:]]
+    path += [complex(x, im1) for x in re_grid[::-1][1:]] + [complex(re0, y) for y in im_grid[::-1][1:]]
+    refined = min(abs(det_at(z)) for z in path) < 0.3
+    if refined:
+        path = [a + (b - a) * f for a, b in zip(path, path[1:] + path[:1])
+                for f in np.linspace(0.0, 1.0, 9)[:-1]]
+    vals = [det_at(z) for z in path]
+    if min(abs(d) for d in vals) < 1e-13:
+        raise DegenerateDenominatorError("determinant vanishes on the scan boundary")
+    turns = sum(np.angle(b / a) for a, b in zip(vals, vals[1:] + vals[:1]))
+    winding = int(round(turns / (2 * np.pi)))
+    zero_free = np.abs(values).min() > tol and winding == 0
+    return values, winding, zero_free, flagged, refined
+
+
+@pytest.mark.parametrize("fixture", ["zero_at_pi_plus_i", "zero_near_boundary", "truncated",
+                                     "round_trip_m2", "zero_on_refined_boundary"])
+def test_batched_scan_matches_pointwise_determinants(fixture):
+    re_grid, im_grid, n_max = np.linspace(0, 2 * np.pi, 17), np.linspace(0, 10, 11), None
+    if fixture == "zero_at_pi_plus_i":
+        s = rank_one_m1(-2 * np.e * 1j)
+    elif fixture == "zero_near_boundary":
+        # 1 + i S e^{iz} / 2 vanishes at z = pi + 0.05 i, 0.05 above the bottom edge
+        s = rank_one_m1(-2j * np.exp(0.05))
+    elif fixture == "truncated":
+        s = SpectralData(Order(1), 20, (0.8 ** np.arange(1, 21))[:, None].astype(complex))
+        n_max = 5
+    elif fixture == "zero_on_refined_boundary":
+        # a real zero at pi/16, between two grid points of the bottom edge and
+        # on its refined path: the scan must refuse to count
+        s = rank_one_m1(2j * np.exp(-1j * np.pi / 16))
+        with pytest.raises(DegenerateDenominatorError):
+            scalar_scan(s, re_grid, im_grid)
+        with pytest.raises(DegenerateDenominatorError):
+            scan_halfplane(s, re_grid, im_grid)
+        return
+    else:
+        _, s = forward_map(random_potential(Order(2), 12, np.random.default_rng(8), scale=0.5))
+    values, winding, zero_free, flagged, refined = scalar_scan(s, re_grid, im_grid, n_max=n_max)
+    report = scan_halfplane(s, re_grid, im_grid, n_max=n_max)
+    assert np.all(np.abs(report.values - values) <= 1e-12 * np.abs(values))
+    assert (report.winding, report.zero_free, list(report.flagged)) == (winding, zero_free, flagged)
+    assert refined == (fixture == "zero_near_boundary")
+    assert (0 < len(flagged) < values.size) == (fixture == "truncated")
+    assert winding == (0 if fixture in ("truncated", "round_trip_m2") else 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invspec.errors import InputError, SingularMatrixError
-from invspec.linalg import lu_det, lu_solve, pivot_ratio
+from invspec.linalg import det, lu_solve, pivot_ratio
 
 
 def cofactor_det(a: np.ndarray) -> complex:
@@ -18,29 +18,40 @@ def cofactor_det(a: np.ndarray) -> complex:
 
 
 def test_identity_and_diagonal():
-    assert lu_det(np.eye(5)) == pytest.approx(1.0)
-    assert lu_det(np.diag([2.0, 3j])) == pytest.approx(6j)
+    assert det(np.eye(5)) == pytest.approx(1.0)
+    assert det(np.diag([2.0, 3j])) == pytest.approx(6j)
 
 
 def test_det_matches_cofactor_oracle(rng):
     for _ in range(10):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         expected = cofactor_det(a)
-        assert abs(lu_det(a) - expected) <= 1e-12 * abs(expected)
+        assert abs(det(a) - expected) <= 1e-12 * abs(expected)
 
 
 def test_det_multiplicative(rng):
     for _ in range(5):
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        lhs = lu_det(a @ b)
-        rhs = lu_det(a) * lu_det(b)
+        lhs = det(a @ b)
+        rhs = det(a) * det(b)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
 def test_singular_det_is_zero():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    assert lu_det(a) == pytest.approx(0.0, abs=1e-14)
+    assert det(a) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_stack_matches_per_matrix_values(rng):
+    stack = rng.normal(size=(7, 5, 5)) + 1j * rng.normal(size=(7, 5, 5))
+    stack[3] = np.eye(5)
+    stack[4, :, 0] = 0.0
+    values = det(stack)
+    assert values.shape == (7,)
+    expected = np.array([det(a) for a in stack])
+    assert np.abs(values - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert values[3] == 1.0 and values[4] == 0.0
 
 
 def test_solve_simple():
@@ -65,7 +76,11 @@ def test_solve_singular_raises_with_pivot():
 
 def test_shape_validation():
     with pytest.raises(InputError):
-        lu_det(np.zeros((2, 3)))
+        det(np.zeros((2, 3)))
+    with pytest.raises(InputError):
+        det(np.zeros((4, 2, 3)))
+    with pytest.raises(InputError):
+        det(np.zeros(3))
     with pytest.raises(InputError):
         lu_solve(np.eye(2), [1.0, 2.0, 3.0])
 
