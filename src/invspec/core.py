@@ -173,12 +173,11 @@ class VTable:
     def __post_init__(self):
         if self.n_max < 1:
             raise InputError(f"truncation depth must be >= 1, got {self.n_max}")
-        arr = np.array(self.table, dtype=complex)
+        arr = np.array(self.table, dtype=complex, order="C")
         shape = (self.order.j_count, self.n_max, self.n_max)
         if arr.shape != shape:
             raise InputError(f"V table must have shape {shape}, got {arr.shape}")
-        lower = np.tril_indices(self.n_max, -1)
-        if np.any(arr[:, lower[0], lower[1]] != 0):
+        if np.tril(arr, -1).any():
             # storage is [j, n-1, alpha-1]; entries with n > alpha must be absent
             raise InputError("V table has entries below the n <= alpha triangle")
         arr.setflags(write=False)

@@ -22,28 +22,27 @@ STACK_BYTES = 256 * 1024
 
 
 def _prefactor(s: SpectralData, n_blocks: int, tol: float) -> np.ndarray:
-    """z-independent part i (1 - w_l) S_nj / (r w_l (1 - w_j) - n (1 - w_l))."""
+    """z-independent part i (1 - w_l) S_nj / (r w_l (1 - w_j) - n (1 - w_l)).
+
+    Blocks n > s.n_max carry no data and stay zero.  Every other denominator
+    is checked, also where S_nj = 0; the error names the first (r, l, n, j)
+    in C order.
+    """
     order = s.order
     jc = order.j_count
-    w = roots_of_unity(order)
-    side = n_blocks * jc
-    out = np.zeros((side, side), dtype=complex)
-    for r in range(1, n_blocks + 1):
-        for l in range(1, jc + 1):
-            row = (r - 1) * jc + (l - 1)
-            for n in range(1, n_blocks + 1):
-                if n > s.n_max:
-                    continue
-                for j in range(1, jc + 1):
-                    snj = s.table[n - 1, j - 1]
-                    den = r * w[l] * (1 - w[j]) - n * (1 - w[l])
-                    if abs(den) <= tol:
-                        raise DegenerateDenominatorError(
-                            f"degenerate operator denominator at (r={r}, l={l}, n={n}, j={j})",
-                            indices=(r, l, n, j),
-                        )
-                    out[row, (n - 1) * jc + (j - 1)] = 1j * (1 - w[l]) * snj / den
-    return out
+    w = roots_of_unity(order)[1:]
+    rows = np.arange(1, n_blocks + 1)
+    cols = rows[:s.n_max]
+    den = (rows[:, None, None, None] * w[None, :, None, None] * (1 - w)[None, None, None, :]
+           - cols[None, None, :, None] * (1 - w)[None, :, None, None])
+    small = np.abs(den) <= tol
+    if small.any():
+        r, l, n, j = (int(i) + 1 for i in np.argwhere(small)[0])
+        raise DegenerateDenominatorError(
+            f"degenerate operator denominator at (r={r}, l={l}, n={n}, j={j})", indices=(r, l, n, j))
+    out = np.zeros((n_blocks, jc, n_blocks, jc), dtype=complex)
+    out[:, :, :cols.size] = (1j * (1 - w))[None, :, None, None] * s.table[:cols.size] / den
+    return out.reshape(n_blocks * jc, n_blocks * jc)
 
 
 def f_matrix(s: SpectralData, value: complex, n_blocks: int, mode: str = "z",

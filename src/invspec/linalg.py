@@ -3,8 +3,10 @@
 ``det`` evaluates stacks of determinants through numpy.linalg (LAPACK), so its
 values agree with an exact determinant to rounding but need not agree bit for
 bit across BLAS builds.  The LU factorization with partial pivoting is
-in-house: its elimination order is fixed, so the solves it drives (the
-forward map's diagonal systems, ``lu_solve``) are bit-reproducible.
+in-house and its substitution runs in plain Python complex arithmetic: the
+elimination order is fixed and no BLAS routine is called, so the solves it
+drives (the forward map's diagonal systems, ``lu_solve``) round the same way
+on every BLAS build.
 """
 from __future__ import annotations
 
@@ -43,19 +45,49 @@ def lu_factor(a: np.ndarray):
     return lu, piv, sign
 
 
+def negligible_pivots(lu: np.ndarray, tol: float = 1e-300) -> np.ndarray:
+    """Mask of the pivots a solve with packed LU factors (..., n, n) treats as zero."""
+    d = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
+    return (d <= tol * np.maximum(d.max(axis=-1, keepdims=True), 1.0)) | (d == 0)
+
+
+def check_pivots(lu: np.ndarray, tol: float = 1e-300) -> None:
+    """Raise SingularMatrixError at the negligible pivot back substitution reaches first."""
+    small = np.flatnonzero(negligible_pivots(lu, tol))
+    if small.size:
+        i = int(small[-1])
+        raise SingularMatrixError(f"negligible pivot at index {i}", pivot_index=i)
+
+
+def substitute(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Forward and back substitution with packed LU factors, in plain Python complex arithmetic.
+
+    The pivots must be checked first (``check_pivots``).  No BLAS routine
+    is called, so the rounding does not depend on the BLAS build.
+    """
+    rows = lu.tolist()
+    rhs = b.tolist()
+    x = [rhs[i] for i in piv.tolist()]
+    n = len(x)
+    for i in range(n):
+        row = rows[i]
+        acc = x[i]
+        for k in range(i):
+            acc -= row[k] * x[k]
+        x[i] = acc
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = x[i]
+        for k in range(i + 1, n):
+            acc -= row[k] * x[k]
+        x[i] = acc / row[i]
+    return np.array(x, dtype=complex)
+
+
 def solve_factored(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, tol: float = 1e-300) -> np.ndarray:
     """Solve with packed LU factors; raises SingularMatrixError on a negligible pivot."""
-    n = lu.shape[0]
-    scale = max(np.abs(np.diag(lu)).max(), 1.0)
-    x = np.array(b, dtype=complex)[piv]
-    for i in range(n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        pivot = lu[i, i]
-        if abs(pivot) <= tol * scale or pivot == 0:
-            raise SingularMatrixError(f"negligible pivot at index {i}", pivot_index=i)
-        x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / pivot
-    return x
+    check_pivots(lu, tol)
+    return substitute(lu, piv, np.asarray(b, dtype=complex))
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray, tol: float = 1e-300) -> np.ndarray:

@@ -124,21 +124,21 @@ def test_series_q_differs_by_parity_sign():
 
 @pytest.mark.parametrize("m, n_max", [(1, 16), (2, 24), (3, 12), (4, 8)])
 def test_stored_diagonal_factors_keep_v_bitwise(monkeypatch, m, n_max):
-    # reference: factor the diagonal system afresh at every column, as a
-    # pivot-ratio check followed by lu_solve
+    # reference: build the same right-hand side, then factor the diagonal
+    # system afresh at every column through lu_solve
     from invspec import forward, linalg
-    from invspec.errors import SingularSystemError
 
-    def refactoring(kern, pc, v, w, alpha, cond_limit):
-        kern.check_remainders(alpha, diag_first=True)
-        a_mat = kern.d_a[alpha - 1, alpha - 1].T
-        rhs = -pc[:, alpha - 1] - kern.convolution(pc, w, alpha) - kern.a_terms(v, alpha - 1, alpha)[0]
-        if linalg.pivot_ratio(a_mat) > cond_limit:
-            raise SingularSystemError("singular", alpha=alpha)
-        return linalg.lu_solve(a_mat, rhs)
+    solved = []
+
+    def refactoring(kern, pc, col, conv, alpha):
+        solved.append(alpha)
+        k, size = alpha - 1, (alpha - 1) * kern.order.j_count
+        rhs = -pc[:, k] - conv - col[:size] @ kern.d_a[k, :k].reshape(size, pc.shape[0])
+        return linalg.lu_solve(kern.d_a[k, k].T, rhs)
 
     p = random_potential(Order(m), n_max, np.random.default_rng(m * 100 + n_max), scale=0.3)
     stored, _ = forward_map(p)
     monkeypatch.setattr(forward, "_diag_values", refactoring)
     refactored, _ = forward_map(p)
+    assert solved == list(range(1, n_max + 1))
     assert np.array_equal(stored.table, refactored.table)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import (Order, SpectralData, det_truncated, f_matrix, forward_map, scan_halfplane,
-                     solve_system)
+from invspec import (Order, SpectralData, det_truncated, f_matrix, forward_map, fredholm,
+                     roots_of_unity, scan_halfplane, solve_system)
+from invspec.core import DEGENERACY_TOL
 from invspec.analytic import e_vector, k_vector
 from invspec.errors import DegenerateDenominatorError, InputError, SingularMatrixError
 
@@ -216,3 +217,53 @@ def test_batched_scan_matches_pointwise_determinants(fixture):
     assert refined == (fixture == "zero_near_boundary")
     assert (0 < len(flagged) < values.size) == (fixture == "truncated")
     assert winding == (0 if fixture in ("truncated", "round_trip_m2") else 1)
+
+
+def loop_prefactor(s, n_blocks, tol, w):
+    """The operator prefactor as one scalar loop over (r, l, n, j)."""
+    jc = s.order.j_count
+    out = np.zeros((n_blocks * jc, n_blocks * jc), dtype=complex)
+    for r in range(1, n_blocks + 1):
+        for l in range(1, jc + 1):
+            for n in range(1, min(n_blocks, s.n_max) + 1):
+                for j in range(1, jc + 1):
+                    den = r * w[l] * (1 - w[j]) - n * (1 - w[l])
+                    if abs(den) <= tol:
+                        raise DegenerateDenominatorError("loop", indices=(r, l, n, j))
+                    out[(r - 1) * jc + l - 1, (n - 1) * jc + j - 1] = (
+                        1j * (1 - w[l]) * s.table[n - 1, j - 1] / den)
+    return out
+
+
+@pytest.mark.parametrize("m, n_max, n_blocks", [(1, 6, 6), (2, 6, 4), (2, 4, 7), (3, 5, 5), (4, 3, 5)])
+def test_prefactor_matches_scalar_loop(m, n_max, n_blocks):
+    s = random_spectral(Order(m), n_max, np.random.default_rng(m + n_blocks))
+    want = loop_prefactor(s, n_blocks, DEGENERACY_TOL, roots_of_unity(Order(m)))
+    got = fredholm._prefactor(s, n_blocks, DEGENERACY_TOL)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    # blocks past the data depth stay zero
+    assert not got[:, n_max * (2 * m - 1):].any()
+
+
+@pytest.mark.parametrize("quantile", [0.01, 0.1, 0.25])
+def test_prefactor_guard_names_the_loop_index(monkeypatch, quantile):
+    # unit-modulus points in place of the roots move the smallest denominator
+    # away from (1, 1, 1, 1); the vanishing S at the tripped index is still checked
+    order = Order(3)
+    w = np.exp(1j * np.array([0.0, np.pi, 0.3, 0.35, 2.0, 4.0]))
+    monkeypatch.setattr(fredholm, "roots_of_unity", lambda _: w)
+    s = random_spectral(order, 4, np.random.default_rng(6))
+    rows = np.arange(1, 6)
+    den = np.abs(rows[:, None, None, None] * w[None, 1:, None, None] * (1 - w[1:])[None, None, None, :]
+                 - rows[None, None, :4, None] * (1 - w[1:])[None, :, None, None])
+    tol = np.quantile(den, quantile)
+    with pytest.raises(DegenerateDenominatorError) as info:
+        loop_prefactor(s, 5, tol, w)
+    r, l, n, j = info.value.indices
+    assert info.value.indices != (1, 1, 1, 1)
+    table = np.array(s.table)
+    table[n - 1, j - 1] = 0.0
+    with pytest.raises(DegenerateDenominatorError) as info:
+        fredholm._prefactor(SpectralData(order, 4, table), 5, tol)
+    assert info.value.indices == (r, l, n, j)
