@@ -244,31 +244,28 @@ def transition(s: SpectralData, t: float, u: float) -> complex:
     return complex(np.sum(fc * np.exp(fg * t + fh * u)))
 
 
-def transition_m1(s: SpectralData, combined: float) -> complex:
-    """One-argument form of the transition function; collapses only at m = 1."""
-    if s.order.m != 1:
-        raise InputError("the single-argument transition form exists only for m = 1")
-    return transition(s, combined, 0.0)
-
-
-def marchenko_residual(v: VTable, s: SpectralData, t: float, u: float,
-                       projected: bool = True) -> complex:
+def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: float | np.ndarray,
+                       projected: bool = True) -> complex | np.ndarray:
     """Residual K(t,u) - F(t,u) - int_t^inf K(t,s') F(s',u) ds' in closed form.
 
     With ``projected`` the product integral keeps only the exponential modes
     the truncated tables resolve (combined column index <= N); on a consistent
     table pair that projection vanishes identically.  The raw residual keeps
     the truncation tail of order |S| * |V_tail|.
+
+    ``t`` and ``u`` broadcast: scalars give a complex, arrays a complex array
+    of their broadcast shape.  The term tables and the pair matrix of the
+    product integral are built once for all points, and each point's value is
+    the same expression a scalar call evaluates.
     """
-    if u < t:
-        raise InputError(f"residual requires u >= t, got t={t}, u={u}")
+    t_pts, u_pts = np.broadcast_arrays(t, u)
+    below = np.flatnonzero(u_pts < t_pts)
+    if below.size:
+        i = below[0]
+        raise InputError(f"residual requires u >= t, got t={t_pts.flat[i]}, u={u_pts.flat[i]}")
     kc, ka, kb, kcol = _kernel_terms(v)
     fc, fg, fh, frow = _transition_terms(s)
-    val = 0j
-    if kc.size:
-        val += np.sum(kc * np.exp(ka * t + kb * u))
-    if fc.size:
-        val -= np.sum(fc * np.exp(fg * t + fh * u))
+    pair = None
     if kc.size and fc.size:
         # int_t^inf e^{a s} ds = -e^{a t}/a, so each pair contributes
         # -kc e^{(ka+kb) t} * fc e^{fg t + fh u} / (kb + fg): one bilinear form
@@ -278,8 +275,19 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float, u: float,
         np.reciprocal(pair, out=pair)
         if projected:
             pair *= np.add.outer(kcol, frow) <= min(v.n_max, s.n_max)
-        val += (kc * np.exp((ka + kb) * t)) @ pair @ (fc * np.exp(fg * t + fh * u))
-    return complex(val)
+    k_diag = ka + kb
+    out = np.empty(t_pts.shape, dtype=complex)
+    for i, (ti, ui) in enumerate(zip(t_pts.ravel().tolist(), u_pts.ravel().tolist())):
+        val = 0j
+        if kc.size:
+            val += np.sum(kc * np.exp(ka * ti + kb * ui))
+        if fc.size:
+            f_term = fc * np.exp(fg * ti + fh * ui)
+            val -= np.sum(f_term)
+        if pair is not None:
+            val += (kc * np.exp(k_diag * ti)) @ pair @ f_term
+        out.flat[i] = val
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

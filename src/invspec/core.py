@@ -7,7 +7,6 @@ mathematics is (n, alpha, j) and 0-based for gamma; array storage is 0-based.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -251,12 +250,3 @@ def a_m_constant(order: Order, cap: int, tol: float = DEGENERACY_TOL) -> AmRepor
                 best_ordered = (val, arg)
     return AmReport(best[0], best[1], best_ordered[0], best_ordered[1], cap)
 
-
-def vandermonde_det(order: Order) -> complex:
-    """Determinant of the 2m x 2m root-power matrix with rows (w_0^k .. w_{2m-1}^k)."""
-    from . import linalg
-
-    w = roots_of_unity(order)
-    k = np.arange(2 * order.m)
-    mat = w[None, :] ** k[:, None]
-    return complex(linalg.det(mat))

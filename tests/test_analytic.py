@@ -5,7 +5,8 @@ from conftest import random_potential
 from invspec import (ExpSum, Order, PotentialCoefficients, SpectralData, VTable, eval_f,
                      eval_phi, forward_map, jump_relation_check, k_pole, kernel_K,
                      marchenko_residual, ode_residual, q0_from_kernel, q_from_p,
-                     roots_of_unity, shift_spectral, transform_lhs, transition, transition_m1)
+                     roots_of_unity, shift_spectral, transform_lhs, transition)
+from invspec import analytic
 from invspec.analytic import e_vector, k_vector
 from invspec.errors import InputError, PoleProximityError
 
@@ -118,7 +119,6 @@ def test_transition_m1_single_entry():
     t, u = 0.6, 1.1
     expected = s_val / (2j) * np.exp(-(t + u) / 2)
     assert transition(s, t, u) == pytest.approx(expected)
-    assert transition_m1(s, t + u) == pytest.approx(expected)
 
 
 def test_transition_m2_single_entry_rate():
@@ -129,8 +129,6 @@ def test_transition_m2_single_entry_rate():
     w1 = order.root(1)
     expected = 1.0 / (1j * (1 - w1)) * np.exp((1 / (1 - w1)) * (0.5 * w1 - 1.2))
     assert transition(s, 0.5, 1.2) == pytest.approx(expected)
-    with pytest.raises(InputError):
-        transition_m1(s, 1.0)
 
 
 def test_marchenko_residual_zero_tables():
@@ -374,3 +372,66 @@ def test_marchenko_bilinear_form_matches_pairwise_sum(m, n_max):
         for t, u in [(0.0, 0.0), (0.4, 1.1), (1.5, 3.0)]:
             want, scale = scalar_marchenko(v, data, t, u)
             assert abs(marchenko_residual(v, data, t, u) - want) <= 1e-13 * scale
+
+
+def one_point_marchenko(v, s, t, u, projected=True):
+    """The residual at one point, as evaluated before points came in arrays."""
+    kc, ka, kb, kcol = analytic._kernel_terms(v)
+    fc, fg, fh, frow = analytic._transition_terms(s)
+    val = 0j
+    if kc.size:
+        val += np.sum(kc * np.exp(ka * t + kb * u))
+    if fc.size:
+        val -= np.sum(fc * np.exp(fg * t + fh * u))
+    if kc.size and fc.size:
+        pair = np.add.outer(kb, fg)
+        np.reciprocal(pair, out=pair)
+        if projected:
+            pair *= np.add.outer(kcol, frow) <= min(v.n_max, s.n_max)
+        val += (kc * np.exp((ka + kb) * t)) @ pair @ (fc * np.exp(fg * t + fh * u))
+    return complex(val)
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 8), (2, 16), (2, 24), (3, 12)])
+def test_marchenko_point_arrays_match_scalar_calls_bitwise(m, n_max):
+    p = random_potential(Order(m), n_max, np.random.default_rng(23))
+    v, s = forward_map(p)
+    bumped = SpectralData(Order(m), n_max, s.table * 1.01)
+    grid = np.linspace(0.0, 3.0, 5)
+    t_idx, u_idx = np.triu_indices(grid.size)
+    t, u = grid[t_idx], grid[u_idx]
+    for data in (s, bumped):
+        for projected in (True, False):
+            got = marchenko_residual(v, data, t, u, projected=projected)
+            want = [one_point_marchenko(v, data, ti, ui, projected) for ti, ui in zip(t, u)]
+            assert got.shape == (15,)
+            assert np.array_equal(got, want)
+            assert [marchenko_residual(v, data, ti, ui, projected=projected)
+                    for ti, ui in zip(t, u)] == want
+    scalar = marchenko_residual(v, s, 0.4, 1.1)
+    assert type(scalar) is complex
+    # t and u broadcast: a column of t against a row of u
+    cols = marchenko_residual(v, s, np.array([[0.0], [0.5]]), np.array([1.0, 2.0, 3.0]))
+    assert cols.shape == (2, 3)
+    assert cols[1, 2] == marchenko_residual(v, s, 0.5, 3.0)
+
+
+def test_marchenko_point_arrays_keep_both_guards(monkeypatch):
+    p = random_potential(Order(2), 6, np.random.default_rng(3))
+    v, s = forward_map(p)
+    # the first offending point in C order is named
+    with pytest.raises(InputError, match=r"t=2\.0, u=1\.5"):
+        marchenko_residual(v, s, np.array([0.0, 2.0, 3.0]), np.array([1.0, 1.5, 0.5]))
+    with pytest.raises(InputError, match=r"t=0\.4, u=0\.1"):
+        marchenko_residual(v, s, 0.4, 0.1)
+    # tables built from an Order always give product rates with real part
+    # -(n + n')/2, so the rate guard is reached through shifted transition rates
+    terms = analytic._transition_terms
+
+    def shifted_terms(data):
+        c, g, h, n = terms(data)
+        return c, g + 5.0, h, n
+
+    monkeypatch.setattr(analytic, "_transition_terms", shifted_terms)
+    with pytest.raises(InputError, match="nonnegative real part"):
+        marchenko_residual(v, s, np.zeros(3), np.ones(3))

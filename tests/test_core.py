@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invspec import (Order, PotentialCoefficients, SpectralData, VTable,
-                     a_m_constant, k_pole, pole, roots_of_unity, vandermonde_det)
+                     a_m_constant, k_pole, pole, roots_of_unity)
 from invspec.errors import InputError
 
 
@@ -82,22 +82,6 @@ def test_a2_single_point_quotient():
 def test_a_m_monotone_in_cap():
     values = [a_m_constant(Order(2), cap=c).value for c in (5, 10, 20, 40)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-
-
-def test_vandermonde_m1():
-    assert vandermonde_det(Order(1)) == pytest.approx(-2.0)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_vandermonde_matches_product_formula(m):
-    w = roots_of_unity(Order(m))
-    prod = 1.0 + 0j
-    for a in range(2 * m):
-        for b in range(a + 1, 2 * m):
-            prod *= w[b] - w[a]
-    det = vandermonde_det(Order(m))
-    assert abs(det - prod) <= 1e-12 * abs(prod)
-    assert abs(det) > 0
 
 
 def test_order_validation():
