@@ -267,11 +267,12 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: flo
     fc, fg, fh, frow = _transition_terms(s)
     pair = None
     if kc.size and fc.size:
+        # rounding is monotone, so the largest pair rate is the sum of the largest rates
+        if kb.real.max() + fg.real.max() >= 0:
+            raise InputError("inconsistent tables: a product rate has nonnegative real part")
         # int_t^inf e^{a s} ds = -e^{a t}/a, so each pair contributes
         # -kc e^{(ka+kb) t} * fc e^{fg t + fh u} / (kb + fg): one bilinear form
         pair = np.add.outer(kb, fg)
-        if np.any(pair.real >= 0):
-            raise InputError("inconsistent tables: a product rate has nonnegative real part")
         np.reciprocal(pair, out=pair)
         if projected:
             pair *= np.add.outer(kcol, frow) <= min(v.n_max, s.n_max)

@@ -193,8 +193,7 @@ class VTable:
 
     def diagonal(self) -> SpectralData:
         """Diagonal slice V_nn^(j) packaged as spectral data."""
-        diag = np.stack([np.diag(self.table[jj]) for jj in range(self.order.j_count)], axis=1)
-        return SpectralData(self.order, self.n_max, diag)
+        return SpectralData(self.order, self.n_max, np.diagonal(self.table, axis1=1, axis2=2).T)
 
     def truncated(self, depth: int) -> "VTable":
         if depth > self.n_max:

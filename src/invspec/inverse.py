@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyalg
-from .core import DEGENERACY_TOL, PotentialCoefficients, SpectralData, VTable, roots_of_unity
+from .core import DEGENERACY_TOL, Order, PotentialCoefficients, SpectralData, VTable, roots_of_unity
 from .errors import DegenerateDenominatorError, InputError
 from .kernel import DiagonalKernel, diagonal_kernel
 
@@ -45,51 +45,60 @@ def _check_denominators(kern: DiagonalKernel, table: np.ndarray, tol: float) -> 
             "degenerate denominator at (n={}, j={}, r={}, l={})".format(*indices), indices=indices)
 
 
-def v_from_s(s: SpectralData, tol: float = DEGENERACY_TOL) -> VTable:
-    """Fill the triangular V table from spectral data, one diagonal offset at a time."""
-    order = s.order
+def _v_columns(s: SpectralData, tol: float) -> np.ndarray:
+    """The triangular V table as columns V[alpha, n, j], one diagonal offset at a time."""
     n_max = s.n_max
-    jc = order.j_count
-    kern = diagonal_kernel(order.m, n_max)
+    jc = s.order.j_count
+    kern = diagonal_kernel(s.order.m, n_max)
     _check_denominators(kern, s.table, tol)
-    lead = (1j * (1 - roots_of_unity(order)[1:]) * s.table).ravel()
+    lead = (1j * (1 - roots_of_unity(s.order)[1:]) * s.table).ravel()
     inv_den = kern.inv_den.reshape(n_max * jc, -1)
     v = np.zeros((n_max, n_max, jc), dtype=complex)
     cols = v.reshape(n_max, -1)
-    rows = np.arange(n_max)
-    v[rows, rows] = s.table
+    # offset beta is every (N + 1)-th row of the flat (alpha, n) rows from row beta * N
+    flat = v.reshape(n_max * n_max, jc)
+    flat[::n_max + 1] = s.table
     for beta in range(1, n_max):
         head = (n_max - beta) * jc
         # column beta holds rows r <= beta; row n of the result lands in column n + beta
         acc = cols[beta - 1, :beta * jc] @ inv_den[:beta * jc, :head]
-        v[rows[beta:], rows[:n_max - beta]] = (lead[:head] * acc).reshape(-1, jc)
-    return VTable(order, n_max, v.transpose(2, 1, 0))
+        flat[beta * n_max::n_max + 1] = (lead[:head] * acc).reshape(-1, jc)
+    return v
 
 
-def p_from_v(v: VTable) -> PotentialCoefficients:
-    """Read the diagonal relation backwards to recover the potential coefficients."""
-    order = v.order
-    n_max = v.n_max
-    size = order.gamma_count
+def v_from_s(s: SpectralData, tol: float = DEGENERACY_TOL) -> VTable:
+    """Fill the triangular V table from spectral data, one diagonal offset at a time."""
+    return VTable(s.order, s.n_max, _v_columns(s, tol).transpose(2, 1, 0))
+
+
+def _p_from_columns(order: Order, cols: np.ndarray) -> PotentialCoefficients:
+    """The potential from the V table held as columns V[alpha, n, j]."""
+    n_max, size = cols.shape[0], order.gamma_count
     kern = diagonal_kernel(order.m, n_max)
     hit = np.flatnonzero(kern.read_remainder > polyalg.REMAINDER_RTOL)
     if hit.size:
         kern.check_remainders(int(hit[0]) + 1, diag_first=False)
-    cols = np.ascontiguousarray(v.table.transpose(2, 1, 0)).reshape(n_max, 1, -1)
-    w = (cols @ kern.d_b.reshape(n_max, cols.shape[-1], -1)).reshape(n_max * size, size)
+    cols = cols.reshape(n_max, 1, -1)
+    # the negated moments: p = -(conv + a_term) is then one matvec and one subtraction
+    w = -(cols @ kern.d_b.reshape(n_max, cols.shape[-1], -1)).reshape(n_max * size, size)
     a_terms = (cols @ kern.d_a.reshape(n_max, cols.shape[-1], -1))[:, 0]
     # p column c is row n_max - 1 - c of lags, so at column k the suffix
     # lags[(n_max - k) * size:] is p[., k - 1 - s] for s = 0..k-1, in (s, gamma) order
     lags = np.zeros(n_max * size, dtype=complex)
     for k in range(n_max):
         at = (n_max - k) * size
-        lags[at - size:at] = -(lags[at:] @ w[:k * size] + a_terms[k])
+        lags[at - size:at] = lags[at:] @ w[:k * size] - a_terms[k]
     return PotentialCoefficients(order, n_max, lags.reshape(n_max, size)[::-1].T)
+
+
+def p_from_v(v: VTable) -> PotentialCoefficients:
+    """Read the diagonal relation backwards to recover the potential coefficients."""
+    return _p_from_columns(v.order, np.ascontiguousarray(v.table.transpose(2, 1, 0)))
 
 
 def inverse_map(s: SpectralData, tol: float = DEGENERACY_TOL) -> PotentialCoefficients:
     """Spectral data to potential coefficients."""
-    return p_from_v(v_from_s(s, tol=tol))
+    return _p_from_columns(s.order, _v_columns(s, tol))
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,15 @@ contraction over (nu, r) instead of a re-summation of every earlier column.
 
 The sweeps hold V column by column, as V[alpha, n, j], so a column is one
 contiguous (n, j) vector and every per-column contraction is one BLAS matvec
-against a free reshape of a table: d_a as (alpha, n*j, gamma), d_b as
-(s, n*j, nu*gamma) and the inverse denominators as (r*l, n*j).  The forward
-map keeps a running moment tensor M[s, nu, :] = (W[s, nu, :], weights[s, nu]
-* V[s]): the product of the off-diagonal weights with a finished column does
-not depend on the column being filled, so one matvec of the lagged potential
-against M gives a column's convolution term and all of its off-diagonal
-entries at once (``moments``).
+against a free reshape of a table: d_b as (s, n*j, nu*gamma) and the inverse
+denominators as (r*l, n*j).  The forward map keeps a running moment tensor
+M[s, nu, :] = (W[s, nu, :], weights[s, nu] * V[s]), which does not depend on
+the column being filled, so one matvec of the lagged potential against M
+gives column alpha's accumulator acc: its convolution term, then its
+off-diagonal entries before the left factor (``moments``, ``moment_row``).
+The diagonal relation makes V[., alpha, alpha] linear in acc and p[., alpha];
+response[alpha] = -(I; left_recip[alpha] * d_a[alpha]) d_a(alpha, alpha)^-1
+tabulates it, its first rows the potential's share.
 
 A kernel tabulates, once per (m, N), everything these sweeps read, each table
 once and in the layout its sweep reads.  Table axes are 0-based: index i
@@ -51,10 +53,13 @@ class DiagonalKernel:
     |1 - w_j|)^2m feed the resonance guard; left_floor[alpha, j] is the
     smallest |L| at n < alpha.  inv_den[r, l, n, j] = 1 / (n w_j (1 - w_l) -
     r (1 - w_j)) and abs_den = |den| are the inverse map's; den_floor[n, j] is
-    the smallest |den| that v_from_s reads (r + n <= N).  diag_lu[alpha],
-    diag_piv[alpha] and diag_ratio[alpha] are the in-house LU factors and
-    pivot ratio of the forward map's diagonal system d_a(alpha, alpha)^T,
-    which depends only on m and alpha.
+    the smallest |den| that v_from_s reads (r + n <= N).  diag_lu[alpha] and
+    diag_ratio[alpha] are the in-house LU factors and pivot ratio of the
+    forward map's diagonal system d_a(alpha, alpha)^T, which depends only on m
+    and alpha; the guards read them.  response[alpha, :, j] maps a column's
+    accumulator (size + N*jc entries, zero past its own) to V[j, alpha,
+    alpha], and response[alpha, :size] also maps p[., alpha]; where a pivot is
+    negligible, a column the guards refuse, it holds the identity's image.
     """
 
     def __init__(self, m: int, n_max: int):
@@ -82,10 +87,19 @@ class DiagonalKernel:
         self.inv_den = 1 / den
         read = modes[:, None, None, None] + modes[None, None, :, None] <= n_max
         self.den_floor = np.where(read, self.abs_den, np.inf).min(axis=(0, 1))
-        factors = [linalg.lu_factor(self.d_a[a, a].T) for a in range(n_max)]
-        self.diag_lu = np.array([lu for lu, _, _ in factors])
-        self.diag_piv = np.array([piv for _, piv, _ in factors])
-        self.diag_ratio = np.array([linalg.factor_ratio(lu) for lu, _, _ in factors])
+        self.diag_lu = np.array([linalg.lu_factor(self.d_a[a, a].T)[0] for a in range(n_max)])
+        self.diag_ratio = np.array([linalg.factor_ratio(lu) for lu in self.diag_lu])
+        size = order.gamma_count
+        system = np.array(self.d_a[modes - 1, modes - 1].transpose(0, 2, 1))
+        system[linalg.negligible_pivots(self.diag_lu).any(axis=-1)] = np.eye(size)
+        inv = np.linalg.inv(system)
+        # every diagonal entry is a product with the inverse: one refinement step with
+        # an extended-precision residual (where the platform has one) rounds it closely
+        wide = np.clongdouble
+        inv = inv + inv @ (np.eye(size) - system.astype(wide) @ inv.astype(wide)).astype(complex)
+        rows = np.concatenate([np.broadcast_to(np.eye(size), (n_max, size, size)),
+                               self.left_recip[..., None] * self.d_a.reshape(n_max, -1, size)], axis=1)
+        self.response = -(rows @ inv.transpose(0, 2, 1))
         # largest remainder among the coefficients column alpha reads: its own
         # d_a entries (n <= alpha) and the d_b entries of every earlier column
         tri = np.tri(n_max, dtype=bool)
@@ -97,22 +111,24 @@ class DiagonalKernel:
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
 
-    def moments(self, v: np.ndarray, start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows s = start.. of the moment tensor M[s, nu, :] = (W[s, nu, :], weights[s, nu] * V[s]).
+    def moments(self, v: np.ndarray, count: int) -> np.ndarray:
+        """The moment tensor M[s] of every column, rows s < count filled from columns 1..count of v.
 
-        v holds the V columns start+1.. as [s, n, j]; only the entries with
-        n <= s are read.  The rows go to out, or to a new zeroed array.
+        v holds V as [s, n, j]; only the entries with n <= s are read.
         """
-        count, n_max, jc = v.shape
+        n_max, jc = self.left_recip.shape[0], self.order.j_count
         size = self.order.gamma_count
-        if out is None:
-            out = np.zeros((count, size, size + n_max * jc), dtype=complex)
-        for i in range(count):
-            s = start + i
-            col = v[i, :s + 1].ravel()
-            out[i, :, :size] = (col @ self.d_b[s, :s + 1].reshape(col.size, -1)).reshape(size, size)
-            np.multiply(self.weights[s, :, :col.size], col, out=out[i, :, size:size + col.size])
+        out = np.zeros((n_max, size, size + n_max * jc), dtype=complex)
+        for s in range(count):
+            self.moment_row(v[s].ravel(), s, out[s])
         return out
+
+    def moment_row(self, col: np.ndarray, s: int, out: np.ndarray) -> None:
+        """Write (W[s, nu, :], weights[s, nu] * V[s]) of column s + 1, an (n, j) vector, to out."""
+        size = out.shape[0]
+        n = (s + 1) * self.order.j_count
+        out[:, :size] = (col[:n] @ self.d_b[s, :s + 1].reshape(n, -1)).reshape(size, size)
+        np.multiply(self.weights[s, :, :n], col[:n], out=out[:, size:size + n])
 
     def check_remainders(self, alpha: int, diag_first: bool) -> None:
         """Raise DivisionRemainderError at the first coefficient column alpha reads

@@ -1,12 +1,11 @@
-"""Dense linear algebra: batched determinants and a small deterministic LU solve.
+"""Dense linear algebra: batched determinants, an in-house LU and its guards.
 
 ``det`` evaluates stacks of determinants through numpy.linalg (LAPACK), so its
 values agree with an exact determinant to rounding but need not agree bit for
 bit across BLAS builds.  The LU factorization with partial pivoting is
-in-house and its substitution runs in plain Python complex arithmetic: the
-elimination order is fixed and no BLAS routine is called, so the solves it
-drives (the forward map's diagonal systems, ``lu_solve``) round the same way
-on every BLAS build.
+in-house: its pivots drive the singularity guards (``check_pivots``, the
+forward map's pivot ratio), so a guard trips at the same index on every
+build.  ``lu_solve`` checks those pivots, then solves with numpy.linalg.
 """
 from __future__ import annotations
 
@@ -59,44 +58,13 @@ def check_pivots(lu: np.ndarray, tol: float = 1e-300) -> None:
         raise SingularMatrixError(f"negligible pivot at index {i}", pivot_index=i)
 
 
-def substitute(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward and back substitution with packed LU factors, in plain Python complex arithmetic.
-
-    The pivots must be checked first (``check_pivots``).  No BLAS routine
-    is called, so the rounding does not depend on the BLAS build.
-    """
-    rows = lu.tolist()
-    rhs = b.tolist()
-    x = [rhs[i] for i in piv.tolist()]
-    n = len(x)
-    for i in range(n):
-        row = rows[i]
-        acc = x[i]
-        for k in range(i):
-            acc -= row[k] * x[k]
-        x[i] = acc
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        acc = x[i]
-        for k in range(i + 1, n):
-            acc -= row[k] * x[k]
-        x[i] = acc / row[i]
-    return np.array(x, dtype=complex)
-
-
-def solve_factored(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, tol: float = 1e-300) -> np.ndarray:
-    """Solve with packed LU factors; raises SingularMatrixError on a negligible pivot."""
-    check_pivots(lu, tol)
-    return substitute(lu, piv, np.asarray(b, dtype=complex))
-
-
 def lu_solve(a: np.ndarray, b: np.ndarray, tol: float = 1e-300) -> np.ndarray:
-    """Solve a x = b; raises SingularMatrixError on a negligible pivot."""
+    """Solve a x = b; raises SingularMatrixError on a negligible pivot of the in-house LU."""
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != np.asarray(a).shape[0]:
         raise InputError(f"rhs length {b.shape[0]} does not match matrix side {np.asarray(a).shape[0]}")
-    lu, piv, _ = lu_factor(a)
-    return solve_factored(lu, piv, b, tol=tol)
+    check_pivots(lu_factor(a)[0], tol)
+    return np.linalg.solve(a, b)
 
 
 def factor_ratio(lu: np.ndarray) -> float:

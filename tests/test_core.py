@@ -135,6 +135,15 @@ def test_vtable_diagonal_roundtrip():
     assert diag.entry(2, 1) == 0.0
 
 
+def test_vtable_diagonal_equals_the_stacked_diagonals(rng):
+    for m, n_max in [(1, 5), (2, 8), (3, 4)]:
+        order = Order(m)
+        shape = (order.j_count, n_max, n_max)
+        vt = VTable(order, n_max, np.triu(rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+        stacked = np.stack([np.diag(vt.table[jj]) for jj in range(order.j_count)], axis=1)
+        assert np.array_equal(vt.diagonal().table, stacked)
+
+
 def test_tables_are_immutable():
     p = PotentialCoefficients.zeros(Order(1), 2)
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_potential, random_spectral
 from invspec import (Order, SpectralData, contraction_conditions, first_moment, forward_map,
-                     inverse_map, p_from_v, shift_spectral, v_from_s)
+                     inverse_map, p_from_v, roots_of_unity, shift_spectral, v_from_s)
+from invspec.kernel import diagonal_kernel
 
 
 def single_entry_spectral(m: int, value: complex, n: int = 1, j: int = 1,
@@ -132,3 +133,31 @@ def test_contraction_threshold_flip():
     under = contraction_conditions(single_entry_spectral(1, 2.0 - 1e-9), a_m=1.0)
     over = contraction_conditions(single_entry_spectral(1, 2.0 + 1e-9), a_m=1.0)
     assert under.contraction and not over.contraction
+
+
+def scattered_v_from_s(s: SpectralData) -> np.ndarray:
+    """The V columns [alpha, n, j] with each diagonal offset written by a fancy-index scatter."""
+    n_max, jc = s.n_max, s.order.j_count
+    lead = (1j * (1 - roots_of_unity(s.order)[1:]) * s.table).ravel()
+    inv_den = diagonal_kernel(s.order.m, n_max).inv_den.reshape(n_max * jc, -1)
+    v = np.zeros((n_max, n_max, jc), dtype=complex)
+    cols = v.reshape(n_max, -1)
+    rows = np.arange(n_max)
+    v[rows, rows] = s.table
+    for beta in range(1, n_max):
+        head = (n_max - beta) * jc
+        acc = cols[beta - 1, :beta * jc] @ inv_den[:beta * jc, :head]
+        v[rows[beta:], rows[:n_max - beta]] = (lead[:head] * acc).reshape(-1, jc)
+    return v
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 1), (1, 16), (2, 9), (3, 12), (4, 8)])
+def test_strided_diagonal_writes_match_the_scatter(m, n_max):
+    s = random_spectral(Order(m), n_max, np.random.default_rng(m * 31 + n_max))
+    assert np.array_equal(v_from_s(s).table, scattered_v_from_s(s).transpose(2, 1, 0))
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 16), (2, 24), (3, 12), (4, 8)])
+def test_inverse_map_is_p_from_v_of_v_from_s(m, n_max):
+    s = random_spectral(Order(m), n_max, np.random.default_rng(m * 17 + n_max))
+    assert np.array_equal(inverse_map(s).coeffs, p_from_v(v_from_s(s)).coeffs)

@@ -14,7 +14,7 @@ from invspec import (Order, diag_solve, forward, forward_map, linalg, offdiag_st
                      roots_of_unity, v_from_s)
 from invspec.errors import (DivisionRemainderError, ResonantIndexError, SingularMatrixError,
                             SingularSystemError)
-from invspec.kernel import diagonal_kernel
+from invspec.kernel import DiagonalKernel, diagonal_kernel
 
 SIZES = [(1, 64), (2, 64), (3, 32), (4, 32)]
 
@@ -195,13 +195,48 @@ def test_zero_pivot_guard_order():
     forward._check_columns(kern, slice(3, 6), 1e-12, np.inf)
 
 
-def test_substitution_matches_numpy_solve(rng):
-    for side in (1, 3, 5, 7):
-        a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-        b = rng.normal(size=side) + 1j * rng.normal(size=side)
-        lu, piv, _ = linalg.lu_factor(a)
-        x = linalg.substitute(lu, piv, b)
-        assert np.abs(x - np.linalg.solve(a, b)).max() <= 1e-12 * np.abs(x).max()
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_max", [8, 32])
+def test_response_table_solves_the_diagonal_relation(m, n_max):
+    kern = diagonal_kernel(m, n_max)
+    rng = np.random.default_rng(m * 100 + n_max)
+    size = jc = 2 * m - 1
+    worst = 0.0
+    for k in range(n_max):
+        off = k * jc
+        acc = rng.normal(size=size + off) + 1j * rng.normal(size=size + off)
+        p = rng.normal(size=size) + 1j * rng.normal(size=size)
+        # the right-hand side the diagonal solve assembled column by column
+        rhs = -p - acc[:size] - (acc[size:] * kern.left_recip[k, :off]) @ kern.d_a[k, :k].reshape(off, size)
+        want = np.linalg.solve(kern.d_a[k, k].T, rhs)
+        got = acc @ kern.response[k, :size + off] + p @ kern.response[k, :size]
+        worst = max(worst, relative(got, want))
+        # entries past the column's own off-diagonal rows are never read
+        assert not kern.response[k, size + off:].any()
+    assert worst <= 1e-13  # measured <= 6e-14, at (4, 32) where d_a(31, 31) has condition 1e9
+
+
+def test_response_build_tolerates_a_singular_diagonal_system(monkeypatch):
+    # a diagonal system at alpha = 3 with a zero column: the in-house LU has a
+    # zero pivot at index 1, and the kernel still builds without a warning
+    real_table = polyalg.d_a_table
+
+    def singular_table(*args):
+        d_a, rem = real_table(*args)
+        d_a = np.array(d_a)
+        d_a[2, 2, 1] = 0.0
+        return d_a, rem
+
+    monkeypatch.setattr(polyalg, "d_a_table", singular_table)
+    kern = DiagonalKernel(2, 6)
+    assert np.isfinite(kern.response).all()
+    with pytest.raises(SingularSystemError) as info:
+        forward._check_columns(kern, slice(0, 6), 1e-12, 1e12)
+    assert info.value.alpha == 3
+    with pytest.raises(SingularMatrixError) as info:
+        forward._check_columns(kern, slice(0, 6), 1e-12, np.inf)
+    assert info.value.pivot_index == 1
+    forward._check_columns(kern, slice(3, 6), 1e-12, 1e12)
 
 
 @pytest.mark.parametrize("m, n_max", [(1, 6), (2, 8), (3, 5)])
