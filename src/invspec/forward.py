@@ -7,22 +7,28 @@ sweep is lower triangular, so entries with alpha <= N never depend on deeper
 potential modes.
 
 The sweep reads the tables of the shared kernel (``kernel.py``) and holds V
-as V[alpha, n, j], transposed to the VTable layout once at the end.  Column
-alpha costs one BLAS matvec of the lagged potential p[., alpha - s] against
-the running moment tensor of the finished columns, which yields the column's
+as V[alpha, n, j] in a pooled workspace, copied to the VTable layout once at
+the end.  A step has two halves, each a fixed run of numpy calls over the
+views the kernel planned for its column.  Filling column alpha costs one
+BLAS matvec of the lagged potential p[., alpha - s] against the running
+moment tensor of the finished columns, which yields the column's
 accumulator; one multiply by the signed reciprocal left factors turns its
 tail into the off-diagonal entries; one matvec against the kernel's response
 table, plus the potential's share formed for every column before the sweep,
-solves the diagonal relation for the diagonal entries; and a matvec and a
-multiply append the column's moments.  A sweep is N such steps.  Every guard
-depends only on (m, N) and the tolerances, never on p, so all of them are
-checked in one vectorised pass before the sweep starts.
+solves the diagonal relation for the diagonal entries.  Appending the
+column's moments costs a matvec, a copy and a multiply.  A sweep is N such
+steps; diag_solve and offdiag_step append the caller's earlier columns and
+fill column alpha.  Every guard depends only on (m, N) and the tolerances,
+never on p, so all of them are checked in one vectorised pass before the
+sweep starts.
 
-The maps are deterministic on one machine and BLAS build and agree to
-rounding across BLAS builds.  The response table is a precomputed inverse, so
-the diagonal entries are not backward stable as an LU substitution per
-column would be: the round trip keeps about 0.1 fewer digits, at rounding
-level (median 14.16 digits at the benchmark's sizes).
+The maps are deterministic on one machine, BLAS build and BLAS thread count,
+and agree to rounding across BLAS builds and thread counts (OpenBLAS splits
+a large enough matvec across its threads, which reorders its sum).  The
+response table is a precomputed inverse, so the diagonal entries are not
+backward stable as an LU substitution per column would be: the round trip
+keeps about 0.1 fewer digits, at rounding level (median 14.16 digits at the
+benchmark's sizes).
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ import numpy as np
 from . import linalg, polyalg
 from .core import Order, PotentialCoefficients, SpectralData, VTable
 from .errors import InputError, ResonantIndexError, SingularSystemError
-from .kernel import DiagonalKernel, diagonal_kernel
+from .kernel import DiagonalKernel, Workspace, diagonal_kernel
 
 LEFT_FACTOR_RTOL = 1e-12
 COND_LIMIT = 1e12
@@ -79,34 +85,42 @@ def _check_columns(kern: DiagonalKernel, columns: slice, left_tol: float | None,
     linalg.check_pivots(kern.diag_lu[alpha - 1])
 
 
-def _lags(pc: np.ndarray) -> np.ndarray:
-    """p[., c] for c = N-1..0, flattened in (c, gamma) order; at alpha = k + 1 the
-    last k rows are the lagged potential p[., alpha - s], s = 1..k."""
-    return np.ascontiguousarray(pc[:, ::-1].T).ravel()
+def _load(kern: DiagonalKernel, ws: Workspace, pc: np.ndarray) -> None:
+    """Zero ws's V table and moments, and write the potential's lags and its
+    share p[., alpha] @ response[alpha, :size] of every diagonal."""
+    n_max = ws.v.shape[0]
+    ws.v.fill(0)
+    ws.moments.fill(0)
+    np.copyto(ws.lag_rows, pc[:, n_max - 1::-1].T)
+    np.matmul(pc[:, :n_max].T[:, None], kern.response[:, :pc.shape[0]], out=ws.p_terms)
 
 
-def _p_terms(kern: DiagonalKernel, pc: np.ndarray) -> np.ndarray:
-    """The potential's share p[., alpha] @ response[alpha, :size] of every diagonal."""
-    n_max, size = kern.response.shape[0], pc.shape[0]
-    return (pc[:, :n_max].T[:, None] @ kern.response[:, :size])[:, 0]
+def _fill_column(step: tuple) -> None:
+    """Fill column alpha = k + 1 of V from the moments of columns 1..k (a forward[k][0] step)."""
+    lag, moments, acc, tail, left_recip, offdiag, response, diag, p_term = step
+    np.matmul(lag, moments, out=acc)
+    np.multiply(tail, left_recip, out=offdiag)
+    np.matmul(acc, response, out=diag)
+    diag += p_term
 
 
-def _column(kern: DiagonalKernel, lags: np.ndarray, moments: np.ndarray, p_terms: np.ndarray,
-            k: int, col: np.ndarray) -> None:
-    """Fill column alpha = k + 1 of V, an (n, j) vector, from the moments of columns 1..k."""
-    size, jc = moments.shape[1], kern.response.shape[2]
-    off = k * jc
-    acc = lags[lags.size - k * size:] @ moments[:k, :, :size + off].reshape(k * size, size + off)
-    np.multiply(acc[size:], kern.left_recip[k, :off], out=col[:off])
-    col[off:off + jc] = acc @ kern.response[k, :size + off] + p_terms[k]
+def _append_moments(step: tuple) -> None:
+    """Write the moment row (W[s, nu, :], weights[s, nu] * V[s]) of column s + 1 (a forward[s][1] step)."""
+    col, d_b, w, w_block, w_out, weights, weighted = step
+    np.matmul(col, d_b, out=w)
+    np.copyto(w_out, w_block)
+    np.multiply(weights, col, out=weighted)
 
 
 def _column_from(p: PotentialCoefficients, v: VTable, kern: DiagonalKernel, alpha: int) -> np.ndarray:
     """Column alpha as the sweep computes it from the earlier columns of v, as an (n, j) vector."""
-    table = v.table.transpose(2, 1, 0)
-    col = np.zeros(table[0].size, dtype=complex)
-    _column(kern, _lags(p.coeffs), kern.moments(table, alpha - 1), _p_terms(kern, p.coeffs), alpha - 1, col)
-    return col
+    with kern.workspace() as ws:
+        _load(kern, ws, p.coeffs)
+        np.copyto(ws.columns, v.table.transpose(2, 1, 0))
+        for _, append in ws.forward[:alpha - 1]:
+            _append_moments(append)
+        _fill_column(ws.forward[alpha - 1][0])
+        return ws.v[alpha - 1].copy()
 
 
 def offdiag_step(p: PotentialCoefficients, v: VTable, n: int, alpha: int, j: int,
@@ -139,19 +153,14 @@ def forward_map(p: PotentialCoefficients, left_tol: float = LEFT_FACTOR_RTOL,
     """Build the full V table from the potential and read off the spectral data."""
     order = p.order
     n_max = p.n_max
-    jc = order.j_count
     kern = diagonal_kernel(order.m, n_max)
     _check_columns(kern, slice(0, n_max), left_tol, cond_limit)
-    v = np.zeros((n_max, n_max, jc), dtype=complex)
-    cols = v.reshape(n_max, -1)
-    moments = kern.moments(v, 0)
-    lags = _lags(p.coeffs)
-    p_terms = _p_terms(kern, p.coeffs)
-    for k in range(n_max):
-        _column(kern, lags, moments, p_terms, k, cols[k])
-        kern.moment_row(cols[k], k, moments[k])
-    diag = SpectralData(order, n_max, v.reshape(n_max * n_max, jc)[::n_max + 1])
-    return VTable(order, n_max, v.transpose(2, 1, 0)), diag
+    with kern.workspace() as ws:
+        _load(kern, ws, p.coeffs)
+        for fill, append in ws.forward:
+            _fill_column(fill)
+            _append_moments(append)
+        return VTable(order, n_max, ws.columns.transpose(2, 1, 0)), SpectralData(order, n_max, ws.diagonal)
 
 
 def series_q(p: PotentialCoefficients) -> np.ndarray:

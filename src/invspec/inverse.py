@@ -10,8 +10,10 @@ moments and the d_a terms of the finished table are formed in one batched
 product each, and a causal sweep over alpha adds the mixed convolution, one
 matvec per column against the coefficients already found, kept newest first.
 Both stages read the tables of the kernel shared with the forward map
-(``kernel.py``); every guard is checked in one vectorised pass before its
-stage runs.
+(``kernel.py``) and write the buffers of one pooled workspace through the
+views the kernel planned for each offset and column; inverse_map runs both
+in the same workspace.  Every guard is checked in one vectorised pass before
+its stage runs.
 """
 from __future__ import annotations
 
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyalg
-from .core import DEGENERACY_TOL, Order, PotentialCoefficients, SpectralData, VTable, roots_of_unity
+from .core import DEGENERACY_TOL, PotentialCoefficients, SpectralData, VTable, roots_of_unity
 from .errors import DegenerateDenominatorError, InputError
-from .kernel import DiagonalKernel, diagonal_kernel
+from .kernel import DiagonalKernel, Workspace, diagonal_kernel
 
 
 def _check_denominators(kern: DiagonalKernel, table: np.ndarray, tol: float) -> None:
@@ -45,60 +47,58 @@ def _check_denominators(kern: DiagonalKernel, table: np.ndarray, tol: float) -> 
             "degenerate denominator at (n={}, j={}, r={}, l={})".format(*indices), indices=indices)
 
 
-def _v_columns(s: SpectralData, tol: float) -> np.ndarray:
-    """The triangular V table as columns V[alpha, n, j], one diagonal offset at a time."""
-    n_max = s.n_max
-    jc = s.order.j_count
-    kern = diagonal_kernel(s.order.m, n_max)
+def _v_columns(kern: DiagonalKernel, ws: Workspace, s: SpectralData, tol: float) -> None:
+    """Write the triangular V table to ws as columns V[alpha, n, j], one diagonal offset at a time."""
     _check_denominators(kern, s.table, tol)
-    lead = (1j * (1 - roots_of_unity(s.order)[1:]) * s.table).ravel()
-    inv_den = kern.inv_den.reshape(n_max * jc, -1)
-    v = np.zeros((n_max, n_max, jc), dtype=complex)
-    cols = v.reshape(n_max, -1)
-    # offset beta is every (N + 1)-th row of the flat (alpha, n) rows from row beta * N
-    flat = v.reshape(n_max * n_max, jc)
-    flat[::n_max + 1] = s.table
-    for beta in range(1, n_max):
-        head = (n_max - beta) * jc
+    ws.v.fill(0)
+    np.copyto(ws.diagonal, s.table)
+    np.multiply(1j * (1 - roots_of_unity(s.order)[1:]), s.table, out=ws.lead)
+    for col, inv_den, acc, lead, acc_rows, offset_rows in ws.offsets:
         # column beta holds rows r <= beta; row n of the result lands in column n + beta
-        acc = cols[beta - 1, :beta * jc] @ inv_den[:beta * jc, :head]
-        flat[beta * n_max::n_max + 1] = (lead[:head] * acc).reshape(-1, jc)
-    return v
+        np.matmul(col, inv_den, out=acc)
+        np.multiply(lead, acc_rows, out=offset_rows)
 
 
 def v_from_s(s: SpectralData, tol: float = DEGENERACY_TOL) -> VTable:
     """Fill the triangular V table from spectral data, one diagonal offset at a time."""
-    return VTable(s.order, s.n_max, _v_columns(s, tol).transpose(2, 1, 0))
+    kern = diagonal_kernel(s.order.m, s.n_max)
+    with kern.workspace() as ws:
+        _v_columns(kern, ws, s, tol)
+        return VTable(s.order, s.n_max, ws.columns.transpose(2, 1, 0))
 
 
-def _p_from_columns(order: Order, cols: np.ndarray) -> PotentialCoefficients:
-    """The potential from the V table held as columns V[alpha, n, j]."""
-    n_max, size = cols.shape[0], order.gamma_count
-    kern = diagonal_kernel(order.m, n_max)
+def _p_from_columns(kern: DiagonalKernel, ws: Workspace) -> PotentialCoefficients:
+    """The potential from the V table held in ws as columns V[alpha, n, j]."""
+    order, n_max = kern.order, ws.v.shape[0]
     hit = np.flatnonzero(kern.read_remainder > polyalg.REMAINDER_RTOL)
     if hit.size:
         kern.check_remainders(int(hit[0]) + 1, diag_first=False)
-    cols = cols.reshape(n_max, 1, -1)
+    cols = ws.v.reshape(n_max, 1, -1)
     # the negated moments: p = -(conv + a_term) is then one matvec and one subtraction
-    w = -(cols @ kern.d_b.reshape(n_max, cols.shape[-1], -1)).reshape(n_max * size, size)
-    a_terms = (cols @ kern.d_a.reshape(n_max, cols.shape[-1], -1))[:, 0]
-    # p column c is row n_max - 1 - c of lags, so at column k the suffix
-    # lags[(n_max - k) * size:] is p[., k - 1 - s] for s = 0..k-1, in (s, gamma) order
-    lags = np.zeros(n_max * size, dtype=complex)
-    for k in range(n_max):
-        at = (n_max - k) * size
-        lags[at - size:at] = lags[at:] @ w[:k * size] - a_terms[k]
-    return PotentialCoefficients(order, n_max, lags.reshape(n_max, size)[::-1].T)
+    np.matmul(cols, kern.d_b.reshape(n_max, cols.shape[-1], -1), out=ws.w)
+    np.negative(ws.w, out=ws.w)
+    np.matmul(cols, kern.d_a.reshape(n_max, cols.shape[-1], -1), out=ws.a_terms)
+    # at column k the found coefficients p[., k - 1 - s], s = 0..k-1, are a suffix of lags
+    for found, w, p_k, a_term in ws.causal:
+        np.matmul(found, w, out=p_k)
+        p_k -= a_term
+    return PotentialCoefficients(order, n_max, ws.lag_rows[::-1].T)
 
 
 def p_from_v(v: VTable) -> PotentialCoefficients:
     """Read the diagonal relation backwards to recover the potential coefficients."""
-    return _p_from_columns(v.order, np.ascontiguousarray(v.table.transpose(2, 1, 0)))
+    kern = diagonal_kernel(v.order.m, v.n_max)
+    with kern.workspace() as ws:
+        np.copyto(ws.columns, v.table.transpose(2, 1, 0))
+        return _p_from_columns(kern, ws)
 
 
 def inverse_map(s: SpectralData, tol: float = DEGENERACY_TOL) -> PotentialCoefficients:
     """Spectral data to potential coefficients."""
-    return _p_from_columns(s.order, _v_columns(s, tol))
+    kern = diagonal_kernel(s.order.m, s.n_max)
+    with kern.workspace() as ws:
+        _v_columns(kern, ws, s, tol)
+        return _p_from_columns(kern, ws)
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,13 @@ def first_moment(s: SpectralData) -> MomentReport:
     """Weighted first-moment sum over the spectral rows; finite at any truncation."""
     terms = np.arange(1, s.n_max + 1, dtype=float) * s.s_tilde()
     tail = terms[-max(1, s.n_max // 4):]
-    positive = tail[tail > 0]
+    modes = np.flatnonzero(tail > 0)
     exponent = None
-    if positive.size >= 2:
-        # mean log-decrement over the last quarter of terms
-        exponent = float(-np.mean(np.diff(np.log(positive))))
+    if modes.size >= 2:
+        # log-decrement per mode over the last quarter of terms: a zero term
+        # between two positive ones widens the step, it is not skipped
+        drop = np.sum(np.diff(np.log(tail[modes])))
+        exponent = float(-(drop / (modes[-1] - modes[0])))
     return MomentReport(float(terms.sum()), tuple(float(t) for t in terms), exponent)
 
 

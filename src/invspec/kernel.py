@@ -19,7 +19,7 @@ denominators as (r*l, n*j).  The forward map keeps a running moment tensor
 M[s, nu, :] = (W[s, nu, :], weights[s, nu] * V[s]), which does not depend on
 the column being filled, so one matvec of the lagged potential against M
 gives column alpha's accumulator acc: its convolution term, then its
-off-diagonal entries before the left factor (``moments``, ``moment_row``).
+off-diagonal entries before the left factor.
 The diagonal relation makes V[., alpha, alpha] linear in acc and p[., alpha];
 response[alpha] = -(I; left_recip[alpha] * d_a[alpha]) d_a(alpha, alpha)^-1
 tabulates it, its first rows the potential's share.
@@ -28,9 +28,17 @@ A kernel tabulates, once per (m, N), everything these sweeps read, each table
 once and in the layout its sweep reads.  Table axes are 0-based: index i
 stands for the mode i + 1 of n, alpha, s or r, and for the root w_{i+1} of j
 or l.
+
+Each sweep is also planned once: a Workspace holds the buffers one call
+writes and, per column, the table slices and buffer views its numpy calls
+take, so a column costs only those calls.  A kernel pools its workspaces,
+one per concurrent call.  The maps are deterministic on one machine, BLAS
+build and BLAS thread count; a different thread count can split a matvec's
+sum differently and move V in the last bits.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -110,25 +118,20 @@ class DiagonalKernel:
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
+        self.pool: list[Workspace] = []
 
-    def moments(self, v: np.ndarray, count: int) -> np.ndarray:
-        """The moment tensor M[s] of every column, rows s < count filled from columns 1..count of v.
-
-        v holds V as [s, n, j]; only the entries with n <= s are read.
-        """
-        n_max, jc = self.left_recip.shape[0], self.order.j_count
-        size = self.order.gamma_count
-        out = np.zeros((n_max, size, size + n_max * jc), dtype=complex)
-        for s in range(count):
-            self.moment_row(v[s].ravel(), s, out[s])
-        return out
-
-    def moment_row(self, col: np.ndarray, s: int, out: np.ndarray) -> None:
-        """Write (W[s, nu, :], weights[s, nu] * V[s]) of column s + 1, an (n, j) vector, to out."""
-        size = out.shape[0]
-        n = (s + 1) * self.order.j_count
-        out[:, :size] = (col[:n] @ self.d_b[s, :s + 1].reshape(n, -1)).reshape(size, size)
-        np.multiply(self.weights[s, :, :n], col[:n], out=out[:, size:size + n])
+    @contextmanager
+    def workspace(self):
+        """A Workspace from this kernel's pool, built when the pool is empty, and
+        returned to the pool on exit; no two calls hold the same one at once."""
+        try:
+            ws = self.pool.pop()
+        except IndexError:
+            ws = Workspace(self)
+        try:
+            yield ws
+        finally:
+            self.pool.append(ws)
 
     def check_remainders(self, alpha: int, diag_first: bool) -> None:
         """Raise DivisionRemainderError at the first coefficient column alpha reads
@@ -159,6 +162,76 @@ class DiagonalKernel:
         for j in jc:
             for n in range(1, last + 1):
                 yield rem_a[n - 1, j - 1], n, j
+
+
+class Workspace:
+    """The buffers one sweep call writes, and each column's step over them.
+
+    v holds V as columns V[alpha, n*j] (``columns`` as [alpha, n, j],
+    ``diagonal`` its diagonal rows V[alpha, alpha, .]); moments is the forward
+    map's moment tensor as rows (s, nu); acc is a column's accumulator and lags
+    the potential newest column first, p[., N - 1 - c] at row c, read by the
+    forward sweep and written by the causal one.  A step is a tuple of the
+    table slices and buffer views one column reads and writes, in the order
+    its sweep passes them to numpy:
+
+    - forward[k] = (fill, append) for alpha = k + 1: fill = (lagged potential,
+      moments of columns 1..k, acc, acc's off-diagonal tail, left_recip row,
+      V[alpha, :alpha - 1], response rows, V[alpha, alpha], potential's share
+      p_terms[k]); append = (V[alpha, :alpha], d_b rows, the moment W as a
+      vector, as (nu, gamma), its rows in moments, weights rows, the weighted
+      column's rows in moments).
+    - offsets[beta - 1] = (column beta, inv_den block, acc, lead rows, acc as
+      rows, V at diagonal offset beta as strided rows).
+    - causal[k] = (the coefficients found, newest first; the negated moments
+      of as many columns; the slot of p[., k]; a_terms[k]).
+
+    A sweep reads only entries it wrote earlier in the same call; the forward
+    map and v_from_s zero v first (its n > alpha triangle is returned and read
+    as zeros), and the forward map zeroes moments (each row reads as zero past
+    its own columns).
+    """
+
+    def __init__(self, kern: DiagonalKernel):
+        n_max, size = kern.response.shape[0], kern.order.gamma_count
+        jc = kern.order.j_count
+        self.v = np.empty((n_max, n_max * jc), dtype=complex)
+        self.moments = np.empty((n_max * size, size + n_max * jc), dtype=complex)
+        self.acc = np.empty(size + n_max * jc, dtype=complex)
+        self.lags = np.empty(n_max * size, dtype=complex)
+        self.p_terms = np.empty((n_max, 1, jc), dtype=complex)
+        self.w_row = np.empty(size * size, dtype=complex)
+        self.lead = np.empty((n_max, jc), dtype=complex)
+        self.w = np.empty((n_max, 1, size * size), dtype=complex)
+        self.a_terms = np.empty((n_max, 1, size), dtype=complex)
+        self.columns = self.v.reshape(n_max, n_max, jc)
+        flat = self.v.reshape(n_max * n_max, jc)
+        self.diagonal = flat[::n_max + 1]
+        self.lag_rows = self.lags.reshape(n_max, size)
+        w_block = self.w_row.reshape(size, size)
+        self.forward = []
+        for k in range(n_max):
+            col, off, n = self.v[k], k * jc, (k + 1) * jc
+            rows = self.moments[k * size:(k + 1) * size]
+            fill = (self.lags[(n_max - k) * size:], self.moments[:k * size, :size + off],
+                    self.acc[:size + off], self.acc[size:size + off], kern.left_recip[k, :off], col[:off],
+                    kern.response[k, :size + off], col[off:n], self.p_terms[k, 0])
+            append = (col[:n], kern.d_b[k, :k + 1].reshape(n, -1), self.w_row, w_block, rows[:, :size],
+                      kern.weights[k, :, :n], rows[:, size:size + n])
+            self.forward.append((fill, append))
+        inv_den = kern.inv_den.reshape(n_max * jc, -1)
+        self.offsets = []
+        for beta in range(1, n_max):
+            head = (n_max - beta) * jc
+            acc = self.acc[:head]
+            # offset beta is every (N + 1)-th row of the flat (alpha, n) rows from row beta * N
+            self.offsets.append((self.v[beta - 1, :beta * jc], inv_den[:beta * jc, :head], acc,
+                                 self.lead[:n_max - beta], acc.reshape(-1, jc),
+                                 flat[beta * n_max::n_max + 1]))
+        w = self.w.reshape(n_max * size, size)
+        self.causal = [(self.lags[(n_max - k) * size:], w[:k * size],
+                        self.lags[(n_max - k - 1) * size:(n_max - k) * size], self.a_terms[k, 0])
+                       for k in range(n_max)]
 
 
 @lru_cache(maxsize=8)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import (Order, SpectralData, contraction_conditions, first_moment, forward_map,
-                     inverse_map, p_from_v, roots_of_unity, shift_spectral, v_from_s)
+from invspec import (Order, PotentialCoefficients, SpectralData, contraction_conditions, first_moment,
+                     forward_map, inverse_map, p_from_v, roots_of_unity, shift_spectral, v_from_s)
 from invspec.kernel import diagonal_kernel
 
 
@@ -114,6 +114,30 @@ def test_first_moment_tail_exponent_geometric():
     report = first_moment(SpectralData(Order(1), 16, table))
     # terms n 2^-n decay roughly geometrically; log-decrement near ln 2
     assert report.tail_decay_exponent == pytest.approx(np.log(2), abs=0.1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_first_moment_tail_exponent_is_per_mode_when_odd_terms_vanish(m):
+    # even modes only: the potential has period pi and S_n = 0 exactly at odd n
+    coeffs = np.array(random_potential(Order(m), 16, np.random.default_rng(3)).coeffs)
+    coeffs[:, ::2] = 0
+    _, s = forward_map(PotentialCoefficients(Order(m), 16, coeffs))
+    terms = np.arange(1, 17) * s.s_tilde()
+    assert (terms[::2] == 0).all() and (terms[1::2] > 0).all()
+    # the odd terms filled in as geometric means of their neighbours: no term
+    # vanishes, and the mean log-decrement from mode 14 to 16, the last
+    # quarter's positive terms, is the decay per mode
+    filled = terms.copy()
+    filled[2::2] = np.sqrt(terms[1:-1:2] * terms[3::2])
+    want = -np.mean(np.diff(np.log(filled[-3:])))
+    assert first_moment(s).tail_decay_exponent == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 16), (2, 24), (3, 12)])
+def test_first_moment_tail_exponent_is_the_mean_log_decrement_without_zero_terms(m, n_max):
+    s = random_spectral(Order(m), n_max, np.random.default_rng(m + n_max))
+    tail = (np.arange(1, n_max + 1) * s.s_tilde())[-(n_max // 4):]
+    assert first_moment(s).tail_decay_exponent == float(-np.mean(np.diff(np.log(tail))))
 
 
 def test_contraction_verdicts():

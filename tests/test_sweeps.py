@@ -1,17 +1,23 @@
-"""The matvec column sweeps against the einsum contractions they replaced.
+"""The planned column sweeps against the sweeps they replaced.
 
-The oracles below are the earlier forward, v_from_s and p_from_v sweeps, one
-einsum per column or offset over tables in their original layouts, and the
-per-column order in which the earlier forward sweep met its guards.
+The oracles below are the earlier forward, v_from_s and p_from_v sweeps: one
+einsum per column or offset over tables in their original layouts, checked to
+rounding; the per-column slicing sweeps over the kernel's tables, checked bit
+for bit; and the per-column order in which the earlier forward sweep met its
+guards.  The last tests check that the pooled workspaces carry nothing from
+one call to the next and are never shared: between calls, across threads,
+or with a returned table.
 """
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import random_potential
-from invspec import (Order, diag_solve, forward, forward_map, linalg, offdiag_step, p_from_v, polyalg,
-                     roots_of_unity, v_from_s)
+from conftest import random_potential, random_spectral
+from invspec import (Order, diag_solve, forward, forward_map, inverse_map, linalg, offdiag_step, p_from_v,
+                     polyalg, roots_of_unity, v_from_s)
 from invspec.errors import (DivisionRemainderError, ResonantIndexError, SingularMatrixError,
                             SingularSystemError)
 from invspec.kernel import DiagonalKernel, diagonal_kernel
@@ -249,3 +255,140 @@ def test_single_entry_steps_reproduce_the_sweep(m, n_max):
         for n in range(1, alpha):
             for j in range(1, 2 * m):
                 assert abs(offdiag_step(p, v, n, alpha, j) - v.entry(j, n, alpha)) <= 1e-15 * scale
+
+
+def slicing_forward(p) -> tuple[np.ndarray, np.ndarray]:
+    """The forward sweep that slices the kernel's tables anew at every column: V[j, n, alpha] and S."""
+    order, n_max = p.order, p.n_max
+    kern = diagonal_kernel(order.m, n_max)
+    size = jc = order.j_count
+    v = np.zeros((n_max, n_max, jc), dtype=complex)
+    cols = v.reshape(n_max, -1)
+    moments = np.zeros((n_max, size, size + n_max * jc), dtype=complex)
+    lags = np.ascontiguousarray(p.coeffs[:, ::-1].T).ravel()
+    p_terms = (p.coeffs.T[:, None] @ kern.response[:, :size])[:, 0]
+    for k in range(n_max):
+        col, off, n = cols[k], k * jc, (k + 1) * jc
+        acc = lags[lags.size - k * size:] @ moments[:k, :, :size + off].reshape(k * size, size + off)
+        np.multiply(acc[size:], kern.left_recip[k, :off], out=col[:off])
+        col[off:off + jc] = acc @ kern.response[k, :size + off] + p_terms[k]
+        moments[k, :, :size] = (col[:n] @ kern.d_b[k, :k + 1].reshape(n, -1)).reshape(size, size)
+        np.multiply(kern.weights[k, :, :n], col[:n], out=moments[k, :, size:size + n])
+    return v.transpose(2, 1, 0), v.reshape(n_max * n_max, jc)[::n_max + 1]
+
+
+def slicing_v_columns(s) -> np.ndarray:
+    """The offset sweep that slices its operands anew at every offset: V as columns V[alpha, n, j]."""
+    n_max, jc = s.n_max, s.order.j_count
+    lead = (1j * (1 - roots_of_unity(s.order)[1:]) * s.table).ravel()
+    inv_den = diagonal_kernel(s.order.m, n_max).inv_den.reshape(n_max * jc, -1)
+    v = np.zeros((n_max, n_max, jc), dtype=complex)
+    cols = v.reshape(n_max, -1)
+    flat = v.reshape(n_max * n_max, jc)
+    flat[::n_max + 1] = s.table
+    for beta in range(1, n_max):
+        head = (n_max - beta) * jc
+        acc = cols[beta - 1, :beta * jc] @ inv_den[:beta * jc, :head]
+        flat[beta * n_max::n_max + 1] = (lead[:head] * acc).reshape(-1, jc)
+    return v
+
+
+def slicing_p(order: Order, cols: np.ndarray) -> np.ndarray:
+    """The causal sweep that slices its operands anew at every column, from columns V[alpha, n, j]."""
+    n_max, size = cols.shape[0], order.gamma_count
+    kern = diagonal_kernel(order.m, n_max)
+    cols = cols.reshape(n_max, 1, -1)
+    w = -(cols @ kern.d_b.reshape(n_max, cols.shape[-1], -1)).reshape(n_max * size, size)
+    a_terms = (cols @ kern.d_a.reshape(n_max, cols.shape[-1], -1))[:, 0]
+    lags = np.zeros(n_max * size, dtype=complex)
+    for k in range(n_max):
+        at = (n_max - k) * size
+        lags[at - size:at] = lags[at:] @ w[:k * size] - a_terms[k]
+    return lags.reshape(n_max, size)[::-1].T
+
+
+PLAN_SIZES = [(m, n) for m in (1, 2, 3, 4) for n in (1, 2, 8, 32, 64) if m < 4 or n <= 32]
+
+
+@pytest.mark.parametrize("m, n_max", PLAN_SIZES)
+def test_planned_sweeps_equal_the_slicing_sweeps_bitwise(m, n_max):
+    order = Order(m)
+    for seed in range(3):
+        rng = np.random.default_rng([m, n_max, seed])
+        p = random_potential(order, n_max, rng)
+        v, s = forward_map(p)
+        want_v, want_s = slicing_forward(p)
+        assert np.array_equal(v.table, want_v)
+        assert np.array_equal(s.table, want_s)
+        assert np.array_equal(p_from_v(v).coeffs, slicing_p(order, want_v.transpose(2, 1, 0)))
+        data = random_spectral(order, n_max, rng)
+        cols = slicing_v_columns(data)
+        assert np.array_equal(v_from_s(data).table, cols.transpose(2, 1, 0))
+        assert np.array_equal(inverse_map(data).coeffs, slicing_p(order, cols))
+        assert np.array_equal(inverse_map(s).coeffs, slicing_p(order, slicing_v_columns(s)))
+
+
+def workspace_arrays(kern) -> list:
+    """Every array of every pooled workspace of kern."""
+    return [a for ws in kern.pool for a in vars(ws).values() if isinstance(a, np.ndarray)]
+
+
+def every_call(p, v, s) -> list:
+    """Each sweep entry point on (p, v, s), as a call returning its arrays."""
+    n_max = p.n_max
+    calls = [lambda: forward_map(p)[0].table, lambda: forward_map(p)[1].table, lambda: v_from_s(s).table,
+             lambda: p_from_v(v).coeffs, lambda: inverse_map(s).coeffs, lambda: diag_solve(p, v, n_max)]
+    if n_max > 1:
+        calls.append(lambda: np.array([offdiag_step(p, v, n_max - 1, n_max, j)
+                                       for j in range(1, 2 * p.order.m)]))
+    return calls
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 1), (1, 16), (2, 32), (3, 12)])
+def test_a_nan_poisoned_workspace_gives_the_same_results(m, n_max):
+    p = random_potential(Order(m), n_max, np.random.default_rng([m, n_max]))
+    v, s = forward_map(p)
+    kern = diagonal_kernel(m, n_max)
+    for call in every_call(p, v, s):
+        want = call()
+        assert kern.pool
+        for a in workspace_arrays(kern):
+            a.fill(complex(np.nan, np.nan))
+        assert np.array_equal(call(), want)
+
+
+def round_trip(p) -> tuple:
+    v, s = forward_map(p)
+    return v.table, s.table, inverse_map(s).coeffs
+
+
+def test_threads_sharing_a_kernel_get_the_serial_results():
+    ps = [random_potential(Order(2), 32, np.random.default_rng([2, 32, i])) for i in range(16)]
+    serial = [round_trip(p) for p in ps]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(round_trip, ps, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(threaded, serial, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_returned_tables_share_no_memory_with_the_workspaces():
+    p = random_potential(Order(2), 16, np.random.default_rng(5))
+    v, s = forward_map(p)
+    results = [v.table, s.table, v_from_s(s).table, p_from_v(v).coeffs, inverse_map(s).coeffs,
+               diag_solve(p, v, 16)]
+    kept = [a.copy() for a in results]
+    q = p.scaled(3.0)
+    w, t = forward_map(q)
+    v_from_s(t)
+    p_from_v(w)
+    inverse_map(t)
+    diag_solve(q, w, 16)
+    assert all(np.array_equal(a, b) for a, b in zip(results, kept))
+    buffers = workspace_arrays(diagonal_kernel(2, 16))
+    assert buffers
+    assert not any(np.shares_memory(a, b) for a in results for b in buffers)
