@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Order, PotentialCoefficients, SpectralData, VTable, roots_of_unity
+from .core import Order, PotentialCoefficients, SpectralData, VTable, _check_nj, roots_of_unity
 from .errors import InputError, PoleProximityError, TruncationError
 from .forward import series_q
 
@@ -180,13 +180,17 @@ def ode_residual_scale(p: PotentialCoefficients, v: VTable, t: complex, k: compl
 
 
 def _kernel_terms(v: VTable):
-    """Arrays (coeff, t_rate, u_rate, alpha) of the kernel's nonzero exponential terms,
-    ordered by j, then alpha, then n."""
+    """Arrays (coeff, t_rate, u_rate, alpha, pole) of the kernel's nonzero exponential terms,
+    ordered by j, then alpha, then n.
+
+    A term's u-rate -n / (1 - w_j) depends only on its pole (n, j), whose flat
+    index (j - 1) * N + n - 1 is ``pole``.
+    """
     w = roots_of_unity(v.order)[1:]
     by_col = v.table.transpose(0, 2, 1)  # [j, alpha, n]
     j, alpha, n = np.nonzero(by_col)
     c = (n + 1) / (1 - w[j])
-    return by_col[j, alpha, n] / (1j * (1 - w[j])), c - (alpha + 1), -c, alpha + 1
+    return by_col[j, alpha, n] / (1j * (1 - w[j])), c - (alpha + 1), -c, alpha + 1, j * v.n_max + n
 
 
 def _transition_terms(s: SpectralData):
@@ -202,7 +206,7 @@ def kernel_K(v: VTable, t: float, u: float, dt: int = 0, du: int = 0) -> complex
     """Transformation kernel K(t, u) for u >= t >= 0, with analytic partials."""
     if u < t:
         raise InputError(f"kernel requires u >= t, got t={t}, u={u}")
-    kc, ka, kb, _ = _kernel_terms(v)
+    kc, ka, kb, *_ = _kernel_terms(v)
     if kc.size == 0:
         return 0j
     return complex(np.sum(kc * ka ** dt * kb ** du * np.exp(ka * t + kb * u)))
@@ -210,7 +214,7 @@ def kernel_K(v: VTable, t: float, u: float, dt: int = 0, du: int = 0) -> complex
 
 def kernel_diag(v: VTable) -> ExpSum:
     """K(x, x) as an exponential sum in x (rates are the negative column indices)."""
-    kc, ka, kb, _ = _kernel_terms(v)
+    kc, ka, kb, *_ = _kernel_terms(v)
     return ExpSum(kc, ka + kb).collected()
 
 
@@ -225,7 +229,7 @@ def transform_lhs(v: VTable, t: float, k: complex) -> complex:
     Converges for Im k > -1/2 where every u-rate keeps a negative real part;
     this is an independent route to the same value as eval_f.
     """
-    kc, ka, kb, _ = _kernel_terms(v)
+    kc, ka, kb, *_ = _kernel_terms(v)
     val = np.exp(1j * k * t)
     if kc.size == 0:
         return complex(val)
@@ -254,28 +258,44 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: flo
     the truncation tail of order |S| * |V_tail|.
 
     ``t`` and ``u`` broadcast: scalars give a complex, arrays a complex array
-    of their broadcast shape.  The term tables and the pair matrix of the
-    product integral are built once for all points, and each point's value is
-    the same expression a scalar call evaluates.
+    of their broadcast shape.  The term tables and the matrices of the product
+    integral are built once for all points, and each point's value is the same
+    expression a scalar call evaluates.
+
+    The product integral sums over every (kernel term a, transition term b)
+    pair, but a kernel term's u-rate kb depends only on its pole, so it is
+    summed pole by pole: with x_a = kc_a e^{(ka_a + kb_a) t} and y_b = fc_b
+    e^{fg_b t + fh_b u} it is -sum_a x_a P[pole_a, N - alpha_a], where
+    P = C @ (y * T), C[g, b] = 1 / (kb_g + fg_b) over the (2m - 1) N poles and
+    T[b, L] = [n'_b <= L] keeps the modes alpha + n' <= N (``projected=False``
+    reads one all-ones column instead).  A call holds O(((2m - 1) N)^2)
+    entries, not one per pair.
     """
     t_pts, u_pts = np.broadcast_arrays(t, u)
     below = np.flatnonzero(u_pts < t_pts)
     if below.size:
         i = below[0]
         raise InputError(f"residual requires u >= t, got t={t_pts.flat[i]}, u={u_pts.flat[i]}")
-    kc, ka, kb, kcol = _kernel_terms(v)
+    kc, ka, kb, kcol, kpole = _kernel_terms(v)
     fc, fg, fh, frow = _transition_terms(s)
-    pair = None
+    recip = None
     if kc.size and fc.size:
         # rounding is monotone, so the largest pair rate is the sum of the largest rates
         if kb.real.max() + fg.real.max() >= 0:
             raise InputError("inconsistent tables: a product rate has nonnegative real part")
-        # int_t^inf e^{a s} ds = -e^{a t}/a, so each pair contributes
-        # -kc e^{(ka+kb) t} * fc e^{fg t + fh u} / (kb + fg): one bilinear form
-        pair = np.add.outer(kb, fg)
-        np.reciprocal(pair, out=pair)
+        # int_t^inf e^{a s} ds = -e^{a t}/a, so the pair (a, b) contributes
+        # -x_a y_b / (kb_a + fg_b): one reciprocal per (pole, transition term)
+        _, first, group = np.unique(kpole, return_index=True, return_inverse=True)
+        recip = np.add.outer(kb[first], fg)
+        np.reciprocal(recip, out=recip)
         if projected:
-            pair *= np.add.outer(kcol, frow) <= min(v.n_max, s.n_max)
+            n_cap = min(v.n_max, s.n_max)
+            # column 0 keeps no term (n' >= 1), so it serves every alpha >= N
+            prefix = (frow[:, None] <= np.arange(n_cap)).astype(float)
+            lag = np.maximum(n_cap - kcol, 0)
+        else:
+            prefix = np.ones((fc.size, 1))
+            lag = np.zeros_like(kcol)
     k_diag = ka + kb
     out = np.empty(t_pts.shape, dtype=complex)
     for i, (ti, ui) in enumerate(zip(t_pts.ravel().tolist(), u_pts.ravel().tolist())):
@@ -285,8 +305,8 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: flo
         if fc.size:
             f_term = fc * np.exp(fg * ti + fh * ui)
             val -= np.sum(f_term)
-        if pair is not None:
-            val += (kc * np.exp(k_diag * ti)) @ pair @ f_term
+        if recip is not None:
+            val += (kc * np.exp(k_diag * ti)) @ (recip @ (f_term[:, None] * prefix))[group, lag]
         out.flat[i] = val
     return complex(out) if out.ndim == 0 else out
 
@@ -308,6 +328,7 @@ def jump_relation_check(v: VTable, s: SpectralData, t: float, n: int, j: int,
     truncated table determines; at that depth the identity is exact for a
     consistent pair.
     """
+    _check_nj(v.order, n, j)
     if n > v.n_max:
         raise TruncationError(f"pole index n={n} beyond table depth {v.n_max}", needed_depth=n)
     w = roots_of_unity(v.order)
@@ -341,7 +362,7 @@ def k_vector(v: VTable, t: float, n_blocks: int) -> np.ndarray:
     order = v.order
     w = roots_of_unity(order)
     jc = order.j_count
-    kc, ka, kb, _ = _kernel_terms(v)
+    kc, ka, kb, *_ = _kernel_terms(v)
     out = np.zeros(n_blocks * jc, dtype=complex)
     if kc.size == 0:
         return out

@@ -16,11 +16,13 @@ accumulator; one multiply by the signed reciprocal left factors turns its
 tail into the off-diagonal entries; one matvec against the kernel's response
 table, plus the potential's share formed for every column before the sweep,
 solves the diagonal relation for the diagonal entries.  Appending the
-column's moments costs a matvec, a copy and a multiply.  A sweep is N such
-steps; diag_solve and offdiag_step append the caller's earlier columns and
-fill column alpha.  Every guard depends only on (m, N) and the tolerances,
-never on p, so all of them are checked in one vectorised pass before the
-sweep starts.
+column's moments costs a matvec, a copy and a multiply.  A sweep is N
+fills and N - 1 appends, as no column reads the moments of column N;
+diag_solve and offdiag_step append the caller's earlier columns and fill
+column alpha.  Every guard depends only on (m, N) and the tolerances, never
+on p, so all of them are checked in one vectorised pass before the sweep
+starts, and the kernel remembers the tolerances under which a whole sweep
+passes, so later forward maps under the same ones skip the pass.
 
 The maps are deterministic on one machine, BLAS build and BLAS thread count,
 and agree to rounding across BLAS builds and thread counts (OpenBLAS splits
@@ -96,7 +98,7 @@ def _load(kern: DiagonalKernel, ws: Workspace, pc: np.ndarray) -> None:
 
 
 def _fill_column(step: tuple) -> None:
-    """Fill column alpha = k + 1 of V from the moments of columns 1..k (a forward[k][0] step)."""
+    """Fill column alpha = k + 1 of V from the moments of columns 1..k (a fills[k] step)."""
     lag, moments, acc, tail, left_recip, offdiag, response, diag, p_term = step
     np.matmul(lag, moments, out=acc)
     np.multiply(tail, left_recip, out=offdiag)
@@ -105,7 +107,7 @@ def _fill_column(step: tuple) -> None:
 
 
 def _append_moments(step: tuple) -> None:
-    """Write the moment row (W[s, nu, :], weights[s, nu] * V[s]) of column s + 1 (a forward[s][1] step)."""
+    """Write the moment row (W[s, nu, :], weights[s, nu] * V[s]) of column s + 1 (an appends[s] step)."""
     col, d_b, w, w_block, w_out, weights, weighted = step
     np.matmul(col, d_b, out=w)
     np.copyto(w_out, w_block)
@@ -117,9 +119,9 @@ def _column_from(p: PotentialCoefficients, v: VTable, kern: DiagonalKernel, alph
     with kern.workspace() as ws:
         _load(kern, ws, p.coeffs)
         np.copyto(ws.columns, v.table.transpose(2, 1, 0))
-        for _, append in ws.forward[:alpha - 1]:
+        for append in ws.appends[:alpha - 1]:
             _append_moments(append)
-        _fill_column(ws.forward[alpha - 1][0])
+        _fill_column(ws.fills[alpha - 1])
         return ws.v[alpha - 1].copy()
 
 
@@ -154,12 +156,16 @@ def forward_map(p: PotentialCoefficients, left_tol: float = LEFT_FACTOR_RTOL,
     order = p.order
     n_max = p.n_max
     kern = diagonal_kernel(order.m, n_max)
-    _check_columns(kern, slice(0, n_max), left_tol, cond_limit)
+    tolerances = (left_tol, cond_limit, polyalg.REMAINDER_RTOL)
+    if tolerances not in kern.clean_sweeps:
+        _check_columns(kern, slice(0, n_max), left_tol, cond_limit)
+        kern.clean_sweeps.add(tolerances)
     with kern.workspace() as ws:
         _load(kern, ws, p.coeffs)
-        for fill, append in ws.forward:
+        for fill, append in zip(ws.fills, ws.appends):
             _fill_column(fill)
             _append_moments(append)
+        _fill_column(ws.fills[-1])
         return VTable(order, n_max, ws.columns.transpose(2, 1, 0)), SpectralData(order, n_max, ws.diagonal)
 
 

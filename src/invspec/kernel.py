@@ -68,6 +68,10 @@ class DiagonalKernel:
     accumulator (size + N*jc entries, zero past its own) to V[j, alpha,
     alpha], and response[alpha, :size] also maps p[., alpha]; where a pivot is
     negligible, a column the guards refuse, it holds the identity's image.
+
+    clean_sweeps holds the (left_tol, cond_limit, polyalg.REMAINDER_RTOL)
+    under which the forward map's guard pass over all N columns found nothing;
+    the verdict depends on nothing else, so the pass runs once per tolerances.
     """
 
     def __init__(self, m: int, n_max: int):
@@ -119,6 +123,7 @@ class DiagonalKernel:
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
         self.pool: list[Workspace] = []
+        self.clean_sweeps: set[tuple] = set()
 
     @contextmanager
     def workspace(self):
@@ -175,12 +180,13 @@ class Workspace:
     table slices and buffer views one column reads and writes, in the order
     its sweep passes them to numpy:
 
-    - forward[k] = (fill, append) for alpha = k + 1: fill = (lagged potential,
-      moments of columns 1..k, acc, acc's off-diagonal tail, left_recip row,
-      V[alpha, :alpha - 1], response rows, V[alpha, alpha], potential's share
-      p_terms[k]); append = (V[alpha, :alpha], d_b rows, the moment W as a
-      vector, as (nu, gamma), its rows in moments, weights rows, the weighted
-      column's rows in moments).
+    - fills[k] for alpha = k + 1: (lagged potential, moments of columns
+      1..k, acc, acc's off-diagonal tail, left_recip row, V[alpha, :alpha - 1],
+      response rows, V[alpha, alpha], potential's share p_terms[k]).
+    - appends[k] for alpha = k + 1 < N: (V[alpha, :alpha], d_b rows, the
+      moment W as a vector, as (nu, gamma), its rows in moments, weights
+      rows, the weighted column's rows in moments).  No column reads the
+      moments of column N, so the sweep never forms them.
     - offsets[beta - 1] = (column beta, inv_den block, acc, lead rows, acc as
       rows, V at diagonal offset beta as strided rows).
     - causal[k] = (the coefficients found, newest first; the negated moments
@@ -196,7 +202,7 @@ class Workspace:
         n_max, size = kern.response.shape[0], kern.order.gamma_count
         jc = kern.order.j_count
         self.v = np.empty((n_max, n_max * jc), dtype=complex)
-        self.moments = np.empty((n_max * size, size + n_max * jc), dtype=complex)
+        self.moments = np.empty(((n_max - 1) * size, size + n_max * jc), dtype=complex)
         self.acc = np.empty(size + n_max * jc, dtype=complex)
         self.lags = np.empty(n_max * size, dtype=complex)
         self.p_terms = np.empty((n_max, 1, jc), dtype=complex)
@@ -209,16 +215,16 @@ class Workspace:
         self.diagonal = flat[::n_max + 1]
         self.lag_rows = self.lags.reshape(n_max, size)
         w_block = self.w_row.reshape(size, size)
-        self.forward = []
+        self.fills, self.appends = [], []
         for k in range(n_max):
             col, off, n = self.v[k], k * jc, (k + 1) * jc
-            rows = self.moments[k * size:(k + 1) * size]
-            fill = (self.lags[(n_max - k) * size:], self.moments[:k * size, :size + off],
-                    self.acc[:size + off], self.acc[size:size + off], kern.left_recip[k, :off], col[:off],
-                    kern.response[k, :size + off], col[off:n], self.p_terms[k, 0])
-            append = (col[:n], kern.d_b[k, :k + 1].reshape(n, -1), self.w_row, w_block, rows[:, :size],
-                      kern.weights[k, :, :n], rows[:, size:size + n])
-            self.forward.append((fill, append))
+            self.fills.append((self.lags[(n_max - k) * size:], self.moments[:k * size, :size + off],
+                               self.acc[:size + off], self.acc[size:size + off], kern.left_recip[k, :off],
+                               col[:off], kern.response[k, :size + off], col[off:n], self.p_terms[k, 0]))
+            if k < n_max - 1:
+                rows = self.moments[k * size:(k + 1) * size]
+                self.appends.append((col[:n], kern.d_b[k, :k + 1].reshape(n, -1), self.w_row, w_block,
+                                     rows[:, :size], kern.weights[k, :, :n], rows[:, size:size + n]))
         inv_den = kern.inv_den.reshape(n_max * jc, -1)
         self.offsets = []
         for beta in range(1, n_max):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from invspec import (ExpSum, Order, PotentialCoefficients, SpectralData, VTable,
                      roots_of_unity, shift_spectral, transform_lhs, transition)
 from invspec import analytic
 from invspec.analytic import e_vector, k_vector
-from invspec.errors import InputError, PoleProximityError
+from invspec.errors import InputError, PoleProximityError, TruncationError
 
 
 def test_expsum_evaluate_and_derivative():
@@ -184,6 +186,15 @@ def test_jump_relation_consistent_and_broken(rng):
     chk = jump_relation_check(v_bad, s, 0.5, 1, 1)
     assert chk.gap == pytest.approx(abs(chk.rhs - chk.lhs))
     assert chk.gap > 1e-6 * abs(chk.rhs)
+
+
+@pytest.mark.parametrize("n, j, message", [(0, 1, "got 0"), (-1, 1, "got -1"), (1, 0, "j=0"), (1, 4, "j=4")])
+def test_jump_relation_rejects_pole_indices_outside_the_table(n, j, message):
+    v, s = forward_map(random_potential(Order(2), 6, np.random.default_rng(5)))
+    with pytest.raises(InputError, match=message):
+        jump_relation_check(v, s, 0.5, n, j)
+    with pytest.raises(TruncationError):
+        jump_relation_check(v, s, 0.5, 7, 1)
 
 
 def test_shift_spectral_rules(rng):
@@ -375,21 +386,23 @@ def test_marchenko_bilinear_form_matches_pairwise_sum(m, n_max):
 
 
 def one_point_marchenko(v, s, t, u, projected=True):
-    """The residual at one point, as evaluated before points came in arrays."""
-    kc, ka, kb, kcol = analytic._kernel_terms(v)
+    """The residual at one point as the term-pair table evaluated it, and the sum
+    of the magnitudes of its terms."""
+    kc, ka, kb, kcol, _ = analytic._kernel_terms(v)
     fc, fg, fh, frow = analytic._transition_terms(s)
-    val = 0j
-    if kc.size:
-        val += np.sum(kc * np.exp(ka * t + kb * u))
-    if fc.size:
-        val -= np.sum(fc * np.exp(fg * t + fh * u))
+    k_term = kc * np.exp(ka * t + kb * u)
+    f_term = fc * np.exp(fg * t + fh * u)
+    val = np.sum(k_term) - np.sum(f_term)
+    scale = np.abs(k_term).sum() + np.abs(f_term).sum()
     if kc.size and fc.size:
         pair = np.add.outer(kb, fg)
         np.reciprocal(pair, out=pair)
         if projected:
             pair *= np.add.outer(kcol, frow) <= min(v.n_max, s.n_max)
-        val += (kc * np.exp((ka + kb) * t)) @ pair @ (fc * np.exp(fg * t + fh * u))
-    return complex(val)
+        x = kc * np.exp((ka + kb) * t)
+        val += x @ pair @ f_term
+        scale += np.abs(x) @ np.abs(pair) @ np.abs(f_term)
+    return complex(val), float(scale)
 
 
 @pytest.mark.parametrize("m, n_max", [(1, 8), (2, 16), (2, 24), (3, 12)])
@@ -403,17 +416,36 @@ def test_marchenko_point_arrays_match_scalar_calls_bitwise(m, n_max):
     for data in (s, bumped):
         for projected in (True, False):
             got = marchenko_residual(v, data, t, u, projected=projected)
-            want = [one_point_marchenko(v, data, ti, ui, projected) for ti, ui in zip(t, u)]
             assert got.shape == (15,)
-            assert np.array_equal(got, want)
-            assert [marchenko_residual(v, data, ti, ui, projected=projected)
-                    for ti, ui in zip(t, u)] == want
+            # the pole-grouped sum rounds differently from the pair table (measured
+            # gap <= 0.04 eps times the magnitude of the terms)
+            for value, ti, ui in zip(got, t, u):
+                want, scale = one_point_marchenko(v, data, ti, ui, projected)
+                assert abs(value - want) <= 4 * np.finfo(float).eps * scale
+            assert np.array_equal(got, [marchenko_residual(v, data, ti, ui, projected=projected)
+                                        for ti, ui in zip(t, u)])
     scalar = marchenko_residual(v, s, 0.4, 1.1)
     assert type(scalar) is complex
     # t and u broadcast: a column of t against a row of u
     cols = marchenko_residual(v, s, np.array([[0.0], [0.5]]), np.array([1.0, 2.0, 3.0]))
     assert cols.shape == (2, 3)
     assert cols[1, 2] == marchenko_residual(v, s, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("m, n_max, limit_mb", [(2, 64, 4.0), (3, 32, 2.0)])
+def test_marchenko_memory_grows_with_poles_not_term_pairs(m, n_max, limit_mb):
+    # a table of every (kernel term, transition term) pair peaks at 30.3 MB at
+    # (2, 64) and 10.7 MB at (3, 32) here; grouping by pole (1.9 and 1.0 MB)
+    # leaves O(((2m - 1) N)^2) entries
+    v, s = forward_map(random_potential(Order(m), n_max, np.random.default_rng(29)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        marchenko_residual(v, s, np.array([0.0, 0.7, 1.5]), np.array([0.5, 1.2, 3.0]))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
 
 
 def test_marchenko_point_arrays_keep_both_guards(monkeypatch):

@@ -176,6 +176,31 @@ def test_guards_at_different_columns_raise_the_earlier_column():
     assert info.value.alpha == 4
 
 
+def test_a_clean_sweep_is_remembered_only_under_its_own_tolerances(monkeypatch):
+    p = random_potential(Order(2), 10, np.random.default_rng(3))
+    v, s = forward_map(p)
+    kern = diagonal_kernel(2, 10)
+    assert (forward.LEFT_FACTOR_RTOL, forward.COND_LIMIT, polyalg.REMAINDER_RTOL) in kern.clean_sweeps
+
+    def unreachable(*args):
+        raise AssertionError("guard pass repeated under remembered tolerances")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forward, "_check_columns", unreachable)
+        again = forward_map(p)
+    assert np.array_equal(again[0].table, v.table) and np.array_equal(again[1].table, s.table)
+    # a lowered cond_limit or remainder tolerance, or a raised left_tol, checks anew
+    with pytest.raises(SingularSystemError) as info:
+        forward_map(p, cond_limit=5.0)
+    assert info.value.alpha == 4
+    with pytest.raises(ResonantIndexError) as info:
+        forward_map(p, left_tol=1.0)
+    assert info.value.indices == (3, 4, 1)
+    monkeypatch.setattr(polyalg, "REMAINDER_RTOL", 1e-16)
+    with pytest.raises(DivisionRemainderError, match=r"\(n=3, j=1\)"):
+        forward_map(p)
+
+
 def test_zero_pivot_guard_order():
     # a kernel whose diagonal system at alpha = 3 has an exactly zero pivot
     real = diagonal_kernel(2, 6)
