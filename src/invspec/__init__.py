@@ -20,7 +20,7 @@ _EXPORTS = {
                  "kernel_K", "marchenko_residual", "ode_residual", "ode_residual_scale",
                  "q0_from_kernel", "shift_spectral", "transform_lhs", "transition"),
     "fredholm": ("DeterminantReport", "ScanReport", "det_truncated", "f_matrix",
-                 "scan_halfplane", "solve_system"),
+                 "scan_halfplane"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

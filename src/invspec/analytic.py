@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Order, PotentialCoefficients, SpectralData, VTable, _check_nj, roots_of_unity
+from .core import PotentialCoefficients, SpectralData, VTable, _check_nj, roots_of_unity
 from .errors import InputError, PoleProximityError, TruncationError
 from .forward import series_q
 
@@ -42,10 +42,6 @@ class ExpSum:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "rates", r)
 
-    @classmethod
-    def zero(cls) -> "ExpSum":
-        return cls(np.zeros(0), np.zeros(0))
-
     def __call__(self, t: complex) -> complex:
         return complex(np.sum(self.coeffs * np.exp(self.rates * t)))
 
@@ -54,20 +50,6 @@ class ExpSum:
 
     def scale(self, c: complex) -> "ExpSum":
         return ExpSum(c * self.coeffs, self.rates)
-
-    def __add__(self, other: "ExpSum") -> "ExpSum":
-        return ExpSum(np.concatenate([self.coeffs, other.coeffs]),
-                      np.concatenate([self.rates, other.rates]))
-
-    def __mul__(self, other: "ExpSum") -> "ExpSum":
-        return ExpSum(np.outer(self.coeffs, other.coeffs).ravel(),
-                      np.add.outer(self.rates, other.rates).ravel())
-
-    def integral_tail(self) -> "ExpSum":
-        """t -> int_t^inf of the sum; every rate must have negative real part."""
-        if np.any(self.rates.real >= 0):
-            raise InputError("tail integral requires Re(rate) < 0 for every term")
-        return ExpSum(-self.coeffs / self.rates, self.rates)
 
     def collected(self, tol: float = 1e-12) -> "ExpSum":
         """Merge terms with coinciding rates."""
@@ -344,30 +326,3 @@ def shift_spectral(s: SpectralData, a: complex) -> SpectralData:
     if complex(a).imag < 0:
         raise InputError(f"translation requires Im a >= 0, got {a}")
     return s.shifted(a)
-
-
-def e_vector(order: Order, n_blocks: int, t: float) -> np.ndarray:
-    """Flat boundary vector e_{nj}(t) = exp(n w_j t / (1 - w_j)), index (n-1)*J + (j-1)."""
-    w = roots_of_unity(order)
-    jc = order.j_count
-    out = np.zeros(n_blocks * jc, dtype=complex)
-    for n in range(1, n_blocks + 1):
-        for j in range(1, jc + 1):
-            out[(n - 1) * jc + (j - 1)] = np.exp(n * w[j] / (1 - w[j]) * t)
-    return out
-
-
-def k_vector(v: VTable, t: float, n_blocks: int) -> np.ndarray:
-    """Flat moment vector int_t^inf K(t,u) exp(r w_l u / (1 - w_l)) du, index (r-1)*J + (l-1)."""
-    order = v.order
-    w = roots_of_unity(order)
-    jc = order.j_count
-    kc, ka, kb, *_ = _kernel_terms(v)
-    out = np.zeros(n_blocks * jc, dtype=complex)
-    if kc.size == 0:
-        return out
-    for r in range(1, n_blocks + 1):
-        for l in range(1, jc + 1):
-            rate = kb + r * w[l] / (1 - w[l])
-            out[(r - 1) * jc + (l - 1)] = np.sum(kc * np.exp(ka * t) * (-np.exp(rate * t) / rate))
-    return out

@@ -5,7 +5,7 @@ values agree with an exact determinant to rounding but need not agree bit for
 bit across BLAS builds.  The LU factorization with partial pivoting is
 in-house: its pivots drive the singularity guards (``check_pivots``, the
 forward map's pivot ratio), so a guard trips at the same index on every
-build.  ``lu_solve`` checks those pivots, then solves with numpy.linalg.
+build.
 """
 from __future__ import annotations
 
@@ -58,15 +58,6 @@ def check_pivots(lu: np.ndarray, tol: float = 1e-300) -> None:
         raise SingularMatrixError(f"negligible pivot at index {i}", pivot_index=i)
 
 
-def lu_solve(a: np.ndarray, b: np.ndarray, tol: float = 1e-300) -> np.ndarray:
-    """Solve a x = b; raises SingularMatrixError on a negligible pivot of the in-house LU."""
-    b = np.asarray(b, dtype=complex)
-    if b.shape[0] != np.asarray(a).shape[0]:
-        raise InputError(f"rhs length {b.shape[0]} does not match matrix side {np.asarray(a).shape[0]}")
-    check_pivots(lu_factor(a)[0], tol)
-    return np.linalg.solve(a, b)
-
-
 def factor_ratio(lu: np.ndarray) -> float:
     """max |U_ii| / min |U_ii| of packed LU factors; inf when a pivot is 0."""
     d = np.abs(np.diag(lu))
@@ -74,8 +65,3 @@ def factor_ratio(lu: np.ndarray) -> float:
     if lo == 0:
         return np.inf
     return float(d.max() / lo)
-
-
-def pivot_ratio(a: np.ndarray) -> float:
-    """Crude condition estimate: max |U_ii| / min |U_ii| from the LU factors."""
-    return factor_ratio(lu_factor(a)[0])

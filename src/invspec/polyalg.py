@@ -1,4 +1,4 @@
-"""Dense complex polynomial arithmetic and exact linear-factor division.
+"""Exact linear-factor division of dense complex polynomials, and the d-coefficient tables.
 
 Polynomials are 1-d complex arrays of ascending-degree coefficients.  The
 divisions that extract the d-coefficient families are synthetic (Horner) at
@@ -18,29 +18,6 @@ from .core import Order, _check_nj, k_pole, roots_of_unity
 from .errors import DivisionRemainderError, InputError
 
 REMAINDER_RTOL = 1e-9
-
-
-def poly_add(a, b) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(a, dtype=complex))
-    b = np.atleast_1d(np.asarray(b, dtype=complex))
-    n = max(a.size, b.size)
-    out = np.zeros(n, dtype=complex)
-    out[: a.size] += a
-    out[: b.size] += b
-    return out
-
-
-def poly_mul(a, b) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(a, dtype=complex))
-    b = np.atleast_1d(np.asarray(b, dtype=complex))
-    return np.convolve(a, b)
-
-
-def poly_eval(p, z: complex) -> complex:
-    acc = 0j
-    for c in np.asarray(p, dtype=complex)[::-1]:
-        acc = acc * z + c
-    return complex(acc)
 
 
 def divide_by_linear(p, root):

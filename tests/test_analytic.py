@@ -9,7 +9,6 @@ from invspec import (ExpSum, Order, PotentialCoefficients, SpectralData, VTable,
                      marchenko_residual, ode_residual, q0_from_kernel, q_from_p,
                      roots_of_unity, shift_spectral, transform_lhs, transition)
 from invspec import analytic
-from invspec.analytic import e_vector, k_vector
 from invspec.errors import InputError, PoleProximityError, TruncationError
 
 
@@ -21,17 +20,6 @@ def test_expsum_evaluate_and_derivative():
     d = f.derivative(2)
     expected_d = 2 * np.exp(-t) + 1j * (-2 + 1j) ** 2 * np.exp((-2 + 1j) * t)
     assert d(t) == pytest.approx(expected_d)
-
-
-def test_expsum_product_and_tail_integral():
-    f = ExpSum(np.array([1.0]), np.array([-1.0]))
-    g = ExpSum(np.array([2.0]), np.array([-0.5]))
-    prod = f * g
-    assert prod(0.3) == pytest.approx(2 * np.exp(-1.5 * 0.3))
-    tail = prod.integral_tail()
-    assert tail(0.3) == pytest.approx(2 * np.exp(-1.5 * 0.3) / 1.5)
-    with pytest.raises(InputError):
-        ExpSum(np.array([1.0]), np.array([0.5])).integral_tail()
 
 
 def test_expsum_mode_collection():
@@ -262,25 +250,6 @@ def test_periodic_equation_residual_m2(rng):
         res.append(abs(val))
     assert res[1] <= 0.6 * res[0]
     assert res[2] <= 0.6 * res[1]
-
-
-def test_k_vector_matches_boundary_identity(rng):
-    # k = F e + F k holds up to the truncation tail, which shrinks with depth
-    from invspec.fredholm import f_matrix
-
-    def identity_gap(m, n_max, seed):
-        p = random_potential(Order(m), n_max, np.random.default_rng(seed))
-        v, s = forward_map(p)
-        t = 0.6
-        fm = f_matrix(s, t, n_max, mode="t")
-        e = e_vector(Order(m), n_max, t)
-        k = k_vector(v, t, n_max)
-        return np.abs(k - fm @ e - fm @ k).max()
-
-    for m in (1, 2):
-        gaps = [identity_gap(m, n_max, 5) for n_max in (4, 6, 8)]
-        assert gaps[2] < gaps[1] < gaps[0]
-        assert gaps[2] <= 1e-9
 
 
 # Scalar reference loops: the term-by-term sums the vectorised code replaces.

@@ -159,8 +159,21 @@ def test_det_csv_holds_the_scanned_values(tmp_path):
     assert [row[4] for row in at_argmin] == [verdict["min_modulus"]]
     s = load_problem(str(inp))
     for x, y, d_re, d_im, _ in rows:
-        want = det_truncated(s, complex(x, y)).final
-        assert abs(complex(d_re, d_im) - want) <= 1e-10 * (1 + abs(want))
+        assert complex(d_re, d_im) == det_truncated(s, complex(x, y)).final
+
+
+@pytest.mark.parametrize("n_max, code", [("0", 1), ("-1", 1), ("1", 3)])
+def test_det_block_cap_exit_codes(tmp_path, n_max, code):
+    # depth-4 data: n_max below 1 is malformed input; one block is checked
+    # against the empty determinant D_0 = 1 and misses it everywhere
+    inp = tmp_path / "s.json"
+    write_problem(inp, "spectral", 1, 4, [{"j": 1, "n": 1, "re": 0.3, "im": 0.1},
+                                          {"j": 1, "n": 3, "re": 0.1, "im": 0.0}])
+    result = run_cli("det", "--input", str(inp), "--output", str(tmp_path / "g.csv"),
+                     "--re-steps", "5", "--im-steps", "3", "--n-max", n_max)
+    assert result.returncode == code
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_verify_zero_potential_passes(tmp_path):

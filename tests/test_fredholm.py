@@ -3,10 +3,9 @@ import pytest
 
 from conftest import random_potential, random_spectral
 from invspec import (Order, SpectralData, det_truncated, f_matrix, forward_map, fredholm,
-                     roots_of_unity, scan_halfplane, solve_system)
+                     roots_of_unity, scan_halfplane)
 from invspec.core import DEGENERACY_TOL
-from invspec.analytic import e_vector, k_vector
-from invspec.errors import DegenerateDenominatorError, InputError, SingularMatrixError
+from invspec.errors import DegenerateDenominatorError, InputError
 
 
 def rank_one_m1(value: complex) -> SpectralData:
@@ -28,7 +27,7 @@ def test_zero_data_determinant_is_one():
 def test_f_matrix_m1_entry_formula():
     s = SpectralData(Order(1), 2, np.array([[0.2], [0.1j]], dtype=complex))
     z = 0.3 + 0.4j
-    f = f_matrix(s, z, 2, mode="z")
+    f = f_matrix(s, z, 2)
     for r in (1, 2):
         for n in (1, 2):
             expected = -1j * s.entry(n, 1) * np.exp(1j * n * z) / (n + r)
@@ -54,16 +53,6 @@ def test_determinant_approaches_one_high_in_the_plane():
 def test_determinant_rejects_lower_half_plane():
     with pytest.raises(InputError):
         det_truncated(rank_one_m1(0.1), -1j)
-
-
-def test_t_and_z_modes_share_determinants(rng):
-    for m in (1, 2):
-        s = random_spectral(Order(m), 4, rng, scale=0.3)
-        for t in (0.0, 0.7, 1.4):
-            side = 4 * (2 * m - 1)
-            dt = np.linalg.det(np.eye(side) - f_matrix(s, t, 4, mode="t"))
-            dz = np.linalg.det(np.eye(side) - f_matrix(s, 1j * t, 4, mode="z"))
-            assert abs(dt - dz) <= 1e-12 * max(1.0, abs(dz))
 
 
 def test_determinant_periodicity(rng):
@@ -117,33 +106,57 @@ def test_scan_flags_forced_truncation():
     assert len(report.flagged) > 0
 
 
-def test_solve_system_trivial_cases():
-    s = SpectralData.zeros(Order(1), 3)
-    assert np.allclose(solve_system(s, np.zeros(3)), 0.0)
-    e1 = np.zeros(3)
-    e1[0] = 1.0
-    assert np.allclose(solve_system(s, e1), e1)
-
-
-def test_solve_system_reproduces_moment_vector(rng):
-    # two routes to the t = 0 moment vector agree up to the truncation tail
-    from invspec.fredholm import f_matrix as fmat
-
-    for m in (1, 2):
-        p = random_potential(Order(m), 8, rng, scale=0.02)
-        v, s = forward_map(p)
-        f0 = fmat(s, 0.0, 8, mode="z")
-        g = solve_system(s, f0 @ e_vector(Order(m), 8, 0.0))
-        k0 = k_vector(v, 0.0, 8)
-        assert np.abs(g - k0).max() <= 1e-9
-
-
 def test_solve_mirrors_vanishing_determinant():
     # rank-one data with D(0) = 0: 1 + i s/2 = 0 at s = 2i
     s = rank_one_m1(2j)
     assert abs(det_truncated(s, 0.0).final) < 1e-14
-    with pytest.raises(SingularMatrixError):
-        solve_system(s, np.ones(1), tol=1e-10)
+
+
+def depth_four_m1() -> SpectralData:
+    # S_11 = 0.3 + 0.1i and S_31 = 0.1: D_1 is 1 + i S_11 e^{iz} / 2, up to 0.158
+    # from D_0 = 1 and 0.017 from the full-depth value on the real axis
+    table = np.zeros((4, 1), dtype=complex)
+    table[0, 0], table[2, 0] = 0.3 + 0.1j, 0.1
+    return SpectralData(Order(1), 4, table)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_block_cap_below_one_is_rejected(n_max):
+    s = depth_four_m1()
+    with pytest.raises(InputError, match="n_max must be >= 1"):
+        det_truncated(s, 0.5j, n_max=n_max)
+    with pytest.raises(InputError, match="n_max must be >= 1"):
+        scan_halfplane(s, np.linspace(0, 2 * np.pi, 5), np.linspace(0, 2, 3), n_max=n_max)
+
+
+def test_one_block_is_checked_against_the_empty_determinant():
+    s = depth_four_m1()
+    re_grid, im_grid = np.linspace(0, 2 * np.pi, 9), np.linspace(0, 2, 3)
+    report = scan_halfplane(s, re_grid, im_grid, n_max=1)
+    values, _, _, flagged, _ = scalar_scan(s, re_grid, im_grid, n_max=1)
+    assert list(report.flagged) == flagged
+    assert len(flagged) == values.size
+    z = 0.5 + 0.2j
+    rep = det_truncated(s, z, n_max=1)
+    assert rep.ns == (0, 1)
+    assert rep.values[0] == 1
+    assert not rep.converged
+    assert abs(rep.final - closed_form_m1(s.entry(1, 1), z)) <= 1e-15
+
+
+def test_report_holds_the_previous_truncation_only_when_n_max_cuts_the_data():
+    s = random_spectral(Order(2), 6, np.random.default_rng(3), scale=0.3)
+    z = 0.7 + 0.3j
+    for n_max in (None, 6, 9):
+        rep = det_truncated(s, z, n_max=n_max)
+        assert (rep.ns, rep.converged, len(rep.values)) == ((6,), True, 1)
+    rep = det_truncated(s, z, n_max=4)
+    assert rep.ns == (3, 4)
+    assert rep.converged == (abs(rep.values[1] - rep.values[0]) < 1e-10 * (1 + abs(rep.final)))
+    assert rep.final == scan_halfplane(s, [0.7, 1.0], [0.3, 1.0], n_max=4).values[0, 0]
+    dense = det_truncated(s, z, n_max=4, dense_trace=True)
+    assert dense.ns == (3, 4) and dense.values == rep.values
+    assert det_truncated(s, z, n_min=2, dense_trace=True).ns == (2, 3, 4, 5, 6)
 
 
 def test_scan_consistency_with_round_trip_data(rng):
@@ -159,16 +172,18 @@ def scalar_scan(s, re_grid, im_grid, tol=1e-6, n_max=None, det_tol=1e-10):
     """Point-by-point reference scan: one np.linalg.det per grid and boundary point."""
     jc = s.order.j_count
     n_cap = min(n_max or s.n_max, s.n_max)
-    pre = f_matrix(s, 0.0, n_cap, mode="z")
+    pre = f_matrix(s, 0.0, n_cap)
     block_n = np.repeat(np.arange(1, n_cap + 1), jc)
 
     def det_at(z, blocks=n_cap):
+        if blocks == 0:
+            return 1.0
         side = blocks * jc
         return np.linalg.det(np.eye(side) - pre[:side, :side] * np.exp(1j * block_n[:side] * z))
 
     values = np.array([[det_at(complex(x, y)) for x in re_grid] for y in im_grid])
     flagged = [complex(x, y) for y in im_grid for x in re_grid
-               if n_cap < s.n_max and n_cap > 1
+               if n_cap < s.n_max
                and abs(det_at(complex(x, y)) - det_at(complex(x, y), n_cap - 1))
                >= det_tol * (1 + abs(det_at(complex(x, y))))]
     re0, re1, im0, im1 = re_grid[0], re_grid[-1], im_grid[0], im_grid[-1]

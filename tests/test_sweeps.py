@@ -36,6 +36,12 @@ def old_left(order: Order, n_max: int) -> np.ndarray:
     return (modes[None, :, None] - c[:, None, :]) ** (2 * order.m) - c[:, None, :] ** (2 * order.m)
 
 
+def checked_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b after the in-house LU's pivot check, as the earlier sweeps did."""
+    linalg.check_pivots(linalg.lu_factor(a)[0])
+    return np.linalg.solve(a, b)
+
+
 def einsum_forward(p) -> np.ndarray:
     order, n_max = p.order, p.n_max
     kern = diagonal_kernel(order.m, n_max)
@@ -51,7 +57,7 @@ def einsum_forward(p) -> np.ndarray:
         v[:, :k, k] = (-1) ** (order.m + 1) * acc / left[:k, k].T
         conv = np.einsum("vr,rvg->g", pc[:, :k], w[:k][::-1])
         a_term = np.einsum("njg,jn->g", kern.d_a[k], v[:, :, k])
-        v[:, k, k] = linalg.lu_solve(kern.d_a[k, k].T, -pc[:, k] - conv - a_term)
+        v[:, k, k] = checked_solve(kern.d_a[k, k].T, -pc[:, k] - conv - a_term)
         w[k] = np.einsum("njvg,jn->vg", kern.d_b[k], v[:, :, k])
     return v
 
@@ -118,9 +124,9 @@ def sweep_guards(kern, left_tol: float, cond_limit: float) -> None:
                                      indices=(int(n), alpha, int(j)))
         kern.check_remainders(alpha, diag_first=True)
         a_mat = kern.d_a[alpha - 1, alpha - 1].T
-        if linalg.pivot_ratio(a_mat) > cond_limit:
+        if linalg.factor_ratio(linalg.lu_factor(a_mat)[0]) > cond_limit:
             raise SingularSystemError(f"diagonal system at alpha={alpha} is numerically singular", alpha=alpha)
-        linalg.lu_solve(a_mat, np.zeros(order.gamma_count))
+        checked_solve(a_mat, np.zeros(order.gamma_count))
 
 
 def raised(fn) -> tuple:
