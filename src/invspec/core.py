@@ -183,6 +183,17 @@ class VTable:
         object.__setattr__(self, "table", arr)
 
     @classmethod
+    def _from_sweep(cls, order: Order, n_max: int, table: np.ndarray) -> "VTable":
+        """A copy of a (j_count, n_max, n_max) table that a column sweep built
+        triangular, without checking its triangle again."""
+        arr = np.array(table, dtype=complex, order="C")
+        arr.setflags(write=False)
+        v = object.__new__(cls)
+        for name, value in (("order", order), ("n_max", n_max), ("table", arr)):
+            object.__setattr__(v, name, value)
+        return v
+
+    @classmethod
     def zeros(cls, order: Order, n_max: int) -> "VTable":
         return cls(order, n_max, np.zeros((order.j_count, n_max, n_max), dtype=complex))
 

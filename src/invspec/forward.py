@@ -16,13 +16,15 @@ accumulator; one multiply by the signed reciprocal left factors turns its
 tail into the off-diagonal entries; one matvec against the kernel's response
 table, plus the potential's share formed for every column before the sweep,
 solves the diagonal relation for the diagonal entries.  Appending the
-column's moments costs a matvec, a copy and a multiply.  A sweep is N
-fills and N - 1 appends, as no column reads the moments of column N;
-diag_solve and offdiag_step append the caller's earlier columns and fill
-column alpha.  Every guard depends only on (m, N) and the tolerances, never
-on p, so all of them are checked in one vectorised pass before the sweep
-starts, and the kernel remembers the tolerances under which a whole sweep
-passes, so later forward maps under the same ones skip the pass.
+column's moments costs a matvec, a scatter of its (2m-1)(m-1) moment pairs
+into the moment rows and a multiply; at m = 1 there are no pairs, and it is
+the multiply alone.  A sweep is N fills and N - 1 appends, as no column
+reads the moments of column N; diag_solve and offdiag_step append the
+caller's earlier columns and fill column alpha.  Every guard depends only
+on (m, N) and the tolerances, never on p, so all of them are checked in one
+vectorised pass before the sweep starts, and the kernel remembers the
+tolerances under which a whole sweep passes, so later forward maps under
+the same ones skip the pass.
 
 The maps are deterministic on one machine, BLAS build and BLAS thread count,
 and agree to rounding across BLAS builds and thread counts (OpenBLAS splits
@@ -107,11 +109,16 @@ def _fill_column(step: tuple) -> None:
 
 
 def _append_moments(step: tuple) -> None:
-    """Write the moment row (W[s, nu, :], weights[s, nu] * V[s]) of column s + 1 (an appends[s] step)."""
-    col, d_b, w, w_block, w_out, weights, weighted = step
-    np.matmul(col, d_b, out=w)
-    np.copyto(w_out, w_block)
+    """Write the moment row (W[s, nu, :], weights[s, nu] * V[s]) of column s + 1 (an appends[s] step).
+
+    Only W's pairs (nu, gamma < nu) are written; its other entries stay zero.
+    """
+    col, weights, weighted, moment = step
     np.multiply(weights, col, out=weighted)
+    if moment is not None:
+        d_b, w, rows, at = moment
+        np.matmul(col, d_b, out=w)
+        rows[at] = w
 
 
 def _column_from(p: PotentialCoefficients, v: VTable, kern: DiagonalKernel, alpha: int) -> np.ndarray:
@@ -166,7 +173,8 @@ def forward_map(p: PotentialCoefficients, left_tol: float = LEFT_FACTOR_RTOL,
             _fill_column(fill)
             _append_moments(append)
         _fill_column(ws.fills[-1])
-        return VTable(order, n_max, ws.columns.transpose(2, 1, 0)), SpectralData(order, n_max, ws.diagonal)
+        return (VTable._from_sweep(order, n_max, ws.columns.transpose(2, 1, 0)),
+                SpectralData(order, n_max, ws.diagonal))
 
 
 def series_q(p: PotentialCoefficients) -> np.ndarray:

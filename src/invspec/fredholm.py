@@ -105,6 +105,8 @@ def det_truncated(s: SpectralData, z: complex, n_min: int = 4, n_max: int | None
     """
     if complex(z).imag < -1e-12:
         raise InputError(f"determinant domain is the closed upper half plane; got Im z = {complex(z).imag}")
+    if n_min < 0:
+        raise InputError(f"n_min must be >= 0, got {n_min}")
     n_cap, dets = _determinants(s, n_max)
     truncated = n_cap < s.n_max
     lo = n_cap - 1 if truncated else n_cap

@@ -6,9 +6,12 @@ column beta.  With V held column by column, as V[s, n, j], each diagonal
 offset beta is one BLAS matvec of column beta against the kernel's reciprocal
 denominators, stored as inv_den[r, l, n, j].  The potential then falls out of
 the diagonal relation read as a definition of p_{gamma alpha}: the column
-moments and the d_a terms of the finished table are formed in one batched
-product each, and a causal sweep over alpha adds the mixed convolution, one
-matvec per column against the coefficients already found, kept newest first.
+moments' pairs (nu, gamma < nu) and the d_a terms of the finished table are
+formed in one batched product each, the pairs placed into the moment blocks
+through the kernel's index set, and a causal sweep over alpha adds the mixed
+convolution, one matvec per column against the coefficients already found,
+kept newest first.  At m = 1 there are no pairs, so no moment product and
+no causal sweep: p is minus the d_a terms.
 Both stages read the tables of the kernel shared with the forward map
 (``kernel.py``) and write the buffers of one pooled workspace through the
 views the kernel planned for each offset and column; inverse_map runs both
@@ -64,7 +67,7 @@ def v_from_s(s: SpectralData, tol: float = DEGENERACY_TOL) -> VTable:
     kern = diagonal_kernel(s.order.m, s.n_max)
     with kern.workspace() as ws:
         _v_columns(kern, ws, s, tol)
-        return VTable(s.order, s.n_max, ws.columns.transpose(2, 1, 0))
+        return VTable._from_sweep(s.order, s.n_max, ws.columns.transpose(2, 1, 0))
 
 
 def _p_from_columns(kern: DiagonalKernel, ws: Workspace) -> PotentialCoefficients:
@@ -74,14 +77,20 @@ def _p_from_columns(kern: DiagonalKernel, ws: Workspace) -> PotentialCoefficient
     if hit.size:
         kern.check_remainders(int(hit[0]) + 1, diag_first=False)
     cols = ws.v.reshape(n_max, 1, -1)
-    # the negated moments: p = -(conv + a_term) is then one matvec and one subtraction
-    np.matmul(cols, kern.d_b.reshape(n_max, cols.shape[-1], -1), out=ws.w)
-    np.negative(ws.w, out=ws.w)
     np.matmul(cols, kern.d_a.reshape(n_max, cols.shape[-1], -1), out=ws.a_terms)
-    # at column k the found coefficients p[., k - 1 - s], s = 0..k-1, are a suffix of lags
-    for found, w, p_k, a_term in ws.causal:
-        np.matmul(found, w, out=p_k)
-        p_k -= a_term
+    if ws.causal:
+        # the negated moments: p = -(conv + a_term) is then one matvec and one subtraction
+        np.matmul(cols, kern.d_b.reshape(n_max, cols.shape[-1], -1), out=ws.pair_w)
+        np.negative(ws.pair_w, out=ws.pair_w)
+        ws.w.fill(0)
+        ws.w_blocks[:, kern.pair_at] = ws.pair_w[:, 0]
+        # at column k the found coefficients p[., k - 1 - s], s = 0..k-1, are a suffix of lags
+        for found, w, p_k, a_term in ws.causal:
+            np.matmul(found, w, out=p_k)
+            p_k -= a_term
+    else:
+        # m = 1 has no moment pairs, so no convolution: p = 0 - a_term (+0, not -0, where a_term is 0)
+        np.subtract(0, ws.a_terms[::-1, 0], out=ws.lag_rows)
     return PotentialCoefficients(order, n_max, ws.lag_rows[::-1].T)
 
 

@@ -12,9 +12,14 @@ inverse map for the column p[., alpha].  The column moment W is formed once
 per finished column, so the convolution at column alpha is a single
 contraction over (nu, r) instead of a re-summation of every earlier column.
 
+d_b(n, s, nu, j) has nu coefficients, so W[s, nu, gamma] vanishes for
+gamma >= nu: only its (2m-1)(m-1) pairs (nu, gamma < nu) are formed, and the
+kernel's index sets place them in the dense blocks the sweeps multiply by.
+At m = 1 there are no pairs, and the convolution vanishes.
+
 The sweeps hold V column by column, as V[alpha, n, j], so a column is one
 contiguous (n, j) vector and every per-column contraction is one BLAS matvec
-against a free reshape of a table: d_b as (s, n*j, nu*gamma) and the inverse
+against a free reshape of a table: d_b as (s, n*j, pair) and the inverse
 denominators as (r*l, n*j).  The forward map keeps a running moment tensor
 M[s, nu, :] = (W[s, nu, :], weights[s, nu] * V[s]), which does not depend on
 the column being filled, so one matvec of the lagged potential against M
@@ -50,8 +55,9 @@ from .core import Order, roots_of_unity
 class DiagonalKernel:
     """Read-only tables of the diagonal relation at order m and depth N.
 
-    d_a[alpha, n, j, gamma], d_b[s, n, j, nu, gamma]: the d-coefficients, with
-    relative division remainders rem_a[alpha, n, j] and rem_b[s, n, j, nu];
+    d_a[alpha, n, j, gamma], d_b[s, n, j, pair]: the d-coefficients, d_b over
+    the pairs (nu, gamma < nu) in (nu, gamma) C order, with relative division
+    remainders rem_a[alpha, n, j] and rem_b[s, n, j, nu];
     read_remainder[alpha] is the largest of them among the coefficients column
     alpha reads.  weights[s, gamma, n*j] = (i (s - c_nj))^gamma, c_nj = n /
     (1 - w_j), are the forward off-diagonal weights.  With the left factor
@@ -68,6 +74,8 @@ class DiagonalKernel:
     accumulator (size + N*jc entries, zero past its own) to V[j, alpha,
     alpha], and response[alpha, :size] also maps p[., alpha]; where a pivot is
     negligible, a column the guards refuse, it holds the identity's image.
+    pair_at and moment_at place the pairs in a flat (nu, gamma) block and in
+    the flat moment rows of one forward column.
 
     clean_sweeps holds the (left_tol, cond_limit, polyalg.REMAINDER_RTOL)
     under which the forward map's guard pass over all N columns found nothing;
@@ -81,6 +89,9 @@ class DiagonalKernel:
         modes = np.arange(1, n_max + 1)
         self.d_a, self.rem_a = polyalg.d_a_table(order, modes, modes)
         self.d_b, self.rem_b = polyalg.d_b_table(order, modes, modes, order.gamma_count - 1)
+        nu, gamma = np.tril_indices(order.gamma_count, -1)
+        self.pair_at = nu * order.gamma_count + gamma
+        self.moment_at = nu * (order.gamma_count + n_max * order.j_count) + gamma
         w = roots_of_unity(order)[1:]
         c = modes[:, None] / (1 - w)
         shift = 1j * (modes[:, None, None] - c)
@@ -183,19 +194,22 @@ class Workspace:
     - fills[k] for alpha = k + 1: (lagged potential, moments of columns
       1..k, acc, acc's off-diagonal tail, left_recip row, V[alpha, :alpha - 1],
       response rows, V[alpha, alpha], potential's share p_terms[k]).
-    - appends[k] for alpha = k + 1 < N: (V[alpha, :alpha], d_b rows, the
-      moment W as a vector, as (nu, gamma), its rows in moments, weights
-      rows, the weighted column's rows in moments).  No column reads the
-      moments of column N, so the sweep never forms them.
+    - appends[k] for alpha = k + 1 < N: (V[alpha, :alpha], weights rows, the
+      weighted column's rows in moments, and, where there are pairs, (d_b
+      rows, the moment W's pairs, the column's moment rows flat, moment_at)).
+      No column reads the moments of column N, so the sweep never forms them.
     - offsets[beta - 1] = (column beta, inv_den block, acc, lead rows, acc as
       rows, V at diagonal offset beta as strided rows).
     - causal[k] = (the coefficients found, newest first; the negated moments
-      of as many columns; the slot of p[., k]; a_terms[k]).
+      of as many columns; the slot of p[., k]; a_terms[k]), empty at m = 1.
+
+    pair_w holds each column's moment pairs, and w (as w_blocks, one flat (nu,
+    gamma) block per column) the inverse's negated moments.
 
     A sweep reads only entries it wrote earlier in the same call; the forward
     map and v_from_s zero v first (its n > alpha triangle is returned and read
-    as zeros), and the forward map zeroes moments (each row reads as zero past
-    its own columns).
+    as zeros), the forward map zeroes moments (each row reads as zero past its
+    own columns and at gamma >= nu), and p_from_v zeroes w.
     """
 
     def __init__(self, kern: DiagonalKernel):
@@ -206,15 +220,15 @@ class Workspace:
         self.acc = np.empty(size + n_max * jc, dtype=complex)
         self.lags = np.empty(n_max * size, dtype=complex)
         self.p_terms = np.empty((n_max, 1, jc), dtype=complex)
-        self.w_row = np.empty(size * size, dtype=complex)
         self.lead = np.empty((n_max, jc), dtype=complex)
-        self.w = np.empty((n_max, 1, size * size), dtype=complex)
+        self.pair_w = np.empty((n_max, 1, kern.pair_at.size), dtype=complex)
+        self.w = np.empty((n_max, size, size), dtype=complex)
         self.a_terms = np.empty((n_max, 1, size), dtype=complex)
         self.columns = self.v.reshape(n_max, n_max, jc)
         flat = self.v.reshape(n_max * n_max, jc)
         self.diagonal = flat[::n_max + 1]
         self.lag_rows = self.lags.reshape(n_max, size)
-        w_block = self.w_row.reshape(size, size)
+        self.w_blocks = self.w.reshape(n_max, size * size)
         self.fills, self.appends = [], []
         for k in range(n_max):
             col, off, n = self.v[k], k * jc, (k + 1) * jc
@@ -223,8 +237,9 @@ class Workspace:
                                col[:off], kern.response[k, :size + off], col[off:n], self.p_terms[k, 0]))
             if k < n_max - 1:
                 rows = self.moments[k * size:(k + 1) * size]
-                self.appends.append((col[:n], kern.d_b[k, :k + 1].reshape(n, -1), self.w_row, w_block,
-                                     rows[:, :size], kern.weights[k, :, :n], rows[:, size:size + n]))
+                moment = (kern.d_b[k, :k + 1].reshape(n, -1), self.pair_w[k, 0], rows.reshape(-1),
+                          kern.moment_at) if kern.pair_at.size else None
+                self.appends.append((col[:n], kern.weights[k, :, :n], rows[:, size:size + n], moment))
         inv_den = kern.inv_den.reshape(n_max * jc, -1)
         self.offsets = []
         for beta in range(1, n_max):
@@ -237,7 +252,7 @@ class Workspace:
         w = self.w.reshape(n_max * size, size)
         self.causal = [(self.lags[(n_max - k) * size:], w[:k * size],
                         self.lags[(n_max - k - 1) * size:(n_max - k) * size], self.a_terms[k, 0])
-                       for k in range(n_max)]
+                       for k in range(n_max)] if kern.pair_at.size else []
 
 
 @lru_cache(maxsize=8)

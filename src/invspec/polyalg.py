@@ -4,9 +4,9 @@ Polynomials are 1-d complex arrays of ascending-degree coefficients.  The
 divisions that extract the d-coefficient families are synthetic (Horner) at
 the known pole k_nj; the scalar prefactor in + k(1 - w_j) = (1 - w_j)(k - k_nj)
 is applied after dividing, which keeps the root-based division exact.  Each
-family is built as a whole table by one division vectorised over every pole
-(d_a_table, d_b_table); d_coeffs_a and d_coeffs_b are single entries of the
-same construction.
+family is built as a whole table by divisions vectorised over every pole
+(d_a_table, one division; d_b_table, one per numerator degree); d_coeffs_a
+and d_coeffs_b are single entries of the same construction.
 """
 from __future__ import annotations
 
@@ -90,22 +90,24 @@ def d_a_table(order: Order, alphas, ns) -> tuple[np.ndarray, np.ndarray]:
 
 
 def d_b_table(order: Order, ss, ns, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """d_b(n, s, nu, j) as an [s, n, j, nu, gamma] table, and its relative remainders [s, n, j, nu].
+    """d_b(n, s, nu, j) as an [s, n, j, pair] table, and its relative remainders [s, n, j, nu].
 
-    nu and gamma both run over 0..nu_max; entry (.., nu, gamma) is zero for
-    gamma >= nu, so the whole nu = 0 plane is zero.
+    The pairs are the (nu, gamma) with gamma < nu <= nu_max, in (nu, gamma) C
+    order, so the nu coefficients of d_b(n, s, nu, j) start at pair nu (nu - 1) / 2;
+    the quotient is zero for gamma >= nu, and those entries are not stored.
+    nu = 0 has no pairs and a zero remainder.
     """
-    size = nu_max + 1
     i_s = 1j * np.asarray(ss)
     poles = _poles(order, ns)
-    # numerators padded to degree nu_max: leading zeros leave Horner's quotient unchanged
-    num = np.zeros((i_s.size, *poles.shape, size, size), dtype=complex)
-    for nu in range(size):
-        num[..., nu, :nu + 1] = binomial_power(i_s, nu)[:, None, None, :]
-        num[..., nu, 0] -= np.power(i_s[:, None, None] + poles, nu)
-    q, rel = _divide_at_poles(num, poles[..., None], (1 - roots_of_unity(order)[1:])[:, None])
-    d = np.zeros(num.shape, dtype=complex)
-    d[..., :nu_max] = q
+    one_minus_w = 1 - roots_of_unity(order)[1:]
+    d = np.empty((i_s.size, *poles.shape, nu_max * (nu_max + 1) // 2), dtype=complex)
+    rel = np.zeros((i_s.size, *poles.shape, nu_max + 1))
+    for nu in range(1, nu_max + 1):
+        # each numerator is divided at its own degree nu
+        num = np.broadcast_to(binomial_power(i_s, nu)[:, None, None, :], (*d.shape[:-1], nu + 1)).copy()
+        num[..., 0] -= np.power(i_s[:, None, None] + poles, nu)
+        start = nu * (nu - 1) // 2
+        d[..., start:start + nu], rel[..., nu] = _divide_at_poles(num, poles, one_minus_w)
     return d, rel
 
 
@@ -138,4 +140,4 @@ def d_coeffs_b(order: Order, n: int, s: int, nu: int, j: int) -> np.ndarray:
     d, rel = d_b_table(order, [s], [n], nu)
     if rel[0, 0, j - 1, nu] > REMAINDER_RTOL:
         raise remainder_error(rel[0, 0, j - 1, nu], n, j)
-    return d[0, 0, j - 1, nu, :nu]
+    return d[0, 0, j - 1, -nu:]

@@ -129,6 +129,13 @@ def test_block_cap_below_one_is_rejected(n_max):
         scan_halfplane(s, np.linspace(0, 2 * np.pi, 5), np.linspace(0, 2, 3), n_max=n_max)
 
 
+def test_negative_n_min_is_rejected():
+    s = depth_four_m1()
+    with pytest.raises(InputError, match="n_min must be >= 0"):
+        det_truncated(s, 0.1j, n_min=-1, dense_trace=True)
+    assert det_truncated(s, 0.1j, n_min=0, dense_trace=True).ns == (0, 1, 2, 3, 4)
+
+
 def test_one_block_is_checked_against_the_empty_determinant():
     s = depth_four_m1()
     re_grid, im_grid = np.linspace(0, 2 * np.pi, 9), np.linspace(0, 2, 3)

@@ -57,8 +57,23 @@ def test_kernel_tensors_match_scalar_coefficients(m):
             for s in range(1, n_max + 1):
                 for nu in range(1, order.gamma_count):
                     scalar = d_coeffs_b(order, n, s, nu, j)
-                    entry = kern.d_b[s - 1, n - 1, j - 1, nu]
-                    assert np.array_equal(entry[:nu], scalar) and not entry[nu:].any()
+                    # d_b stores only gamma < nu: d_b(n, s, nu, j) starts at pair nu (nu - 1) / 2
+                    start = nu * (nu - 1) // 2
+                    entry = kern.d_b[s - 1, n - 1, j - 1, start:start + nu]
+                    assert np.array_equal(entry, scalar)
                     num = binomial_power(1j * s, nu)
                     num[0] -= (1j * s + knj) ** nu
                     assert np.allclose(scalar, _quotient(num, n, j, order), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_kernel_stores_each_pair_once_as_its_scalar_coefficient(m):
+    order = Order(m)
+    n_max = 5
+    d_b = diagonal_kernel(m, n_max).d_b
+    assert d_b.shape == (n_max, n_max, 2 * m - 1, (2 * m - 1) * (m - 1))
+    for pair, (nu, gamma) in enumerate(zip(*np.tril_indices(order.gamma_count, -1))):
+        for s in range(1, n_max + 1):
+            for n in range(1, n_max + 1):
+                for j in range(1, order.j_count + 1):
+                    assert d_b[s - 1, n - 1, j - 1, pair] == d_coeffs_b(order, n, s, int(nu), j)[gamma]

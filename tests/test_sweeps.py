@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import (Order, diag_solve, forward, forward_map, inverse_map, linalg, offdiag_step, p_from_v,
-                     polyalg, roots_of_unity, v_from_s)
+from invspec import (Order, VTable, diag_solve, forward, forward_map, inverse_map, linalg, offdiag_step,
+                     p_from_v, polyalg, roots_of_unity, v_from_s)
 from invspec.errors import (DivisionRemainderError, ResonantIndexError, SingularMatrixError,
                             SingularSystemError)
 from invspec.kernel import DiagonalKernel, diagonal_kernel
@@ -42,6 +42,15 @@ def checked_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def dense_d_b(kern) -> np.ndarray:
+    """The kernel's d_b pairs in the original layout d_b[s, n, j, nu, gamma], zero at gamma >= nu."""
+    size = kern.order.gamma_count
+    nu, gamma = np.tril_indices(size, -1)
+    dense = np.zeros(kern.d_b.shape[:-1] + (size, size), dtype=complex)
+    dense[..., nu, gamma] = kern.d_b
+    return dense
+
+
 def einsum_forward(p) -> np.ndarray:
     order, n_max = p.order, p.n_max
     kern = diagonal_kernel(order.m, n_max)
@@ -49,6 +58,7 @@ def einsum_forward(p) -> np.ndarray:
     c = modes[:, None] / (1 - roots_of_unity(order)[1:])
     weights = (1j * (modes[None, None, :] - c[:, :, None]))[..., None] ** np.arange(order.gamma_count)
     left = old_left(order, n_max)
+    d_b = dense_d_b(kern)
     pc = p.coeffs
     v = np.zeros((order.j_count, n_max, n_max), dtype=complex)
     w = np.zeros((n_max, order.gamma_count, order.gamma_count), dtype=complex)
@@ -58,7 +68,7 @@ def einsum_forward(p) -> np.ndarray:
         conv = np.einsum("vr,rvg->g", pc[:, :k], w[:k][::-1])
         a_term = np.einsum("njg,jn->g", kern.d_a[k], v[:, :, k])
         v[:, k, k] = checked_solve(kern.d_a[k, k].T, -pc[:, k] - conv - a_term)
-        w[k] = np.einsum("njvg,jn->vg", kern.d_b[k], v[:, :, k])
+        w[k] = np.einsum("njvg,jn->vg", d_b[k], v[:, :, k])
     return v
 
 
@@ -81,7 +91,7 @@ def einsum_v_from_s(s) -> np.ndarray:
 
 def einsum_p_from_v(v) -> np.ndarray:
     kern = diagonal_kernel(v.order.m, v.n_max)
-    w = np.einsum("snjvg,jns->svg", kern.d_b, v.table)
+    w = np.einsum("snjvg,jns->svg", dense_d_b(kern), v.table)
     a_terms = np.einsum("anjg,jna->ag", kern.d_a, v.table)
     p = np.zeros((v.order.gamma_count, v.n_max), dtype=complex)
     for k in range(v.n_max):
@@ -92,7 +102,7 @@ def einsum_p_from_v(v) -> np.ndarray:
 def term_magnitudes(v, p) -> np.ndarray:
     """For each entry of p, the sum of the magnitudes of the terms p_from_v adds up."""
     kern = diagonal_kernel(v.order.m, v.n_max)
-    w = np.einsum("snjvg,jns->svg", np.abs(kern.d_b), np.abs(v.table))
+    w = np.einsum("snjvg,jns->svg", np.abs(dense_d_b(kern)), np.abs(v.table))
     a_terms = np.einsum("anjg,jna->ag", np.abs(kern.d_a), np.abs(v.table))
     return np.array([np.einsum("vr,rvg->g", np.abs(p[:, :k]), w[:k][::-1]) + a_terms[k]
                      for k in range(v.n_max)]).T
@@ -108,6 +118,22 @@ def test_sweeps_match_einsum_oracles(m, n_max):
     # at (4, 32)), so p is compared against the magnitude of what it sums
     want = einsum_p_from_v(v)
     assert (np.abs(p_from_v(v).coeffs - want) / term_magnitudes(v, want)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 16])
+def test_order_one_has_no_convolution(n_max):
+    kern = diagonal_kernel(1, n_max)
+    assert kern.d_b.shape == (n_max, n_max, 1, 0)
+    p = random_potential(Order(1), n_max, np.random.default_rng(n_max))
+    v, s = forward_map(p)
+    # the plan forms no moment pair in the forward appends and runs no causal loop
+    assert kern.pool and all(append[-1] is None for ws in kern.pool for append in ws.appends)
+    assert all(not ws.causal for ws in kern.pool)
+    assert relative(v.table, einsum_forward(p)) <= 1e-14
+    want = einsum_p_from_v(v)
+    assert relative(p_from_v(v).coeffs, want) <= 1e-14
+    want = einsum_p_from_v(VTable(s.order, n_max, einsum_v_from_s(s)))
+    assert relative(inverse_map(s).coeffs, want) <= 1e-14
 
 
 def sweep_guards(kern, left_tol: float, cond_limit: float) -> None:
@@ -293,6 +319,7 @@ def slicing_forward(p) -> tuple[np.ndarray, np.ndarray]:
     order, n_max = p.order, p.n_max
     kern = diagonal_kernel(order.m, n_max)
     size = jc = order.j_count
+    nu, gamma = np.tril_indices(size, -1)
     v = np.zeros((n_max, n_max, jc), dtype=complex)
     cols = v.reshape(n_max, -1)
     moments = np.zeros((n_max, size, size + n_max * jc), dtype=complex)
@@ -303,7 +330,7 @@ def slicing_forward(p) -> tuple[np.ndarray, np.ndarray]:
         acc = lags[lags.size - k * size:] @ moments[:k, :, :size + off].reshape(k * size, size + off)
         np.multiply(acc[size:], kern.left_recip[k, :off], out=col[:off])
         col[off:off + jc] = acc @ kern.response[k, :size + off] + p_terms[k]
-        moments[k, :, :size] = (col[:n] @ kern.d_b[k, :k + 1].reshape(n, -1)).reshape(size, size)
+        moments[k, nu, gamma] = col[:n] @ kern.d_b[k, :k + 1].reshape(n, nu.size)
         np.multiply(kern.weights[k, :, :n], col[:n], out=moments[k, :, size:size + n])
     return v.transpose(2, 1, 0), v.reshape(n_max * n_max, jc)[::n_max + 1]
 
@@ -329,7 +356,10 @@ def slicing_p(order: Order, cols: np.ndarray) -> np.ndarray:
     n_max, size = cols.shape[0], order.gamma_count
     kern = diagonal_kernel(order.m, n_max)
     cols = cols.reshape(n_max, 1, -1)
-    w = -(cols @ kern.d_b.reshape(n_max, cols.shape[-1], -1)).reshape(n_max * size, size)
+    nu, gamma = np.tril_indices(size, -1)
+    w = np.zeros((n_max, size, size), dtype=complex)
+    w[:, nu, gamma] = -(cols @ kern.d_b.reshape(n_max, cols.shape[-1], nu.size))[:, 0]
+    w = w.reshape(n_max * size, size)
     a_terms = (cols @ kern.d_a.reshape(n_max, cols.shape[-1], -1))[:, 0]
     lags = np.zeros(n_max * size, dtype=complex)
     for k in range(n_max):
@@ -423,3 +453,12 @@ def test_returned_tables_share_no_memory_with_the_workspaces():
     buffers = workspace_arrays(diagonal_kernel(2, 16))
     assert buffers
     assert not any(np.shares_memory(a, b) for a in results for b in buffers)
+
+
+def test_sweep_tables_are_frozen_triangular_copies():
+    # the sweeps' tables skip VTable's triangle check; a checked VTable accepts them
+    p = random_potential(Order(2), 16, np.random.default_rng(6))
+    v, s = forward_map(p)
+    for table in (v, v_from_s(s)):
+        assert not table.table.flags.writeable and table.table.flags.c_contiguous
+        assert np.array_equal(VTable(table.order, table.n_max, table.table).table, table.table)
