@@ -6,13 +6,15 @@ Problem file schema (version "1"):
      "m": <int>, "N": <int>,
      "entries": [{"gamma" | "j": <int>, "n": <int>, "re": <float>, "im": <float>}, ...]}
 
-Complex numbers always serialize as {re, im} doubles.  Exit codes: 0 success,
-1 malformed input, 2 degenerate arithmetic, 3 non-convergence, 4 verification
-failure.
+Complex numbers always serialize as {re, im} finite doubles, and the integer
+fields must be integral (2.0 reads as 2; 2.9 is refused, not truncated).
+Exit codes: 0 success, 1 malformed input, 2 degenerate arithmetic, 3
+non-convergence, 4 verification failure.
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -36,6 +38,13 @@ def _complex_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _integral(value) -> int:
+    """A JSON integer field as an int; a float counts only when it is integral."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def load_problem(path: str):
     try:
         with open(path) as fh:
@@ -46,8 +55,8 @@ def load_problem(path: str):
         if str(doc["schema_version"]) != SCHEMA_VERSION:
             raise InputError(f"unsupported schema_version {doc['schema_version']!r}")
         mode = doc["mode"]
-        order = Order(int(doc["m"]))
-        n_max = int(doc["N"])
+        order = Order(_integral(doc["m"]))
+        n_max = _integral(doc["N"])
         entries = doc["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed problem file {path}: {exc}") from exc
@@ -64,11 +73,13 @@ def load_problem(path: str):
     seen = set()
     for entry in entries:
         try:
-            idx = int(entry[index_key])
-            n = int(entry["n"])
+            idx = _integral(entry[index_key])
+            n = _integral(entry["n"])
             value = complex(float(entry["re"]), float(entry["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed entry {entry!r}: {exc}") from exc
+        if not cmath.isfinite(value):
+            raise InputError(f"non-finite value in entry {entry!r}")
         lo = 0 if index_key == "gamma" else 1
         if not lo <= idx <= index_hi:
             raise InputError(f"{index_key}={idx} outside {lo}..{index_hi}")

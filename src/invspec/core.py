@@ -176,9 +176,12 @@ class VTable:
         shape = (self.order.j_count, self.n_max, self.n_max)
         if arr.shape != shape:
             raise InputError(f"V table must have shape {shape}, got {arr.shape}")
-        if np.tril(arr, -1).any():
+        below = np.tri(self.n_max, k=-1, dtype=bool)
+        if arr[:, below].any():
             # storage is [j, n-1, alpha-1]; entries with n > alpha must be absent
             raise InputError("V table has entries below the n <= alpha triangle")
+        # a -0.0 there is absent too; store +0.0, as the sweeps' tables hold
+        arr[:, below] = 0
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
 

@@ -69,20 +69,18 @@ def _check_columns(kern: DiagonalKernel, columns: slice, left_tol: float | None,
     trips = [kern.read_remainder[columns] > polyalg.REMAINDER_RTOL,
              kern.diag_ratio[columns] > cond_limit,
              linalg.negligible_pivots(kern.diag_lu[columns]).any(axis=-1)]
-    resonant = None
     # the relative scale keeps the resonance guard meaningful at large alpha
-    if left_tol is not None and (kern.left_floor[columns] <= left_tol * kern.left_scale[columns]).any():
-        lower = np.tri(kern.abs_left.shape[0], k=-1, dtype=bool)[columns, :, None]
-        resonant = (kern.abs_left[columns] <= left_tol * kern.left_scale[columns, None, :]) & lower
-        trips.append(resonant.any(axis=(1, 2)))
+    if left_tol is not None:
+        trips.append((kern.left_floor[columns] <= left_tol * kern.left_scale[columns]).any(axis=-1))
     hit = np.flatnonzero(np.logical_or.reduce(trips))
     if not hit.size:
         return
-    first = hit[0]
-    alpha = columns.start + int(first) + 1
-    if resonant is not None and resonant[first].any():
-        n, j = np.argwhere(resonant[first])[0] + 1
-        raise _resonance_error(int(n), alpha, int(j))
+    alpha = columns.start + int(hit[0]) + 1
+    if left_tol is not None:
+        resonant = kern.abs_left(alpha) <= left_tol * kern.left_scale[alpha - 1]
+        if resonant.any():
+            n, j = np.argwhere(resonant)[0] + 1
+            raise _resonance_error(int(n), alpha, int(j))
     kern.check_remainders(alpha, diag_first=True)
     if kern.diag_ratio[alpha - 1] > cond_limit:
         raise SingularSystemError(f"diagonal system at alpha={alpha} is numerically singular", alpha=alpha)
@@ -90,13 +88,10 @@ def _check_columns(kern: DiagonalKernel, columns: slice, left_tol: float | None,
 
 
 def _load(kern: DiagonalKernel, ws: Workspace, pc: np.ndarray) -> None:
-    """Zero ws's V table and moments, and write the potential's lags and its
-    share p[., alpha] @ response[alpha, :size] of every diagonal."""
+    """Write the potential's lags and its share p[., alpha] @ p_share[alpha] of every diagonal to ws."""
     n_max = ws.v.shape[0]
-    ws.v.fill(0)
-    ws.moments.fill(0)
     np.copyto(ws.lag_rows, pc[:, n_max - 1::-1].T)
-    np.matmul(pc[:, :n_max].T[:, None], kern.response[:, :pc.shape[0]], out=ws.p_terms)
+    np.matmul(pc[:, :n_max].T[:, None], kern.p_share, out=ws.p_terms)
 
 
 def _fill_column(step: tuple) -> None:
@@ -141,7 +136,7 @@ def offdiag_step(p: PotentialCoefficients, v: VTable, n: int, alpha: int, j: int
     if missing.size:
         raise InputError(f"missing prerequisite entry V(n={n}, s={n + missing[0]}, j={j})")
     kern = diagonal_kernel(p.order.m, v.n_max)
-    if kern.abs_left[alpha - 1, n - 1, j - 1] <= left_tol * kern.left_scale[alpha - 1, j - 1]:
+    if kern.abs_left(alpha)[n - 1, j - 1] <= left_tol * kern.left_scale[alpha - 1, j - 1]:
         raise _resonance_error(n, alpha, j)
     return complex(_column_from(p, v, kern, alpha)[(n - 1) * p.order.j_count + j - 1])
 

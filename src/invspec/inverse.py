@@ -36,24 +36,22 @@ def _check_denominators(kern: DiagonalKernel, table: np.ndarray, tol: float) -> 
     Entry (n, j, r, l) is first read at column n + r, and only when S_nj != 0;
     within a column the sweep runs over n, then j, then l.
     """
-    if not ((kern.den_floor <= tol) & (table != 0)).any():
+    n, j = np.nonzero((kern.den_floor <= tol) & (table != 0))
+    if not n.size:
         return
-    n_max = table.shape[0]
-    modes = np.arange(1, n_max + 1)
-    small = ((kern.abs_den <= tol) & (table != 0)[None, None]
-             & (modes[:, None, None, None] + modes[None, None, :, None] <= n_max))
-    if small.any():
-        hit = np.argwhere(small)
-        r, l, n, j = hit[np.lexsort((hit[:, 1], hit[:, 3], hit[:, 2], hit[:, 0] + hit[:, 2]))[0]] + 1
-        indices = (int(n), int(j), int(r), int(l))
-        raise DegenerateDenominatorError(
-            "degenerate denominator at (n={}, j={}, r={}, l={})".format(*indices), indices=indices)
+    # |den| at every (r, l) of each (n, j) whose floor tripped, as [r, l, pair]
+    r = np.arange(table.shape[0])[:, None, None]
+    small = (kern.abs_den(n, j) <= tol) & (r + n + 2 <= table.shape[0])
+    r, l, at = np.nonzero(small)
+    first = np.lexsort((l, j[at], n[at], r + n[at]))[0]
+    indices = (int(n[at[first]]) + 1, int(j[at[first]]) + 1, int(r[first]) + 1, int(l[first]) + 1)
+    raise DegenerateDenominatorError(
+        "degenerate denominator at (n={}, j={}, r={}, l={})".format(*indices), indices=indices)
 
 
 def _v_columns(kern: DiagonalKernel, ws: Workspace, s: SpectralData, tol: float) -> None:
     """Write the triangular V table to ws as columns V[alpha, n, j], one diagonal offset at a time."""
     _check_denominators(kern, s.table, tol)
-    ws.v.fill(0)
     np.copyto(ws.diagonal, s.table)
     np.multiply(1j * (1 - roots_of_unity(s.order)[1:]), s.table, out=ws.lead)
     for col, inv_den, acc, lead, acc_rows, offset_rows in ws.offsets:
@@ -82,7 +80,6 @@ def _p_from_columns(kern: DiagonalKernel, ws: Workspace) -> PotentialCoefficient
         # the negated moments: p = -(conv + a_term) is then one matvec and one subtraction
         np.matmul(cols, kern.d_b.reshape(n_max, cols.shape[-1], -1), out=ws.pair_w)
         np.negative(ws.pair_w, out=ws.pair_w)
-        ws.w.fill(0)
         ws.w_blocks[:, kern.pair_at] = ws.pair_w[:, 0]
         # at column k the found coefficients p[., k - 1 - s], s = 0..k-1, are a suffix of lags
         for found, w, p_k, a_term in ws.causal:

@@ -30,7 +30,11 @@ response[alpha] = -(I; left_recip[alpha] * d_a[alpha]) d_a(alpha, alpha)^-1
 tabulates it, its first rows the potential's share.
 
 A kernel tabulates, once per (m, N), everything these sweeps read, each table
-once and in the layout its sweep reads.  Table axes are 0-based: index i
+once and in the layout its sweep reads.  A forward table is a list of
+per-column blocks in one flat buffer, each block only the entries its column
+reads, so none is padded to the widest column.  The guards keep only the
+floors they compare with their tolerances; the entries a tripped guard
+reports are recomputed when it trips.  Table axes are 0-based: index i
 stands for the mode i + 1 of n, alpha, s or r, and for the root w_{i+1} of j
 or l.
 
@@ -43,6 +47,7 @@ sum differently and move V in the last bits.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -56,26 +61,33 @@ class DiagonalKernel:
     """Read-only tables of the diagonal relation at order m and depth N.
 
     d_a[alpha, n, j, gamma], d_b[s, n, j, pair]: the d-coefficients, d_b over
-    the pairs (nu, gamma < nu) in (nu, gamma) C order, with relative division
-    remainders rem_a[alpha, n, j] and rem_b[s, n, j, nu];
-    read_remainder[alpha] is the largest of them among the coefficients column
-    alpha reads.  weights[s, gamma, n*j] = (i (s - c_nj))^gamma, c_nj = n /
-    (1 - w_j), are the forward off-diagonal weights.  With the left factor
-    L[alpha, n, j] = (alpha - c_nj)^2m - c_nj^2m, left_recip[alpha, n*j] =
-    (-1)^(m+1) / L is its signed reciprocal, zero where n >= alpha (L vanishes
-    at n = alpha), and abs_left = |L| and left_scale[alpha, j] = (alpha /
-    |1 - w_j|)^2m feed the resonance guard; left_floor[alpha, j] is the
-    smallest |L| at n < alpha.  inv_den[r, l, n, j] = 1 / (n w_j (1 - w_l) -
-    r (1 - w_j)) and abs_den = |den| are the inverse map's; den_floor[n, j] is
-    the smallest |den| that v_from_s reads (r + n <= N).  diag_lu[alpha] and
-    diag_ratio[alpha] are the in-house LU factors and pivot ratio of the
-    forward map's diagonal system d_a(alpha, alpha)^T, which depends only on m
-    and alpha; the guards read them.  response[alpha, :, j] maps a column's
-    accumulator (size + N*jc entries, zero past its own) to V[j, alpha,
-    alpha], and response[alpha, :size] also maps p[., alpha]; where a pivot is
-    negligible, a column the guards refuse, it holds the identity's image.
-    pair_at and moment_at place the pairs in a flat (nu, gamma) block and in
-    the flat moment rows of one forward column.
+    the pairs (nu, gamma < nu) in (nu, gamma) C order; read_remainder[alpha] is
+    the largest relative division remainder among the coefficients column
+    alpha reads.  w[j] is the root w_{j+1}, c[n, j] = n / (1 - w_j), and the
+    left factor L[alpha, n, j] = (alpha - c_nj)^2m - c_nj^2m vanishes at n =
+    alpha.
+
+    The forward sweep's tables are lists of per-column blocks, consecutive in
+    one flat buffer per table, each holding only the entries its column reads.
+    left_recip[k] = (-1)^(m+1) / L[alpha, n*j] over n < alpha = k + 1 is the
+    signed reciprocal left factor; weights[k][gamma, n*j] = (i (alpha -
+    c_nj))^gamma over n <= alpha are the off-diagonal weights, for alpha < N
+    only, as no column reads the moments of column N; response[k] maps column
+    alpha's accumulator (its size + k jc entries) to V[j, alpha, alpha], and
+    its first rows, stacked as p_share[k], also map p[., alpha]; where a pivot
+    is negligible, a column the guards refuse, it holds the identity's image.
+    inv_den[r, l, n, j] = 1 / den, den = n w_j (1 - w_l) - r (1 - w_j), is the
+    inverse map's.  diag_lu[alpha] and diag_ratio[alpha] are the in-house LU
+    factors and pivot ratio of the forward map's diagonal system d_a(alpha,
+    alpha)^T, which depends only on m and alpha.  pair_at and moment_at place
+    the pairs in a flat (nu, gamma) block and in the flat moment rows of one
+    forward column.
+
+    The guards read floors: read_remainder; left_floor[alpha, j], the smallest
+    |L| at n < alpha, against left_scale[alpha, j] = (alpha / |1 - w_j|)^2m;
+    and den_floor[n, j], the smallest |den| that v_from_s reads (r + n <= N).
+    Only where a floor trips do check_remainders, abs_left and abs_den
+    recompute, as the build computed them, the entries they report.
 
     clean_sweeps holds the (left_tol, cond_limit, polyalg.REMAINDER_RTOL)
     under which the forward map's guard pass over all N columns found nothing;
@@ -85,34 +97,23 @@ class DiagonalKernel:
     def __init__(self, m: int, n_max: int):
         order = Order(m)
         self.order = order
-        two_m = 2 * m
+        self.n_max = n_max
+        size = jc = order.gamma_count
         modes = np.arange(1, n_max + 1)
-        self.d_a, self.rem_a = polyalg.d_a_table(order, modes, modes)
-        self.d_b, self.rem_b = polyalg.d_b_table(order, modes, modes, order.gamma_count - 1)
-        nu, gamma = np.tril_indices(order.gamma_count, -1)
-        self.pair_at = nu * order.gamma_count + gamma
-        self.moment_at = nu * (order.gamma_count + n_max * order.j_count) + gamma
-        w = roots_of_unity(order)[1:]
-        c = modes[:, None] / (1 - w)
-        shift = 1j * (modes[:, None, None] - c)
-        powers = np.arange(order.gamma_count)[None, :, None, None]
-        self.weights = (shift[:, None] ** powers).reshape(n_max, order.gamma_count, -1)
-        left = (modes[:, None, None] - c) ** two_m - c ** two_m
-        self.abs_left = np.abs(left)
-        self.left_scale = (modes[:, None] / np.abs(1 - w)) ** two_m
-        lower = np.tri(n_max, k=-1, dtype=bool)[..., None]
-        self.left_recip = np.divide((-1) ** (m + 1), left, out=np.zeros_like(left),
-                                    where=lower).reshape(n_max, -1)
-        self.left_floor = np.where(lower, self.abs_left, np.inf).min(axis=1)
-        den = (modes[None, None, :, None] * w[None, None, None, :] * (1 - w)[None, :, None, None]
-               - modes[:, None, None, None] * (1 - w)[None, None, None, :])
-        self.abs_den = np.abs(den)
+        self.d_a, rem_a = polyalg.d_a_table(order, modes, modes)
+        self.d_b, rem_b = polyalg.d_b_table(order, modes, modes, size - 1)
+        nu, gamma = np.tril_indices(size, -1)
+        self.pair_at = nu * size + gamma
+        self.moment_at = nu * (size + n_max * jc) + gamma
+        self.w = roots_of_unity(order)[1:]
+        self.c = modes[:, None] / (1 - self.w)
+        self.left_scale = (modes[:, None] / np.abs(1 - self.w)) ** (2 * m)
+        den = self._den(modes[:, None, None, None], np.arange(jc)[:, None, None], modes[:, None], np.arange(jc))
         self.inv_den = 1 / den
-        read = modes[:, None, None, None] + modes[None, None, :, None] <= n_max
-        self.den_floor = np.where(read, self.abs_den, np.inf).min(axis=(0, 1))
+        read = modes[:, None, None, None] + modes[:, None] <= n_max
+        self.den_floor = np.where(read, np.abs(den), np.inf).min(axis=(0, 1))
         self.diag_lu = np.array([linalg.lu_factor(self.d_a[a, a].T)[0] for a in range(n_max)])
         self.diag_ratio = np.array([linalg.factor_ratio(lu) for lu in self.diag_lu])
-        size = order.gamma_count
         system = np.array(self.d_a[modes - 1, modes - 1].transpose(0, 2, 1))
         system[linalg.negligible_pivots(self.diag_lu).any(axis=-1)] = np.eye(size)
         inv = np.linalg.inv(system)
@@ -120,21 +121,58 @@ class DiagonalKernel:
         # an extended-precision residual (where the platform has one) rounds it closely
         wide = np.clongdouble
         inv = inv + inv @ (np.eye(size) - system.astype(wide) @ inv.astype(wide)).astype(complex)
-        rows = np.concatenate([np.broadcast_to(np.eye(size), (n_max, size, size)),
-                               self.left_recip[..., None] * self.d_a.reshape(n_max, -1, size)], axis=1)
-        self.response = -(rows @ inv.transpose(0, 2, 1))
+        self.left_recip = _blocks([(k * jc,) for k in range(n_max)])
+        self.weights = _blocks([(size, (k + 1) * jc) for k in range(n_max - 1)])
+        self.response = _blocks([(size + k * jc, jc) for k in range(n_max)])
+        self.left_floor = np.full((n_max, jc), np.inf)
+        # column k's (I; left_recip[k] * d_a[k]) in its first size + k jc rows
+        rows = np.empty((size + (n_max - 1) * jc, size), dtype=complex)
+        rows[:size] = np.eye(size)
+        powers = np.arange(size)[:, None, None]
+        for k, (left_recip, response) in enumerate(zip(self.left_recip, self.response)):
+            off = k * jc
+            left = self._left(k)
+            np.divide((-1) ** (m + 1), left.reshape(-1), out=left_recip)
+            if k:
+                self.left_floor[k] = np.abs(left).min(axis=0)
+            np.multiply(left_recip[:, None], self.d_a[k, :k].reshape(off, size), out=rows[size:size + off])
+            np.matmul(rows[:size + off], inv[k].T, out=response)
+            np.negative(response, out=response)
+            if k < n_max - 1:
+                np.copyto(self.weights[k], ((1j * (k + 1 - self.c[:k + 1])) ** powers).reshape(size, -1))
+        self.p_share = np.array([response[:size] for response in self.response])
         # largest remainder among the coefficients column alpha reads: its own
         # d_a entries (n <= alpha) and the d_b entries of every earlier column
         tri = np.tri(n_max, dtype=bool)
-        col_a = np.where(tri[..., None], self.rem_a, 0.0).max(axis=(1, 2))
-        col_b = np.where(tri[..., None, None], self.rem_b, 0.0).max(axis=(1, 2, 3))
+        col_a = np.where(tri[..., None], rem_a, 0.0).max(axis=(1, 2))
+        col_b = np.where(tri[..., None, None], rem_b, 0.0).max(axis=(1, 2, 3))
         earlier_b = np.concatenate([[0.0], np.maximum.accumulate(col_b)[:-1]])
         self.read_remainder = np.maximum(col_a, earlier_b)
-        for table in vars(self).values():
-            if isinstance(table, np.ndarray):
-                table.setflags(write=False)
+        blocks = self.left_recip + self.weights + self.response
+        for table in [t for t in vars(self).values() if isinstance(t, np.ndarray)] + blocks:
+            table.setflags(write=False)
+        for block in blocks:
+            block.base.setflags(write=False)
         self.pool: list[Workspace] = []
         self.clean_sweeps: set[tuple] = set()
+
+    def _left(self, k: int) -> np.ndarray:
+        """The left factors L[alpha, n, j] of column alpha = k + 1 at n <= k, as [n, j]."""
+        c, two_m = self.c[:k], 2 * self.order.m
+        return (k + 1 - c) ** two_m - c ** two_m
+
+    def _den(self, r, l, n, j) -> np.ndarray:
+        """den = n w_j (1 - w_l) - r (1 - w_j) at modes r, n and 0-based roots l, j, broadcast."""
+        return n * self.w[j] * (1 - self.w)[l] - r * (1 - self.w)[j]
+
+    def abs_left(self, alpha: int) -> np.ndarray:
+        """|L[alpha, n, j]| at n < alpha, as [n, j], as the build computed it."""
+        return np.abs(self._left(alpha - 1))
+
+    def abs_den(self, n: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """|den[r, l, n, j]| at every (r, l) and the 0-based index pairs (n, j), as [r, l, pair]."""
+        modes = np.arange(1, self.n_max + 1)
+        return np.abs(self._den(modes[:, None, None], np.arange(self.order.j_count)[:, None], n + 1, j))
 
     @contextmanager
     def workspace(self):
@@ -164,20 +202,33 @@ class DiagonalKernel:
                 raise polyalg.remainder_error(rel, n, j)
 
     def _reads(self, alpha: int, diag_first: bool):
-        """(relative remainder, n, j) of each coefficient column alpha reads, in reading order."""
+        """(relative remainder, n, j) of each coefficient column alpha reads, in reading order.
+
+        The remainders are divided anew, entry for entry as the build divided them.
+        """
         jc = range(1, self.order.j_count + 1)
-        rem_a = self.rem_a[alpha - 1]
+        modes = np.arange(1, alpha + 1)
+        rem_a = polyalg.d_a_table(self.order, modes[-1:], modes)[1][0]
         if diag_first:
             yield from ((rem_a[alpha - 1, j - 1], alpha, j) for j in jc)
-        for nu in range(1, self.order.gamma_count):
-            for s in range(alpha - 1, 0, -1):
-                for j in jc:
-                    for n in range(1, s + 1):
-                        yield self.rem_b[s - 1, n - 1, j - 1, nu], n, j
+        if alpha > 1:
+            rem_b = polyalg.d_b_table(self.order, modes[:-1], modes[:-1], self.order.gamma_count - 1)[1]
+            for nu in range(1, self.order.gamma_count):
+                for s in range(alpha - 1, 0, -1):
+                    for j in jc:
+                        for n in range(1, s + 1):
+                            yield rem_b[s - 1, n - 1, j - 1, nu], n, j
         last = alpha - 1 if diag_first else alpha
         for j in jc:
             for n in range(1, last + 1):
                 yield rem_a[n - 1, j - 1], n, j
+
+
+def _blocks(shapes: list[tuple]) -> list[np.ndarray]:
+    """Views of consecutive blocks of the given shapes in one flat complex buffer."""
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    flat = np.empty(ends[-1], dtype=complex)
+    return [flat[a:b].reshape(shape) for a, b, shape in zip(ends[:-1], ends[1:], shapes)]
 
 
 class Workspace:
@@ -192,9 +243,9 @@ class Workspace:
     its sweep passes them to numpy:
 
     - fills[k] for alpha = k + 1: (lagged potential, moments of columns
-      1..k, acc, acc's off-diagonal tail, left_recip row, V[alpha, :alpha - 1],
-      response rows, V[alpha, alpha], potential's share p_terms[k]).
-    - appends[k] for alpha = k + 1 < N: (V[alpha, :alpha], weights rows, the
+      1..k, acc, acc's off-diagonal tail, left_recip[k], V[alpha, :alpha - 1],
+      response[k], V[alpha, alpha], potential's share p_terms[k]).
+    - appends[k] for alpha = k + 1 < N: (V[alpha, :alpha], weights[k], the
       weighted column's rows in moments, and, where there are pairs, (d_b
       rows, the moment W's pairs, the column's moment rows flat, moment_at)).
       No column reads the moments of column N, so the sweep never forms them.
@@ -206,23 +257,25 @@ class Workspace:
     pair_w holds each column's moment pairs, and w (as w_blocks, one flat (nu,
     gamma) block per column) the inverse's negated moments.
 
-    A sweep reads only entries it wrote earlier in the same call; the forward
-    map and v_from_s zero v first (its n > alpha triangle is returned and read
-    as zeros), the forward map zeroes moments (each row reads as zero past its
-    own columns and at gamma >= nu), and p_from_v zeroes w.
+    The buffers are zeroed once, when the Workspace is built.  A call reads
+    only entries it wrote itself, or entries no sweep ever writes, which stay
+    zero: V's n > alpha triangle, returned and read as zeros (a VTable copied
+    in holds zeros there too), the moment rows past their own columns and at
+    gamma >= nu, and w outside the pairs.  Each sweep rewrites the whole n <=
+    alpha triangle of V, and always the same moment and pair positions.
     """
 
     def __init__(self, kern: DiagonalKernel):
-        n_max, size = kern.response.shape[0], kern.order.gamma_count
+        n_max, size = kern.n_max, kern.order.gamma_count
         jc = kern.order.j_count
-        self.v = np.empty((n_max, n_max * jc), dtype=complex)
-        self.moments = np.empty(((n_max - 1) * size, size + n_max * jc), dtype=complex)
+        self.v = np.zeros((n_max, n_max * jc), dtype=complex)
+        self.moments = np.zeros(((n_max - 1) * size, size + n_max * jc), dtype=complex)
         self.acc = np.empty(size + n_max * jc, dtype=complex)
         self.lags = np.empty(n_max * size, dtype=complex)
         self.p_terms = np.empty((n_max, 1, jc), dtype=complex)
         self.lead = np.empty((n_max, jc), dtype=complex)
         self.pair_w = np.empty((n_max, 1, kern.pair_at.size), dtype=complex)
-        self.w = np.empty((n_max, size, size), dtype=complex)
+        self.w = np.zeros((n_max, size, size), dtype=complex)
         self.a_terms = np.empty((n_max, 1, size), dtype=complex)
         self.columns = self.v.reshape(n_max, n_max, jc)
         flat = self.v.reshape(n_max * n_max, jc)
@@ -233,13 +286,13 @@ class Workspace:
         for k in range(n_max):
             col, off, n = self.v[k], k * jc, (k + 1) * jc
             self.fills.append((self.lags[(n_max - k) * size:], self.moments[:k * size, :size + off],
-                               self.acc[:size + off], self.acc[size:size + off], kern.left_recip[k, :off],
-                               col[:off], kern.response[k, :size + off], col[off:n], self.p_terms[k, 0]))
+                               self.acc[:size + off], self.acc[size:size + off], kern.left_recip[k],
+                               col[:off], kern.response[k], col[off:n], self.p_terms[k, 0]))
             if k < n_max - 1:
                 rows = self.moments[k * size:(k + 1) * size]
                 moment = (kern.d_b[k, :k + 1].reshape(n, -1), self.pair_w[k, 0], rows.reshape(-1),
                           kern.moment_at) if kern.pair_at.size else None
-                self.appends.append((col[:n], kern.weights[k, :, :n], rows[:, size:size + n], moment))
+                self.appends.append((col[:n], kern.weights[k], rows[:, size:size + n], moment))
         inv_den = kern.inv_den.reshape(n_max * jc, -1)
         self.offsets = []
         for beta in range(1, n_max):

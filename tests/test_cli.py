@@ -265,6 +265,49 @@ def test_schema_validation_rejects_duplicates_and_ranges(tmp_path):
     assert run_cli("inverse", "--input", str(inp)).returncode == 1
 
 
+@pytest.mark.parametrize("mode, key, value", [
+    ("potential", "re", float("nan")),
+    ("spectral", "im", float("inf")),
+    ("potential", "m", 2.9),
+    ("spectral", "N", 4.5),
+    ("potential", "gamma", 0.5),
+    ("spectral", "j", 1.5),
+    ("potential", "n", 1.7),
+])
+def test_load_problem_rejects_non_finite_values_and_non_integral_indices(tmp_path, mode, key, value):
+    index = "gamma" if mode == "potential" else "j"
+    entry = {index: 1, "n": 1, "re": 0.01, "im": 0.0}
+    doc = {"schema_version": "1", "mode": mode, "m": 2, "N": 4, "entries": [entry]}
+    (entry if key in entry else doc)[key] = value
+    inp = tmp_path / "p.json"
+    # json writes the NaN and Infinity tokens that json.load reads back
+    inp.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        load_problem(str(inp))
+    # an integral float, such as 2.0, still reads as its integer
+    (entry if key in entry else doc)[key] = float(round(value)) if np.isfinite(value) else 0.0
+    inp.write_text(json.dumps(doc))
+    load_problem(str(inp))
+
+
+@pytest.mark.parametrize("command, mode, value", [
+    ("forward", "potential", float("nan")),
+    ("inverse", "spectral", float("inf")),
+    ("verify", "potential", float("nan")),
+    ("det", "spectral", float("nan")),
+])
+def test_non_finite_input_exits_1_and_writes_nothing(tmp_path, command, mode, value):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    entry = {"gamma" if mode == "potential" else "j": 1, "n": 1, "re": value, "im": 0.0}
+    write_problem(inp, mode, 2, 4, [entry])
+    args = ["--output", str(out)] if command in ("forward", "inverse") else []
+    result = run_cli(command, "--input", str(inp), *args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: non-finite value") and "Traceback" not in result.stderr
+    assert result.stdout == "" and not out.exists()
+
+
 def test_exit_code_contract_mapping():
     assert exit_code_for(InputError("x")) == 1
     assert exit_code_for(ResonantIndexError("x", indices=(1, 2, 1))) == 2

@@ -121,6 +121,10 @@ def test_vtable_triangle_enforced():
     good = np.zeros((1, 2, 2), dtype=complex)
     good[0, 0, 1] = 1.0
     VTable(order, 2, good)
+    # a signed zero below the triangle is absent too, and is stored as +0.0
+    good[0, 1, 0] = complex(-0.0, -0.0)
+    table = VTable(order, 2, good).table
+    assert not np.signbit(table.real).any() and not np.signbit(table.imag).any()
 
 
 def test_vtable_diagonal_roundtrip():
