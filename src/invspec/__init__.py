@@ -12,15 +12,12 @@ import importlib
 _EXPORTS = {
     "core": ("AmReport", "Order", "PotentialCoefficients", "SpectralData", "VTable",
              "a_m_constant", "k_pole", "pole", "roots_of_unity"),
-    "forward": ("diag_solve", "forward_map", "left_factor", "offdiag_step", "q_from_p",
-                "series_q"),
+    "forward": ("forward_map", "q_from_p", "series_q"),
     "inverse": ("ContractionReport", "MomentReport", "contraction_conditions", "first_moment",
                 "inverse_map", "p_from_v", "v_from_s"),
-    "analytic": ("ExpSum", "JumpCheck", "eval_f", "eval_phi", "jump_relation_check",
-                 "kernel_K", "marchenko_residual", "ode_residual", "ode_residual_scale",
-                 "q0_from_kernel", "shift_spectral", "transform_lhs", "transition"),
-    "fredholm": ("DeterminantReport", "ScanReport", "det_truncated", "f_matrix",
-                 "scan_halfplane"),
+    "analytic": ("ExpSum", "JumpCheck", "eval_f", "jump_relation_check", "marchenko_residual",
+                 "ode_residual", "ode_residual_scale", "q0_from_kernel", "shift_spectral"),
+    "fredholm": ("DeterminantReport", "ScanReport", "det_truncated", "scan_halfplane"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

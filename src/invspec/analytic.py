@@ -6,9 +6,8 @@ Re a < 0, so no quadrature error enters any of the checks.  Normalization
 conventions:
 
 * ``eval_f`` is the half-line series whose coefficients are V_na / (i n + k (1 - w_j)).
-* ``eval_phi`` is the same solution in the periodic variable; its terms carry
-  V_na / (i [n + lam w_tau (1 - w_j)]), which makes eval_phi(x = i t, lam = -i k)
-  equal to eval_f(t, k) identically.
+  In the periodic variable x = i t, lam = -i k its terms carry
+  V_na / (i [n + lam (1 - w_j)]).
 * The half-line equation solved by the series carries the coefficient table
   ``forward.series_q`` (equal to (-1)^m times the classical rescaling).
 """
@@ -79,52 +78,32 @@ class ExpSum:
         return modes
 
 
-def _series(v: VTable, depth: int | None, den, rate0: complex, rates, x: complex, deriv: int,
-            pole_tol: float) -> complex:
-    """rate0^d e^{rate0 x} + sum over j and n <= alpha <= depth of
-    V[j, n, alpha] / den(n, j) * rates(alpha)^d e^{rates(alpha) x}.
+def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None = None,
+           pole_tol: float = POLE_TOL) -> complex:
+    """Half-line solution series (or its t-derivative) at (t, k), truncated at depth:
+    (i k)^d e^{i k t} + sum over j and n <= alpha <= depth of
+    V[j, n, alpha] / (i n + k (1 - w_j)) * (i k - alpha)^d e^{(i k - alpha) t}.
 
-    ``den`` and ``rates`` are callables on 1-based mode arrays; ``den`` gets the
-    (n, j) grid and returns the denominator table.  The first entry within
-    pole_tol of a pole, lowest j first and then lowest n, raises
-    PoleProximityError.
+    The first denominator within pole_tol of zero, lowest j first and then
+    lowest n, raises PoleProximityError.
     """
     n_cap = v.n_max if depth is None else depth
     if n_cap > v.n_max:
         raise TruncationError(f"depth {n_cap} exceeds stored table depth {v.n_max}",
                               needed_depth=n_cap)
     modes = np.arange(1, n_cap + 1)
-    table = den(modes[:, None], roots_of_unity(v.order)[None, 1:])
+    table = 1j * modes[:, None] + k * (1 - roots_of_unity(v.order)[None, 1:])
     near = np.argwhere(np.abs(table.T) <= pole_tol)
     if near.size:
         j, n = (int(i) + 1 for i in near[0])
         raise PoleProximityError(
             f"evaluation point within {pole_tol} of the (n={n}, j={j}) pole", indices=(n, j)
         )
-    rate = rates(modes)
-    factor = rate ** deriv * np.exp(rate * x)
-    head = rate0 ** deriv * np.exp(rate0 * x)
+    rate = 1j * k - modes
+    factor = rate ** deriv * np.exp(rate * t)
+    head = (1j * k) ** deriv * np.exp(1j * k * t)
     return complex(head + np.einsum("jna,nj,a->", v.table[:, :modes.size, :modes.size],
                                     1 / table, factor))
-
-
-def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None = None,
-           pole_tol: float = POLE_TOL) -> complex:
-    """Half-line solution series (or its t-derivative) at (t, k), truncated at depth."""
-    return _series(v, depth, lambda n, w: 1j * n + k * (1 - w), 1j * k,
-                   lambda alpha: 1j * k - alpha, t, deriv, pole_tol)
-
-
-def eval_phi(v: VTable, x: complex, lam: complex, tau: int = 0, deriv: int = 0,
-             depth: int | None = None, pole_tol: float = POLE_TOL) -> complex:
-    """Periodic-variable solution series on branch lam * w_tau (or its x-derivative)."""
-    order = v.order
-    if not 0 <= tau <= 2 * order.m - 1:
-        raise InputError(f"branch index tau={tau} outside 0..{2 * order.m - 1}")
-    lw = lam * order.root(tau)
-    # |i d| = |d|, so the pole guard sees the same distance n + lw (1 - w_j)
-    return _series(v, depth, lambda n, w: 1j * (n + lw * (1 - w)), 1j * lw,
-                   lambda alpha: 1j * (lw + alpha), x, deriv, pole_tol)
 
 
 def _ode_terms(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
@@ -184,16 +163,6 @@ def _transition_terms(s: SpectralData):
     return s.table[n, j] / (1j * (1 - w[j])), c * w[j], -c, n + 1
 
 
-def kernel_K(v: VTable, t: float, u: float, dt: int = 0, du: int = 0) -> complex:
-    """Transformation kernel K(t, u) for u >= t >= 0, with analytic partials."""
-    if u < t:
-        raise InputError(f"kernel requires u >= t, got t={t}, u={u}")
-    kc, ka, kb, *_ = _kernel_terms(v)
-    if kc.size == 0:
-        return 0j
-    return complex(np.sum(kc * ka ** dt * kb ** du * np.exp(ka * t + kb * u)))
-
-
 def kernel_diag(v: VTable) -> ExpSum:
     """K(x, x) as an exponential sum in x (rates are the negative column indices)."""
     kc, ka, kb, *_ = _kernel_terms(v)
@@ -203,31 +172,6 @@ def kernel_diag(v: VTable) -> ExpSum:
 def q0_from_kernel(v: VTable) -> ExpSum:
     """2m * d/dx K(x, x); its integer modes feed the trace cross-check."""
     return kernel_diag(v).derivative().scale(2 * v.order.m)
-
-
-def transform_lhs(v: VTable, t: float, k: complex) -> complex:
-    """e^{i k t} + int_t^inf K(t, u) e^{i k u} du, integral in closed form.
-
-    Converges for Im k > -1/2 where every u-rate keeps a negative real part;
-    this is an independent route to the same value as eval_f.
-    """
-    kc, ka, kb, *_ = _kernel_terms(v)
-    val = np.exp(1j * k * t)
-    if kc.size == 0:
-        return complex(val)
-    rates = kb + 1j * k
-    if np.any(rates.real >= 0):
-        raise InputError(f"transform integral diverges at Im k = {k.imag}; need Im k > -1/2")
-    val += np.sum(kc * np.exp(ka * t) * (-np.exp(rates * t) / rates))
-    return complex(val)
-
-
-def transition(s: SpectralData, t: float, u: float) -> complex:
-    """Transition function of the data, evaluated through its (t, u) term structure."""
-    fc, fg, fh, _ = _transition_terms(s)
-    if fc.size == 0:
-        return 0j
-    return complex(np.sum(fc * np.exp(fg * t + fh * u)))
 
 
 def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: float | np.ndarray,

@@ -8,13 +8,16 @@ Problem file schema (version "1"):
 
 Complex numbers always serialize as {re, im} finite doubles, and the integer
 fields must be integral (2.0 reads as 2; 2.9 is refused, not truncated).
-Exit codes: 0 success, 1 malformed input, 2 degenerate arithmetic, 3
-non-convergence, 4 verification failure.
+Exit codes: 0 success, 1 malformed input, 2 degenerate arithmetic (a
+result that is not finite included), 3 non-convergence, 4 verification
+failure.  A command computes everything it writes before it writes any of
+it, so a run that fails writes no file.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
+import io
 import json
 import sys
 
@@ -22,8 +25,9 @@ import numpy as np
 
 from .core import Order, PotentialCoefficients, SpectralData, a_m_constant
 from .errors import (ConvergenceError, DegenerateDenominatorError, DivisionRemainderError,
-                     InputError, InvspecError, PoleProximityError, ResonantIndexError,
-                     SingularMatrixError, SingularSystemError, VerificationError)
+                     InputError, InvspecError, NonFiniteResultError, PoleProximityError,
+                     ResonantIndexError, SingularMatrixError, SingularSystemError,
+                     VerificationError)
 from .forward import forward_map, q_from_p
 
 SCHEMA_VERSION = "1"
@@ -115,13 +119,22 @@ def _problem_doc(obj) -> dict:
             "N": obj.n_max, "entries": entries}
 
 
-def _write_json(doc, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _json_text(doc) -> str:
+    """doc as JSON text; a NaN or infinity, which JSON cannot hold, raises NonFiniteResultError."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteResultError(f"result is not finite: {exc}") from None
+
+
+def _write(outputs: list[tuple[str, str | None]]) -> None:
+    """Write each (text, path) in order; a path of None or "-" is stdout."""
+    for text, path in outputs:
+        if path is None or path == "-":
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
 
 
 def cmd_forward(args) -> int:
@@ -129,7 +142,7 @@ def cmd_forward(args) -> int:
     if not isinstance(problem, PotentialCoefficients):
         raise InputError("forward expects a potential-mode problem file")
     v, s = forward_map(problem)
-    _write_json(_problem_doc(s), args.output)
+    outputs = [(_json_text(_problem_doc(s)), args.output)]
     if args.emit_v:
         entries = [
             {"j": j, "n": n, "alpha": alpha, **_complex_json(v.table[j - 1, n - 1, alpha - 1])}
@@ -137,8 +150,9 @@ def cmd_forward(args) -> int:
             for alpha in range(1, v.n_max + 1)
             for n in range(1, alpha + 1)
         ]
-        _write_json({"schema_version": SCHEMA_VERSION, "mode": "vtable", "m": v.order.m,
-                     "N": v.n_max, "entries": entries}, args.emit_v)
+        outputs.append((_json_text({"schema_version": SCHEMA_VERSION, "mode": "vtable",
+                                    "m": v.order.m, "N": v.n_max, "entries": entries}), args.emit_v))
+    _write(outputs)
     return 0
 
 
@@ -149,15 +163,12 @@ def cmd_inverse(args) -> int:
     if not isinstance(problem, SpectralData):
         raise InputError("inverse expects a spectral-mode problem file")
     p = inverse.inverse_map(problem)
-    _write_json(_problem_doc(p), args.output)
     am = a_m_constant(problem.order, cap=args.am_cap)
     moment = inverse.first_moment(problem)
     contraction = inverse.contraction_conditions(problem, am.value)
-    if not contraction.contraction:
-        print(f"warning: contraction sum {contraction.condition_ii_p:.6g} >= 1; "
-              "existence is not guaranteed at this data size", file=sys.stderr)
+    outputs = [(_json_text(_problem_doc(p)), args.output)]
     if args.report:
-        _write_json({
+        outputs.append((_json_text({
             "a_m": {"value": am.value, "argmax": list(am.argmax),
                     "ordered_value": am.ordered_value, "cap": am.cap},
             "first_moment": {"total": moment.total,
@@ -165,7 +176,11 @@ def cmd_inverse(args) -> int:
             "contraction": {"condition_i": contraction.condition_i,
                             "condition_ii_p": contraction.condition_ii_p,
                             "contraction": contraction.contraction},
-        }, args.report)
+        }), args.report))
+    if not contraction.contraction:
+        print(f"warning: contraction sum {contraction.condition_ii_p:.6g} >= 1; "
+              "existence is not guaranteed at this data size", file=sys.stderr)
+    _write(outputs)
     return 0
 
 
@@ -181,29 +196,24 @@ def cmd_det(args) -> int:
     im_grid = np.linspace(0.0, args.im_max, args.im_steps)
     report = fredholm.scan_halfplane(problem, re_grid, im_grid, tol=args.tol,
                                      n_max=args.n_max, det_tol=args.det_tol)
-    rows = []
+    # the scan refuses a determinant that is not finite, so every row is finite
+    grid = io.StringIO()
+    writer = csv.writer(grid, lineterminator="\n")
+    writer.writerow(["re(z)", "im(z)", "re(D)", "im(D)", "|D|"])
     for (iy, ix), d in np.ndenumerate(report.values):
         d = complex(d)
-        rows.append((re_grid[ix], im_grid[iy], d.real, d.imag, abs(d)))
-    out = sys.stdout if args.output in (None, "-") else open(args.output, "w", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["re(z)", "im(z)", "re(D)", "im(D)", "|D|"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    verdict = {
-        "zero_free": report.zero_free,
-        "min_modulus": report.min_modulus,
-        "argmin": _complex_json(report.argmin),
-        "winding": report.winding,
-        "convention": report.convention,
-        "non_converged": [_complex_json(z) for z in report.flagged],
-    }
+        writer.writerow([repr(float(v)) for v in (re_grid[ix], im_grid[iy], d.real, d.imag, abs(d))])
+    outputs = [(grid.getvalue(), args.output)]
     if args.report:
-        _write_json(verdict, args.report)
+        outputs.append((_json_text({
+            "zero_free": report.zero_free,
+            "min_modulus": report.min_modulus,
+            "argmin": _complex_json(report.argmin),
+            "winding": report.winding,
+            "convention": report.convention,
+            "non_converged": [_complex_json(z) for z in report.flagged],
+        }), args.report))
+    _write(outputs)
     if report.flagged:
         raise ConvergenceError(
             f"determinant not converged at {len(report.flagged)} grid points",
@@ -287,8 +297,8 @@ def cmd_verify(args) -> int:
         raise InputError("verify expects a potential-mode problem file")
     checks = _verify_checks(problem, args)
     failed = [c["name"] for c in checks if not c["pass"]]
-    _write_json({"checks": checks, "all_pass": not failed, "failed": failed},
-                args.report or args.output)
+    _write([(_json_text({"checks": checks, "all_pass": not failed, "failed": failed}),
+             args.report or args.output)])
     if failed:
         raise VerificationError(f"checks failed: {', '.join(failed)}", failed=failed)
     return 0
@@ -345,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _MATH_ERRORS = (DegenerateDenominatorError, ResonantIndexError, PoleProximityError,
-                SingularMatrixError, SingularSystemError, DivisionRemainderError)
+                SingularMatrixError, SingularSystemError, DivisionRemainderError,
+                NonFiniteResultError)
 
 
 def exit_code_for(exc: Exception) -> int:

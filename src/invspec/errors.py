@@ -57,6 +57,10 @@ class DivisionRemainderError(InvspecError):
     """Exact linear-factor division left a remainder above tolerance."""
 
 
+class NonFiniteResultError(InvspecError):
+    """A computed result overflowed to a non-finite value."""
+
+
 class ConvergenceError(InvspecError):
     """A truncated quantity failed its convergence criterion.
 

@@ -19,12 +19,11 @@ solves the diagonal relation for the diagonal entries.  Appending the
 column's moments costs a matvec, a scatter of its (2m-1)(m-1) moment pairs
 into the moment rows and a multiply; at m = 1 there are no pairs, and it is
 the multiply alone.  A sweep is N fills and N - 1 appends, as no column
-reads the moments of column N; diag_solve and offdiag_step append the
-caller's earlier columns and fill column alpha.  Every guard depends only
-on (m, N) and the tolerances, never on p, so all of them are checked in one
-vectorised pass before the sweep starts, and the kernel remembers the
-tolerances under which a whole sweep passes, so later forward maps under
-the same ones skip the pass.
+reads the moments of column N.  Every guard depends only on (m, N) and the
+tolerances, never on p, so all of them are checked in one vectorised pass
+before the sweep starts, and the kernel remembers the tolerances under
+which a whole sweep passes, so later forward maps under the same ones skip
+the pass.
 
 The maps are deterministic on one machine, BLAS build and BLAS thread count,
 and agree to rounding across BLAS builds and thread counts (OpenBLAS splits
@@ -39,48 +38,35 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, polyalg
-from .core import Order, PotentialCoefficients, SpectralData, VTable
-from .errors import InputError, ResonantIndexError, SingularSystemError
+from .core import PotentialCoefficients, SpectralData, VTable
+from .errors import ResonantIndexError, SingularSystemError
 from .kernel import DiagonalKernel, Workspace, diagonal_kernel
 
 LEFT_FACTOR_RTOL = 1e-12
 COND_LIMIT = 1e12
 
 
-def left_factor(order: Order, n: int, alpha: int, j: int) -> complex:
-    """(alpha - c)^2m - c^2m with c = n / (1 - omega_j); nonzero for alpha > n."""
-    c = n / (1 - order.root(j))
-    return (alpha - c) ** (2 * order.m) - c ** (2 * order.m)
-
-
-def _resonance_error(n: int, alpha: int, j: int) -> ResonantIndexError:
-    return ResonantIndexError(f"resonant left factor at (n={n}, alpha={alpha}, j={j})",
-                              indices=(n, alpha, j))
-
-
-def _check_columns(kern: DiagonalKernel, columns: slice, left_tol: float | None,
-                   cond_limit: float) -> None:
+def _check_columns(kern: DiagonalKernel, columns: slice, left_tol: float, cond_limit: float) -> None:
     """Raise the error the column sweep over columns would meet first, if any.
 
     Within a column the sweep meets, in this order, a resonant left factor
-    (skipped when left_tol is None), a division remainder, the pivot ratio
-    and a zero pivot of the diagonal solve.
+    (the first in n, then j), a division remainder, the pivot ratio and a
+    zero pivot of the diagonal solve.
     """
-    trips = [kern.read_remainder[columns] > polyalg.REMAINDER_RTOL,
+    # the relative scale keeps the resonance guard meaningful at large alpha
+    trips = [(kern.left_floor[columns] <= left_tol * kern.left_scale[columns]).any(axis=-1),
+             kern.read_remainder[columns] > polyalg.REMAINDER_RTOL,
              kern.diag_ratio[columns] > cond_limit,
              linalg.negligible_pivots(kern.diag_lu[columns]).any(axis=-1)]
-    # the relative scale keeps the resonance guard meaningful at large alpha
-    if left_tol is not None:
-        trips.append((kern.left_floor[columns] <= left_tol * kern.left_scale[columns]).any(axis=-1))
     hit = np.flatnonzero(np.logical_or.reduce(trips))
     if not hit.size:
         return
     alpha = columns.start + int(hit[0]) + 1
-    if left_tol is not None:
-        resonant = kern.abs_left(alpha) <= left_tol * kern.left_scale[alpha - 1]
-        if resonant.any():
-            n, j = np.argwhere(resonant)[0] + 1
-            raise _resonance_error(int(n), alpha, int(j))
+    resonant = kern.abs_left(alpha) <= left_tol * kern.left_scale[alpha - 1]
+    if resonant.any():
+        n, j = (int(i) + 1 for i in np.argwhere(resonant)[0])
+        raise ResonantIndexError(f"resonant left factor at (n={n}, alpha={alpha}, j={j})",
+                                 indices=(n, alpha, j))
     kern.check_remainders(alpha, diag_first=True)
     if kern.diag_ratio[alpha - 1] > cond_limit:
         raise SingularSystemError(f"diagonal system at alpha={alpha} is numerically singular", alpha=alpha)
@@ -114,42 +100,6 @@ def _append_moments(step: tuple) -> None:
         d_b, w, rows, at = moment
         np.matmul(col, d_b, out=w)
         rows[at] = w
-
-
-def _column_from(p: PotentialCoefficients, v: VTable, kern: DiagonalKernel, alpha: int) -> np.ndarray:
-    """Column alpha as the sweep computes it from the earlier columns of v, as an (n, j) vector."""
-    with kern.workspace() as ws:
-        _load(kern, ws, p.coeffs)
-        np.copyto(ws.columns, v.table.transpose(2, 1, 0))
-        for append in ws.appends[:alpha - 1]:
-            _append_moments(append)
-        _fill_column(ws.fills[alpha - 1])
-        return ws.v[alpha - 1].copy()
-
-
-def offdiag_step(p: PotentialCoefficients, v: VTable, n: int, alpha: int, j: int,
-                 left_tol: float = LEFT_FACTOR_RTOL) -> complex:
-    """One off-diagonal recurrence step; requires V(n, s) present for n <= s < alpha."""
-    if not 1 <= n < alpha <= v.n_max:
-        raise InputError(f"off-diagonal step needs 1 <= n < alpha <= {v.n_max}, got n={n}, alpha={alpha}")
-    missing = np.flatnonzero(np.isnan(v.table[j - 1, n - 1, n - 1:alpha - 1]))
-    if missing.size:
-        raise InputError(f"missing prerequisite entry V(n={n}, s={n + missing[0]}, j={j})")
-    kern = diagonal_kernel(p.order.m, v.n_max)
-    if kern.abs_left(alpha)[n - 1, j - 1] <= left_tol * kern.left_scale[alpha - 1, j - 1]:
-        raise _resonance_error(n, alpha, j)
-    return complex(_column_from(p, v, kern, alpha)[(n - 1) * p.order.j_count + j - 1])
-
-
-def diag_solve(p: PotentialCoefficients, v: VTable, alpha: int,
-               cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """Solve the coupled diagonal relation at column alpha for the 2m-1 values V_aa^(j)."""
-    if not 1 <= alpha <= v.n_max:
-        raise InputError(f"alpha={alpha} outside 1..{v.n_max}")
-    kern = diagonal_kernel(p.order.m, v.n_max)
-    _check_columns(kern, slice(alpha - 1, alpha), None, cond_limit)
-    jc = p.order.j_count
-    return _column_from(p, v, kern, alpha)[(alpha - 1) * jc:alpha * jc]
 
 
 def forward_map(p: PotentialCoefficients, left_tol: float = LEFT_FACTOR_RTOL,

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .core import DEGENERACY_TOL, SpectralData, roots_of_unity
-from .errors import DegenerateDenominatorError, InputError
+from .errors import DegenerateDenominatorError, InputError, NonFiniteResultError
 
 CONVENTION = "det(E-F)"
 HARD_BLOCK_CAP = 256
@@ -45,20 +45,14 @@ def _prefactor(s: SpectralData, n_blocks: int, tol: float) -> np.ndarray:
     return out.reshape(n_blocks * jc, n_blocks * jc)
 
 
-def f_matrix(s: SpectralData, z: complex, n_blocks: int, tol: float = DEGENERACY_TOL) -> np.ndarray:
-    """Dense operator matrix at truncation n_blocks; entries carry the collapsed weight e^{i n z}
-    (n the column block)."""
-    col = np.repeat(np.exp(1j * np.arange(1, n_blocks + 1) * z), s.order.j_count)
-    return _prefactor(s, n_blocks, tol) * col[None, :]
-
-
 def _determinants(s: SpectralData, n_max: int | None):
     """The truncation N = min(n_max, data depth, HARD_BLOCK_CAP) and the function
     dets(zs, blocks=N): det(E - F_blocks(z)) at each point of the 1-d array zs.
 
     Blocks beyond the data depth are identically zero, so D_N is exact once
     every data block is in.  Determinants are taken in stacks of at most
-    STACK_BYTES of matrices; the empty determinant D_0 is 1.
+    STACK_BYTES of matrices; the empty determinant D_0 is 1.  A determinant
+    that overflows raises NonFiniteResultError.
     """
     if n_max is not None and n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
@@ -77,6 +71,8 @@ def _determinants(s: SpectralData, n_max: int | None):
         for lo in range(0, zs.size, per):
             col = np.exp(weight * zs[lo:lo + per, None])
             out[lo:lo + per] = linalg.det(eye - sub * col[:, None, :])
+        if not np.isfinite(out).all():
+            raise NonFiniteResultError(f"the determinant at truncation {blocks} is not finite")
         return out
 
     return n_cap, dets

@@ -5,9 +5,7 @@ divisions that extract the d-coefficient families are synthetic (Horner) at
 the known pole k_nj; the scalar prefactor in + k(1 - w_j) = (1 - w_j)(k - k_nj)
 is applied after dividing, which keeps the root-based division exact.  Each
 family is built as a whole table by divisions vectorised over every pole
-(d_a_table, one division; d_b_table, one per numerator degree); d_coeffs_a
-is a single entry of the same construction, and d_coeffs_b a single entry of
-its one degree.
+(d_a_table, one division; d_b_table, one per numerator degree).
 """
 from __future__ import annotations
 
@@ -15,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Order, _check_nj, k_pole, roots_of_unity
+from .core import Order, k_pole, roots_of_unity
 from .errors import DivisionRemainderError, InputError
 
 REMAINDER_RTOL = 1e-9
@@ -104,46 +102,15 @@ def d_b_table(order: Order, ss, ns, nu_max: int) -> tuple[np.ndarray, np.ndarray
     d = np.empty((i_s.size, *poles.shape, nu_max * (nu_max + 1) // 2), dtype=complex)
     rel = np.zeros((i_s.size, *poles.shape, nu_max + 1))
     for nu in range(1, nu_max + 1):
+        # each numerator is divided at its own degree nu
+        num = np.broadcast_to(binomial_power(i_s, nu)[:, None, None, :], (*d.shape[:-1], nu + 1)).copy()
+        num[..., 0] -= np.power(i_s[:, None, None] + poles, nu)
         start = nu * (nu - 1) // 2
-        d[..., start:start + nu], rel[..., nu] = _d_b_degree(i_s, poles, one_minus_w, nu)
+        d[..., start:start + nu], rel[..., nu] = _divide_at_poles(num, poles, one_minus_w)
     return d, rel
-
-
-def _d_b_degree(i_s: np.ndarray, poles: np.ndarray, one_minus_w: np.ndarray, nu: int):
-    """d_b(n, s, nu, j) at one degree nu >= 1 as [s, n, j, gamma < nu], and its relative remainders [s, n, j]."""
-    # each numerator is divided at its own degree nu
-    num = np.broadcast_to(binomial_power(i_s, nu)[:, None, None, :], (i_s.size, *poles.shape, nu + 1)).copy()
-    num[..., 0] -= np.power(i_s[:, None, None] + poles, nu)
-    return _divide_at_poles(num, poles, one_minus_w)
 
 
 def remainder_error(rel: float, n: int, j: int) -> DivisionRemainderError:
     """The error for a division at pole (n, j) whose relative remainder exceeds REMAINDER_RTOL."""
     return DivisionRemainderError(
         f"nonzero remainder dividing at pole (n={n}, j={j}): {rel:.3e} of the numerator scale")
-
-
-def d_coeffs_a(order: Order, n: int, alpha: int, j: int) -> np.ndarray:
-    """The 2m-1 quotient coefficients pairing a V column entry with each k power."""
-    _check_nj(order, n, j)
-    if alpha < 0:
-        raise InputError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0:
-        return np.zeros(order.gamma_count, dtype=complex)
-    d, rel = d_a_table(order, [alpha], [n])
-    if rel[0, 0, j - 1] > REMAINDER_RTOL:
-        raise remainder_error(rel[0, 0, j - 1], n, j)
-    return d[0, 0, j - 1]
-
-
-def d_coeffs_b(order: Order, n: int, s: int, nu: int, j: int) -> np.ndarray:
-    """The nu quotient coefficients of the convolution family; empty for nu = 0."""
-    _check_nj(order, n, j)
-    if nu < 0:
-        raise InputError(f"nu must be >= 0, got {nu}")
-    if nu == 0:
-        return np.zeros(0, dtype=complex)
-    d, rel = _d_b_degree(1j * np.array([s]), _poles(order, [n]), 1 - roots_of_unity(order)[1:], nu)
-    if rel[0, 0, j - 1] > REMAINDER_RTOL:
-        raise remainder_error(rel[0, 0, j - 1], n, j)
-    return d[0, 0, j - 1]

@@ -5,11 +5,48 @@ import pytest
 
 from conftest import random_potential
 from invspec import (ExpSum, Order, PotentialCoefficients, SpectralData, VTable, eval_f,
-                     eval_phi, forward_map, jump_relation_check, k_pole, kernel_K,
-                     marchenko_residual, ode_residual, q0_from_kernel, q_from_p,
-                     roots_of_unity, shift_spectral, transform_lhs, transition)
+                     forward_map, jump_relation_check, k_pole, marchenko_residual, ode_residual,
+                     q0_from_kernel, q_from_p, roots_of_unity, shift_spectral)
 from invspec import analytic
 from invspec.errors import InputError, PoleProximityError, TruncationError
+
+
+# The kernel, transformation operator and transition function in closed form,
+# over the term tables marchenko_residual reads: oracles for the identities below.
+
+def kernel_K(v: VTable, t: float, u: float) -> complex:
+    """Transformation kernel K(t, u) for u >= t >= 0."""
+    if u < t:
+        raise InputError(f"kernel requires u >= t, got t={t}, u={u}")
+    kc, ka, kb, *_ = analytic._kernel_terms(v)
+    if kc.size == 0:
+        return 0j
+    return complex(np.sum(kc * np.exp(ka * t + kb * u)))
+
+
+def transform_lhs(v: VTable, t: float, k: complex) -> complex:
+    """e^{i k t} + int_t^inf K(t, u) e^{i k u} du, integral in closed form.
+
+    Converges for Im k > -1/2 where every u-rate keeps a negative real part;
+    this is an independent route to the same value as eval_f.
+    """
+    kc, ka, kb, *_ = analytic._kernel_terms(v)
+    val = np.exp(1j * k * t)
+    if kc.size == 0:
+        return complex(val)
+    rates = kb + 1j * k
+    if np.any(rates.real >= 0):
+        raise InputError(f"transform integral diverges at Im k = {k.imag}; need Im k > -1/2")
+    val += np.sum(kc * np.exp(ka * t) * (-np.exp(rates * t) / rates))
+    return complex(val)
+
+
+def transition(s: SpectralData, t: float, u: float) -> complex:
+    """Transition function of the data, evaluated through its (t, u) term structure."""
+    fc, fg, fh, _ = analytic._transition_terms(s)
+    if fc.size == 0:
+        return 0j
+    return complex(np.sum(fc * np.exp(fg * t + fh * u)))
 
 
 def test_expsum_evaluate_and_derivative():
@@ -33,26 +70,24 @@ def test_eval_series_free_case():
     v = VTable.zeros(Order(2), 3)
     t, k = 0.9, 0.7 - 0.2j
     assert eval_f(v, t, k) == pytest.approx(np.exp(1j * k * t))
-    x, lam = 0.4, 0.6
-    for tau in range(4):
-        w_tau = Order(2).root(tau)
-        assert eval_phi(v, x, lam, tau=tau) == pytest.approx(np.exp(1j * lam * w_tau * x))
-        assert eval_phi(v, x, lam, tau=tau, deriv=2) == pytest.approx(
-            (1j * lam * w_tau) ** 2 * np.exp(1j * lam * w_tau * x))
+    assert eval_f(v, t, k, deriv=2) == pytest.approx((1j * k) ** 2 * np.exp(1j * k * t))
 
 
 def test_eval_phi_lambda_zero_is_regular(rng):
+    # phi(x, lam) is eval_f(t = -i x, k = i lam), so lam = 0 is k = 0, where no pole lies
     p = random_potential(Order(1), 4, rng)
     v, _ = forward_map(p)
-    value = eval_phi(v, 0.3, 0.0)
+    value = eval_f(v, -0.3j, 0.0)
     assert np.isfinite(value.real) and np.isfinite(value.imag)
+    assert value == pytest.approx(scalar_eval_phi(v, 0.3, 0.0), rel=1e-13)
 
 
 def test_eval_phi_pole_guard(rng):
     p = random_potential(Order(1), 4, rng)
     v, _ = forward_map(p)
-    with pytest.raises(PoleProximityError):
-        eval_phi(v, 0.3, -0.5 + 1e-12)  # lambda_11 = -1/2 at m = 1
+    with pytest.raises(PoleProximityError) as info:
+        eval_f(v, -0.3j, 1j * (-0.5 + 1e-12))  # lambda_11 = -1/2 at m = 1, at k = i lambda
+    assert info.value.indices == (1, 1)
 
 
 def test_substitution_identity(rng):
@@ -60,7 +95,7 @@ def test_substitution_identity(rng):
         p = random_potential(Order(m), 5, rng)
         v, _ = forward_map(p)
         for (t, k) in [(0.5, 0.8), (1.2, 0.3 + 0.4j), (0.1, -1.1 + 0.2j)]:
-            lhs = eval_phi(v, 1j * t, -1j * k)
+            lhs = scalar_eval_phi(v, 1j * t, -1j * k)
             rhs = eval_f(v, t, k)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -236,23 +271,26 @@ def test_ode_residual_halving(rng):
 
 def test_periodic_equation_residual_m2(rng):
     # at even order parameter the series solves the periodic-variable equation
-    # with the potential itself; check the residual through eval_phi derivatives
+    # with the potential itself; check the residual through the derivatives of phi
     order = Order(2)
     p = random_potential(order, 8, rng)
     v, _ = forward_map(p)
     x, lam = 0.4, 0.45 + 0.15j
     res = []
     for depth in (4, 6, 8):
-        val = eval_phi(v, x, lam, deriv=4, depth=depth) - lam ** 4 * eval_phi(v, x, lam, depth=depth)
+        val = (scalar_eval_phi(v, x, lam, deriv=4, depth=depth)
+               - lam ** 4 * scalar_eval_phi(v, x, lam, depth=depth))
         for gamma in range(3):
             pg = sum(p.coeffs[gamma, n - 1] * np.exp(1j * n * x) for n in range(1, 9))
-            val += pg * eval_phi(v, x, lam, deriv=gamma, depth=depth)
+            val += pg * scalar_eval_phi(v, x, lam, deriv=gamma, depth=depth)
         res.append(abs(val))
     assert res[1] <= 0.6 * res[0]
     assert res[2] <= 0.6 * res[1]
 
 
-# Scalar reference loops: the term-by-term sums the vectorised code replaces.
+# Scalar reference loops: the term-by-term sums the vectorised code replaces,
+# and the same solution in the periodic variable, phi(x, lam) = eval_f(-i x, i lam),
+# whose terms carry V_na / (i [n + lam (1 - w_j)]).
 
 def scalar_eval_f(v, t, k, deriv=0, depth=None, pole_tol=1e-9):
     w = roots_of_unity(v.order)
@@ -269,16 +307,15 @@ def scalar_eval_f(v, t, k, deriv=0, depth=None, pole_tol=1e-9):
     return complex(val)
 
 
-def scalar_eval_phi(v, x, lam, tau=0, deriv=0, depth=None, pole_tol=1e-9):
+def scalar_eval_phi(v, x, lam, deriv=0, depth=None, pole_tol=1e-9):
     w = roots_of_unity(v.order)
     n_cap = v.n_max if depth is None else depth
-    lw = lam * v.order.root(tau)
-    val = (1j * lw) ** deriv * np.exp(1j * lw * x)
+    val = (1j * lam) ** deriv * np.exp(1j * lam * x)
     for j in range(1, v.order.j_count + 1):
         for alpha in range(1, n_cap + 1):
-            rate = 1j * (lw + alpha)
+            rate = 1j * (lam + alpha)
             for n in range(1, alpha + 1):
-                den = n + lw * (1 - w[j])
+                den = n + lam * (1 - w[j])
                 if abs(den) <= pole_tol:
                     raise PoleProximityError("pole", indices=(n, j))
                 val += v.table[j - 1, n - 1, alpha - 1] / (1j * den) * rate ** deriv * np.exp(rate * x)
@@ -312,10 +349,6 @@ def test_series_match_scalar_loops(rng):
                 for t, k in [(0.5, 0.8), (1.2, 0.3 + 0.4j), (0.0, -1.1 + 0.2j)]:
                     want = scalar_eval_f(v, t, k, deriv, depth)
                     assert abs(eval_f(v, t, k, deriv, depth) - want) <= 1e-13 * max(1.0, abs(want))
-                for x, lam, tau in [(0.4, 0.6, 0), (1j * 0.7, 0.2 - 0.5j, 1), (0.3 + 0.2j, 1.3, 2 * m - 1)]:
-                    want = scalar_eval_phi(v, x, lam, tau, deriv, depth)
-                    got = eval_phi(v, x, lam, tau=tau, deriv=deriv, depth=depth)
-                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("k, pole_tol, first", [
@@ -325,22 +358,21 @@ def test_series_match_scalar_loops(rng):
     (-0.5 - 1.5j, 1.6, (2, 2)),  # catches (n=1, j=3) too: j orders before n
 ])
 def test_pole_guard_reports_the_scalar_loops_first_pole(rng, k, pole_tol, first):
-    # eval_phi(i t, -i k) is eval_f(t, k), with the same distances to the poles
+    # phi(i t, -i k) is eval_f(t, k), with the same distances to the poles
     v, _ = forward_map(random_potential(Order(2), 6, rng))
-    for series, scalar, args in [(eval_f, scalar_eval_f, (0.4, k)),
-                                 (eval_phi, scalar_eval_phi, (0.4j, -1j * k))]:
+    for scalar, args in [(scalar_eval_f, (0.4, k)), (scalar_eval_phi, (0.4j, -1j * k))]:
         for depth in (None, 3, 1):
             try:
                 want = scalar(v, *args, depth=depth, pole_tol=pole_tol)
             except PoleProximityError as exc:
                 with pytest.raises(PoleProximityError) as got:
-                    series(v, *args, depth=depth, pole_tol=pole_tol)
+                    eval_f(v, 0.4, k, depth=depth, pole_tol=pole_tol)
                 assert got.value.indices == exc.indices
             else:
-                assert series(v, *args, depth=depth, pole_tol=pole_tol) == pytest.approx(want, rel=1e-13)
-        with pytest.raises(PoleProximityError) as full:
-            series(v, *args, pole_tol=pole_tol)
-        assert full.value.indices == first
+                assert eval_f(v, 0.4, k, depth=depth, pole_tol=pole_tol) == pytest.approx(want, rel=1e-13)
+    with pytest.raises(PoleProximityError) as full:
+        eval_f(v, 0.4, k, pole_tol=pole_tol)
+    assert full.value.indices == first
 
 
 @pytest.mark.parametrize("m, n_max", [(2, 24), (3, 12)])

@@ -9,7 +9,7 @@ import pytest
 
 from invspec import det_truncated
 from invspec.cli import exit_code_for, load_problem
-from invspec.errors import (ConvergenceError, InputError, ResonantIndexError,
+from invspec.errors import (ConvergenceError, InputError, NonFiniteResultError, ResonantIndexError,
                             SingularMatrixError, VerificationError)
 
 
@@ -308,10 +308,41 @@ def test_non_finite_input_exits_1_and_writes_nothing(tmp_path, command, mode, va
     assert result.stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command, mode, outputs", [
+    ("forward", "potential", ["--output", "s.json", "--emit-v", "v.json"]),
+    ("forward", "potential", []),
+    ("inverse", "spectral", ["--output", "p.json", "--report", "report.json"]),
+    ("verify", "potential", ["--output", "report.json"]),
+    ("det", "spectral", ["--output", "grid.csv", "--report", "verdict.json"]),
+])
+def test_non_finite_results_exit_2_and_write_nothing(tmp_path, command, mode, outputs):
+    # finite input whose arithmetic overflows: two entries of 1e200 at (m, N) = (2, 8)
+    key = "gamma" if mode == "potential" else "j"
+    entries = [{key: 1, "n": 1, "re": 1e200, "im": 0.0}, {key: 2, "n": 2, "re": 1e200, "im": 0.0}]
+    write_problem(tmp_path / "in.json", mode, 2, 8, entries)
+    result = run_cli(command, "--input", str(tmp_path / "in.json"),
+                     *[str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg for arg in outputs])
+    assert result.returncode == 2
+    assert "not finite" in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
+
+
+def test_inverse_refuses_a_bad_am_cap_before_writing(tmp_path):
+    inp = tmp_path / "s.json"
+    write_problem(inp, "spectral", 2, 4, [{"j": 1, "n": 1, "re": 0.01, "im": 0.0}])
+    result = run_cli("inverse", "--input", str(inp), "--output", str(tmp_path / "p.json"),
+                     "--report", str(tmp_path / "report.json"), "--am-cap", "0")
+    assert result.returncode == 1
+    assert "cap must be >= 1" in result.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
+
+
 def test_exit_code_contract_mapping():
     assert exit_code_for(InputError("x")) == 1
     assert exit_code_for(ResonantIndexError("x", indices=(1, 2, 1))) == 2
     assert exit_code_for(SingularMatrixError("x", pivot_index=0)) == 2
+    assert exit_code_for(NonFiniteResultError("x")) == 2
     assert exit_code_for(ConvergenceError("x")) == 3
     assert exit_code_for(VerificationError("x", failed=["round_trip"])) == 4
     with pytest.raises(KeyError):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_potential
-from invspec import (Order, PotentialCoefficients, VTable, diag_solve, forward_map,
-                     left_factor, offdiag_step, q_from_p, series_q)
-from invspec.polyalg import d_coeffs_a
+from invspec import Order, PotentialCoefficients, forward_map, q_from_p, series_q
+from invspec.kernel import diagonal_kernel
+from invspec.polyalg import d_a_table
 
 
 def single_mode_m1(eps: complex, n_max: int = 4) -> PotentialCoefficients:
@@ -21,10 +21,11 @@ def test_zero_potential_maps_to_zero():
 
 
 def test_left_factor_m1_closed_form():
-    order = Order(1)
+    # at m = 1 the kernel's signed reciprocal left factor is 1 / L = 1 / (alpha (alpha - n))
+    left_recip = diagonal_kernel(1, 7).left_recip
     for n in (1, 2, 3):
-        for alpha in (2, 4, 7):
-            assert left_factor(order, n, alpha, 1) == pytest.approx(alpha * (alpha - n))
+        for alpha in (4, 7):
+            assert 1 / left_recip[alpha - 1][n - 1] == pytest.approx(alpha * (alpha - n))
 
 
 def test_single_mode_m1_chain():
@@ -47,11 +48,10 @@ def test_single_mode_decay_rate():
 
 
 def test_offdiag_step_single_term():
+    # with one potential mode the off-diagonal step to V(1, 2) has a single term
     eps = 0.2 - 0.1j
-    p = single_mode_m1(eps, n_max=3)
-    v, _ = forward_map(p)
-    value = offdiag_step(p, v, 1, 2, 1)
-    assert value == pytest.approx(eps * v.entry(1, 1, 1) / 2)
+    v, _ = forward_map(single_mode_m1(eps, n_max=3))
+    assert v.entry(1, 1, 2) == pytest.approx(eps * v.entry(1, 1, 1) / 2)
 
 
 def test_first_order_linearity(rng):
@@ -63,14 +63,12 @@ def test_first_order_linearity(rng):
 
 
 def test_diag_solve_m2_backsubstitution(rng):
+    # at N = 1 the sweep is the one diagonal solve, d_a(1, 1)^T S_1 = -p[., 1]
     order = Order(2)
     p = random_potential(order, 1, rng, scale=0.5)
-    v = VTable.zeros(order, 1)
-    diag = diag_solve(p, v, 1)
-    a = np.zeros((3, 3), dtype=complex)
-    for j in (1, 2, 3):
-        a[:, j - 1] = d_coeffs_a(order, 1, 1, j)
-    residual = a @ diag + p.coeffs[:, 0]
+    _, s = forward_map(p)
+    a = d_a_table(order, [1], [1])[0][0, 0].T
+    residual = a @ s.table[0] + p.coeffs[:, 0]
     assert np.abs(residual).max() < 1e-12
 
 

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import (Order, SpectralData, det_truncated, f_matrix, forward_map, fredholm,
-                     roots_of_unity, scan_halfplane)
+from invspec import (Order, SpectralData, det_truncated, forward_map, fredholm, roots_of_unity,
+                     scan_halfplane)
 from invspec.core import DEGENERACY_TOL
 from invspec.errors import DegenerateDenominatorError, InputError
+
+
+def f_matrix(s: SpectralData, z: complex, n_blocks: int) -> np.ndarray:
+    """The operator matrix F(z) at truncation n_blocks: the scan's z-independent
+    prefactor times e^{i n z}, n the column block."""
+    col = np.repeat(np.exp(1j * np.arange(1, n_blocks + 1) * z), s.order.j_count)
+    return fredholm._prefactor(s, n_blocks, DEGENERACY_TOL) * col[None, :]
 
 
 def rank_one_m1(value: complex) -> SpectralData:

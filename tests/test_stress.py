@@ -6,7 +6,7 @@ from conftest import random_potential
 from invspec import (Order, a_m_constant, contraction_conditions, forward_map, inverse_map,
                      roots_of_unity, v_from_s)
 from invspec.kernel import diagonal_kernel
-from invspec.polyalg import binomial_power, d_coeffs_a, d_coeffs_b
+from invspec.polyalg import binomial_power, d_a_table, d_b_table
 
 SIZES = [(m, n) for m in (1, 2, 3, 4) for n in (16, 32)] + [(2, 64), (3, 64)]
 
@@ -49,16 +49,17 @@ def test_kernel_tensors_match_scalar_coefficients(m):
         for j in range(1, order.j_count + 1):
             knj = -1j * n / (1 - roots_of_unity(order)[j])
             for alpha in range(1, n_max + 1):
-                scalar = d_coeffs_a(order, n, alpha, j)
+                # the entry of a one-entry table equals the kernel's to the bit
+                scalar = d_a_table(order, [alpha], [n])[0][0, 0, j - 1]
                 assert np.array_equal(kern.d_a[alpha - 1, n - 1, j - 1], scalar)
                 num = binomial_power(1j * alpha, two_m)[:two_m]
                 num[0] -= (1j * alpha + knj) ** two_m - knj ** two_m
                 assert np.allclose(scalar, _quotient(num, n, j, order), rtol=1e-12, atol=1e-12)
             for s in range(1, n_max + 1):
                 for nu in range(1, order.gamma_count):
-                    scalar = d_coeffs_b(order, n, s, nu, j)
                     # d_b stores only gamma < nu: d_b(n, s, nu, j) starts at pair nu (nu - 1) / 2
                     start = nu * (nu - 1) // 2
+                    scalar = d_b_table(order, [s], [n], nu)[0][0, 0, j - 1, start:]
                     entry = kern.d_b[s - 1, n - 1, j - 1, start:start + nu]
                     assert np.array_equal(entry, scalar)
                     num = binomial_power(1j * s, nu)
@@ -70,10 +71,10 @@ def test_kernel_tensors_match_scalar_coefficients(m):
 def test_kernel_stores_each_pair_once_as_its_scalar_coefficient(m):
     order = Order(m)
     n_max = 5
+    modes = np.arange(1, n_max + 1)
     d_b = diagonal_kernel(m, n_max).d_b
     assert d_b.shape == (n_max, n_max, 2 * m - 1, (2 * m - 1) * (m - 1))
+    # degree nu's coefficients are the last nu of a table built up to degree nu
+    top = {nu: d_b_table(order, modes, modes, nu)[0][..., -nu:] for nu in range(1, order.gamma_count)}
     for pair, (nu, gamma) in enumerate(zip(*np.tril_indices(order.gamma_count, -1))):
-        for s in range(1, n_max + 1):
-            for n in range(1, n_max + 1):
-                for j in range(1, order.j_count + 1):
-                    assert d_b[s - 1, n - 1, j - 1, pair] == d_coeffs_b(order, n, s, int(nu), j)[gamma]
+        assert np.array_equal(d_b[..., pair], top[nu][..., gamma])

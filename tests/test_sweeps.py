@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import (Order, SpectralData, VTable, diag_solve, forward, forward_map, inverse_map, linalg,
-                     offdiag_step, p_from_v, polyalg, roots_of_unity, v_from_s)
+from invspec import (Order, SpectralData, VTable, forward, forward_map, inverse_map, linalg, p_from_v,
+                     polyalg, roots_of_unity, v_from_s)
 from invspec.errors import (DegenerateDenominatorError, DivisionRemainderError, ResonantIndexError,
                             SingularMatrixError, SingularSystemError)
 from invspec.kernel import DiagonalKernel, diagonal_kernel
@@ -269,25 +269,75 @@ def test_denominator_guard_past_the_acceptance_sizes_matches_the_full_table(m, n
     assert raised(lambda: inverse_map(data, tol=tol)) == want
 
 
+def column_resonance_hits(left_tol: float, factor: float) -> list:
+    """Check the one-column resonance guard of an m = 3 kernel whose j = 2m - 1 scale is multiplied
+    by factor against the full table of left factors; the resonant entries of each column, n then j."""
+    m, n_max = 3, 8
+    real = diagonal_kernel(m, n_max)
+    left = np.abs(old_left(Order(m), n_max))
+    kern = copy.copy(real)
+    kern.left_scale = real.left_scale * np.where(np.arange(2 * m - 1) == 2 * m - 2, factor, 1.0)
+    columns = []
+    for alpha in range(2, n_max + 1):
+        hits = [(n, alpha, j) for n in range(1, alpha) for j in range(1, 2 * m)
+                if left[n - 1, alpha - 1, j - 1] <= left_tol * kern.left_scale[alpha - 1, j - 1]]
+        got = raised(lambda: forward._check_columns(kern, slice(alpha - 1, alpha), left_tol, np.inf))
+        assert got[0] is (ResonantIndexError if hits else None)
+        assert got[2] == (hits[0] if hits else None)
+        columns.append(hits)
+    return columns
+
+
 @pytest.mark.parametrize("left_tol", [0.5, 3.0])
 def test_single_entry_resonance_guard_matches_the_full_table(left_tol):
     # at 0.5 only the roots j = 1, 2m - 1 resonate, at 3.0 the middle ones too
-    m, n_max = 3, 8
-    order = Order(m)
-    p = random_potential(order, n_max, np.random.default_rng(11))
-    v, _ = forward_map(p)
-    left = np.abs(old_left(order, n_max))
-    scale = (np.arange(1, n_max + 1)[:, None] / np.abs(1 - roots_of_unity(order)[1:])) ** (2 * m)
-    tripped = 0
-    for alpha in range(2, n_max + 1):
-        for n in range(1, alpha):
-            for j in range(1, 2 * m):
-                got = raised(lambda: offdiag_step(p, v, n, alpha, j, left_tol=left_tol))
-                resonant = left[n - 1, alpha - 1, j - 1] <= left_tol * scale[alpha - 1, j - 1]
-                assert got[0] is (ResonantIndexError if resonant else None)
-                assert got[2] == ((n, alpha, j) if resonant else None)
-                tripped += resonant
-    assert 0 < tripped < n_max * (n_max - 1) // 2 * (2 * m - 1)
+    columns = column_resonance_hits(left_tol, 1.0)
+    tripped = sum(len(hits) for hits in columns)
+    assert 0 < tripped < 8 * 7 // 2 * 5
+
+
+def test_resonance_guard_reports_the_first_entry_of_its_column_in_n_then_j_order():
+    # j = 1 resonates first at every n of the real kernel, so both orders agree
+    # there; doubling the scale of j = 2m - 1 makes it resonate at smaller n
+    columns = column_resonance_hits(0.5, 2.0)
+    # a column whose first hit in j-then-n order is another entry
+    assert any(hits and hits[0] != min(hits, key=lambda hit: (hit[2], hit[0])) for hits in columns)
+
+
+def test_remainder_guard_reports_the_first_planted_read_in_reading_order(monkeypatch):
+    # over-tolerance remainders at three reads of column 4: d_b(n, s=3, nu=1, j=1)
+    # at n = 1 and n = 3, one group of the reading order, and d_a(n=1, 4, j=1), read last
+    m, n_max = 2, 6
+    planted_b = {(3, 1, 1, 1): 2.0, (3, 3, 1, 1): 3.0}  # (s, n, j, nu)
+    planted_a = {(4, 1, 1): 4.0}  # (alpha, n, j)
+    real_a, real_b = polyalg.d_a_table, polyalg.d_b_table
+
+    def at(modes, mode):
+        return np.flatnonzero(np.asarray(modes) == mode)
+
+    def d_a_table(order, alphas, ns):
+        d, rel = real_a(order, alphas, ns)
+        for (alpha, n, j), value in planted_a.items():
+            rel[at(alphas, alpha), at(ns, n), j - 1] = value
+        return d, rel
+
+    def d_b_table(order, ss, ns, nu_max):
+        d, rel = real_b(order, ss, ns, nu_max)
+        for (s, n, j, nu), value in planted_b.items():
+            rel[at(ss, s), at(ns, n), j - 1, nu] = value
+        return d, rel
+
+    monkeypatch.setattr(polyalg, "d_a_table", d_a_table)
+    monkeypatch.setattr(polyalg, "d_b_table", d_b_table)
+    kern = DiagonalKernel(m, n_max)
+    assert np.flatnonzero(kern.read_remainder > polyalg.REMAINDER_RTOL)[0] == 3
+    for diag_first in (True, False):
+        want = raised(lambda: check_reads(Order(m), full_remainders(Order(m), n_max), 4, diag_first))
+        assert want[1] == "nonzero remainder dividing at pole (n=1, j=1): 2.000e+00 of the numerator scale"
+        assert raised(lambda: kern.check_remainders(4, diag_first)) == want
+    want = raised(lambda: sweep_guards(kern, 1e-12, 1e12))
+    assert want[0] is DivisionRemainderError
+    assert raised(lambda: forward._check_columns(kern, slice(0, n_max), 1e-12, 1e12)) == want
 
 
 def test_two_guards_at_one_column_raise_the_first_in_column_order():
@@ -475,18 +525,6 @@ def test_denominator_floor_and_recomputed_entries_equal_the_full_table(m, n_max)
     assert same_bits(kern.abs_den(n, j), np.abs(den[:, :, n, j]))
 
 
-@pytest.mark.parametrize("m, n_max", [(1, 6), (2, 8), (3, 5)])
-def test_single_entry_steps_reproduce_the_sweep(m, n_max):
-    p = random_potential(Order(m), n_max, np.random.default_rng(11))
-    v, _ = forward_map(p)
-    scale = np.abs(v.table).max()
-    for alpha in range(1, n_max + 1):
-        assert np.array_equal(diag_solve(p, v, alpha), v.table[:, alpha - 1, alpha - 1])
-        for n in range(1, alpha):
-            for j in range(1, 2 * m):
-                assert abs(offdiag_step(p, v, n, alpha, j) - v.entry(j, n, alpha)) <= 1e-15 * scale
-
-
 def slicing_forward(p) -> tuple[np.ndarray, np.ndarray]:
     """The forward sweep that slices the kernel's tables anew at every column: V[j, n, alpha] and S."""
     order, n_max = p.order, p.n_max
@@ -590,13 +628,8 @@ def written_entries(kern, ws) -> list:
 
 def every_call(p, v, s) -> list:
     """Each sweep entry point on (p, v, s), as a call returning its arrays."""
-    n_max = p.n_max
-    calls = [lambda: forward_map(p)[0].table, lambda: forward_map(p)[1].table, lambda: v_from_s(s).table,
-             lambda: p_from_v(v).coeffs, lambda: inverse_map(s).coeffs, lambda: diag_solve(p, v, n_max)]
-    if n_max > 1:
-        calls.append(lambda: np.array([offdiag_step(p, v, n_max - 1, n_max, j)
-                                       for j in range(1, 2 * p.order.m)]))
-    return calls
+    return [lambda: forward_map(p)[0].table, lambda: forward_map(p)[1].table, lambda: v_from_s(s).table,
+            lambda: p_from_v(v).coeffs, lambda: inverse_map(s).coeffs]
 
 
 @pytest.mark.parametrize("m, n_max", [(1, 1), (1, 16), (2, 32), (3, 12)])
@@ -615,32 +648,6 @@ def test_a_nan_poisoned_workspace_gives_the_same_results(m, n_max):
         assert np.array_equal(call(), want)
         for ws in kern.pool:
             assert not any(buffer[~written].any() for buffer, written in written_entries(kern, ws))
-
-
-def test_a_step_on_a_table_with_missing_entries_leaves_later_maps_unchanged():
-    # offdiag_step copies in a table whose upper triangle is NaN outside the
-    # step's prerequisites, and -0.0 below it; the workspace it leaves behind
-    # is never zeroed again
-    diagonal_kernel.cache_clear()
-    sizes = [(2, 16), (3, 12)]
-    problems = {}
-    for m, n_max in sizes:
-        p = random_potential(Order(m), n_max, np.random.default_rng([m, n_max, 7]))
-        data = random_spectral(Order(m), n_max, np.random.default_rng([m, n_max, 8]))
-        problems[m, n_max] = p, data, forward_map(p), inverse_map(data).coeffs
-    m, n_max = sizes[0]
-    p, _, (v, _), _ = problems[m, n_max]
-    n, alpha, j = 3, n_max, 2
-    table = np.full(v.table.shape, complex(np.nan, np.nan))
-    table[:, np.tri(n_max, k=-1, dtype=bool)] = complex(-0.0, -0.0)
-    table[j - 1, n - 1, n - 1:alpha - 1] = v.table[j - 1, n - 1, n - 1:alpha - 1]
-    want = offdiag_step(p, v, n, alpha, j)
-    assert offdiag_step(p, VTable(v.order, n_max, table), n, alpha, j) == want
-    assert len(diagonal_kernel(m, n_max).pool) == 1
-    for p, data, (v, s), coeffs in problems.values():
-        again_v, again_s = forward_map(p)
-        assert same_bits(again_v.table, v.table) and same_bits(again_s.table, s.table)
-        assert same_bits(inverse_map(data).coeffs, coeffs)
 
 
 def round_trip(p) -> tuple:
@@ -665,15 +672,13 @@ def test_threads_sharing_a_kernel_get_the_serial_results():
 def test_returned_tables_share_no_memory_with_the_workspaces():
     p = random_potential(Order(2), 16, np.random.default_rng(5))
     v, s = forward_map(p)
-    results = [v.table, s.table, v_from_s(s).table, p_from_v(v).coeffs, inverse_map(s).coeffs,
-               diag_solve(p, v, 16)]
+    results = [v.table, s.table, v_from_s(s).table, p_from_v(v).coeffs, inverse_map(s).coeffs]
     kept = [a.copy() for a in results]
     q = p.scaled(3.0)
     w, t = forward_map(q)
     v_from_s(t)
     p_from_v(w)
     inverse_map(t)
-    diag_solve(q, w, 16)
     assert all(np.array_equal(a, b) for a, b in zip(results, kept))
     buffers = workspace_arrays(diagonal_kernel(2, 16))
     assert buffers
