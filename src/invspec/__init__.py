@@ -16,7 +16,7 @@ _EXPORTS = {
     "inverse": ("ContractionReport", "MomentReport", "contraction_conditions", "first_moment",
                 "inverse_map", "p_from_v", "v_from_s"),
     "analytic": ("ExpSum", "JumpCheck", "eval_f", "jump_relation_check", "marchenko_residual",
-                 "ode_residual", "ode_residual_scale", "q0_from_kernel", "shift_spectral"),
+                 "ode_residual", "q0_from_kernel", "shift_spectral"),
     "fredholm": ("DeterminantReport", "ScanReport", "det_truncated", "scan_halfplane"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

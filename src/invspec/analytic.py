@@ -21,7 +21,9 @@ from .core import PotentialCoefficients, SpectralData, VTable, _check_nj, roots_
 from .errors import InputError, PoleProximityError, TruncationError
 from .forward import series_q
 
-POLE_TOL = 1e-9
+POLE_TOL = 1e-9  # eval_f refuses a point this close to a pole
+RATE_TOL = 1e-12  # ExpSum.collected merges rates this close
+MODE_TOL = 1e-9  # mode_coefficients refuses a rate this far from an integer mode
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +52,8 @@ class ExpSum:
     def scale(self, c: complex) -> "ExpSum":
         return ExpSum(c * self.coeffs, self.rates)
 
-    def collected(self, tol: float = 1e-12) -> "ExpSum":
-        """Merge terms with coinciding rates."""
+    def collected(self) -> "ExpSum":
+        """Merge terms whose rates coincide to within RATE_TOL."""
         if self.coeffs.size == 0:
             return self
         order_idx = np.lexsort((self.rates.imag, self.rates.real))
@@ -59,32 +61,31 @@ class ExpSum:
         c = self.coeffs[order_idx]
         out_r, out_c = [r[0]], [c[0]]
         for ri, ci in zip(r[1:], c[1:]):
-            if abs(ri - out_r[-1]) <= tol:
+            if abs(ri - out_r[-1]) <= RATE_TOL:
                 out_c[-1] += ci
             else:
                 out_r.append(ri)
                 out_c.append(ci)
         return ExpSum(np.array(out_c), np.array(out_r))
 
-    def mode_coefficients(self, tol: float = 1e-9) -> dict[int, complex]:
+    def mode_coefficients(self) -> dict[int, complex]:
         """Coefficients keyed by integer decay mode for sums with rates -n."""
         merged = self.collected()
         modes: dict[int, complex] = {}
         for c, r in zip(merged.coeffs, merged.rates):
             n = round(-r.real)
-            if abs(r - (-n)) > tol:
+            if abs(r - (-n)) > MODE_TOL:
                 raise InputError(f"rate {r} is not an integer decay mode")
             modes[n] = modes.get(n, 0j) + complex(c)
         return modes
 
 
-def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None = None,
-           pole_tol: float = POLE_TOL) -> complex:
+def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None = None) -> complex:
     """Half-line solution series (or its t-derivative) at (t, k), truncated at depth:
     (i k)^d e^{i k t} + sum over j and n <= alpha <= depth of
     V[j, n, alpha] / (i n + k (1 - w_j)) * (i k - alpha)^d e^{(i k - alpha) t}.
 
-    The first denominator within pole_tol of zero, lowest j first and then
+    The first denominator within POLE_TOL of zero, lowest j first and then
     lowest n, raises PoleProximityError.
     """
     n_cap = v.n_max if depth is None else depth
@@ -93,11 +94,11 @@ def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None 
                               needed_depth=n_cap)
     modes = np.arange(1, n_cap + 1)
     table = 1j * modes[:, None] + k * (1 - roots_of_unity(v.order)[None, 1:])
-    near = np.argwhere(np.abs(table.T) <= pole_tol)
+    near = np.argwhere(np.abs(table.T) <= POLE_TOL)
     if near.size:
         j, n = (int(i) + 1 for i in near[0])
         raise PoleProximityError(
-            f"evaluation point within {pole_tol} of the (n={n}, j={j}) pole", indices=(n, j)
+            f"evaluation point within {POLE_TOL} of the (n={n}, j={j}) pole", indices=(n, j)
         )
     rate = 1j * k - modes
     factor = rate ** deriv * np.exp(rate * t)
@@ -107,37 +108,28 @@ def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None 
 
 
 def _ode_terms(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
-               depth: int | None, pole_tol: float) -> list[complex]:
-    """The terms whose sum is the half-line residual, leading order first."""
+               depth: int | None) -> list[complex]:
+    """The terms whose sum is the half-line residual, leading order first; rounding alone
+    leaves the residual at a few eps times the sum of their magnitudes, at any depth."""
     m = p.order.m
     n_cap = min(v.n_max, p.n_max) if depth is None else depth
-    terms = [(-1) ** m * eval_f(v, t, k, deriv=2 * m, depth=n_cap, pole_tol=pole_tol),
-             -k ** (2 * m) * eval_f(v, t, k, deriv=0, depth=n_cap, pole_tol=pole_tol)]
+    terms = [(-1) ** m * eval_f(v, t, k, deriv=2 * m, depth=n_cap),
+             -k ** (2 * m) * eval_f(v, t, k, deriv=0, depth=n_cap)]
     q_t = series_q(p) @ np.exp(-np.arange(1, p.n_max + 1) * t)
     for gamma, q_gamma in enumerate(q_t):
         if q_gamma != 0:
-            terms.append(q_gamma * eval_f(v, t, k, deriv=gamma, depth=n_cap, pole_tol=pole_tol))
+            terms.append(q_gamma * eval_f(v, t, k, deriv=gamma, depth=n_cap))
     return terms
 
 
 def ode_residual(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
-                 depth: int | None = None, pole_tol: float = POLE_TOL) -> complex:
+                 depth: int | None = None) -> complex:
     """Residual of the half-line equation on the truncated series.
 
     Uses the coefficient table the recurrences encode (forward.series_q), so a
     correct (p, V) pair drives the residual to zero as the depth grows.
     """
-    return complex(sum(_ode_terms(p, v, t, k, depth, pole_tol)))
-
-
-def ode_residual_scale(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
-                       depth: int | None = None, pole_tol: float = POLE_TOL) -> float:
-    """Sum of the magnitudes of the terms ode_residual adds up.
-
-    Rounding alone leaves the residual at a small multiple of eps times this
-    scale, however deep the truncation.
-    """
-    return float(sum(abs(term) for term in _ode_terms(p, v, t, k, depth, pole_tol)))
+    return complex(sum(_ode_terms(p, v, t, k, depth)))
 
 
 def _kernel_terms(v: VTable):
@@ -246,8 +238,7 @@ class JumpCheck:
     gap: float
 
 
-def jump_relation_check(v: VTable, s: SpectralData, t: float, n: int, j: int,
-                        pole_tol: float = POLE_TOL) -> JumpCheck:
+def jump_relation_check(v: VTable, s: SpectralData, t: float, n: int, j: int) -> JumpCheck:
     """Compare the (n, j) pole residue of the series with S_nj times the shifted branch.
 
     The right side is evaluated at depth N - n, the part of the series the
@@ -261,7 +252,7 @@ def jump_relation_check(v: VTable, s: SpectralData, t: float, n: int, j: int,
     c = n / (1 - w[j])
     lhs = v.table[j - 1, n - 1, n - 1:] @ np.exp((c - np.arange(n, v.n_max + 1)) * t)
     k_nj_wj = (-1j * c) * w[j]
-    rhs = s.table[n - 1, j - 1] * eval_f(v, t, k_nj_wj, depth=v.n_max - n, pole_tol=pole_tol)
+    rhs = s.table[n - 1, j - 1] * eval_f(v, t, k_nj_wj, depth=v.n_max - n)
     return JumpCheck(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, InputError
 
-DEGENERACY_TOL = 1e-12
+DEGENERACY_TOL = 1e-12  # v_from_s, the operator and a_m_constant refuse a denominator this small
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +233,7 @@ class AmReport:
     cap: int
 
 
-def a_m_constant(order: Order, cap: int, tol: float = DEGENERACY_TOL) -> AmReport:
+def a_m_constant(order: Order, cap: int) -> AmReport:
     """Numerical maximum of |(1-w_j)(n+r)| / |r(1-w_j) - n(1-w_l) w_j|."""
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
@@ -245,7 +245,7 @@ def a_m_constant(order: Order, cap: int, tol: float = DEGENERACY_TOL) -> AmRepor
     for j in range(1, order.j_count + 1):
         for l in range(1, order.j_count + 1):
             den = np.abs(rr * (1 - w[j]) - nn * (1 - w[l]) * w[j])
-            small = den < tol
+            small = den < DEGENERACY_TOL
             if np.any(small):
                 i0 = np.argwhere(small)[0]
                 raise DegenerateDenominatorError(

@@ -20,10 +20,9 @@ column's moments costs a matvec, a scatter of its (2m-1)(m-1) moment pairs
 into the moment rows and a multiply; at m = 1 there are no pairs, and it is
 the multiply alone.  A sweep is N fills and N - 1 appends, as no column
 reads the moments of column N.  Every guard depends only on (m, N) and the
-tolerances, never on p, so all of them are checked in one vectorised pass
-before the sweep starts, and the kernel remembers the tolerances under
-which a whole sweep passes, so later forward maps under the same ones skip
-the pass.
+tolerance constants, never on p, so the kernel settles them when it is
+built: a forward map on a kernel that refuses no column runs no guard, and
+on one that does, raises the refused column's error before the sweep starts.
 
 The maps are deterministic on one machine, BLAS build and BLAS thread count,
 and agree to rounding across BLAS builds and thread counts (OpenBLAS splits
@@ -37,38 +36,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg, polyalg
+from . import kernel, linalg
 from .core import PotentialCoefficients, SpectralData, VTable
 from .errors import ResonantIndexError, SingularSystemError
 from .kernel import DiagonalKernel, Workspace, diagonal_kernel
 
-LEFT_FACTOR_RTOL = 1e-12
-COND_LIMIT = 1e12
 
-
-def _check_columns(kern: DiagonalKernel, columns: slice, left_tol: float, cond_limit: float) -> None:
-    """Raise the error the column sweep over columns would meet first, if any.
+def _check_column(kern: DiagonalKernel, alpha: int) -> None:
+    """Raise the error the column sweep would meet first at column alpha, if any.
 
     Within a column the sweep meets, in this order, a resonant left factor
     (the first in n, then j), a division remainder, the pivot ratio and a
     zero pivot of the diagonal solve.
     """
-    # the relative scale keeps the resonance guard meaningful at large alpha
-    trips = [(kern.left_floor[columns] <= left_tol * kern.left_scale[columns]).any(axis=-1),
-             kern.read_remainder[columns] > polyalg.REMAINDER_RTOL,
-             kern.diag_ratio[columns] > cond_limit,
-             linalg.negligible_pivots(kern.diag_lu[columns]).any(axis=-1)]
-    hit = np.flatnonzero(np.logical_or.reduce(trips))
-    if not hit.size:
-        return
-    alpha = columns.start + int(hit[0]) + 1
-    resonant = kern.abs_left(alpha) <= left_tol * kern.left_scale[alpha - 1]
+    resonant = kern.abs_left(alpha) <= kernel.LEFT_FACTOR_RTOL * kern.left_scale[alpha - 1]
     if resonant.any():
         n, j = (int(i) + 1 for i in np.argwhere(resonant)[0])
         raise ResonantIndexError(f"resonant left factor at (n={n}, alpha={alpha}, j={j})",
                                  indices=(n, alpha, j))
     kern.check_remainders(alpha, diag_first=True)
-    if kern.diag_ratio[alpha - 1] > cond_limit:
+    if kern.diag_ratio[alpha - 1] > kernel.COND_LIMIT:
         raise SingularSystemError(f"diagonal system at alpha={alpha} is numerically singular", alpha=alpha)
     linalg.check_pivots(kern.diag_lu[alpha - 1])
 
@@ -102,16 +89,13 @@ def _append_moments(step: tuple) -> None:
         rows[at] = w
 
 
-def forward_map(p: PotentialCoefficients, left_tol: float = LEFT_FACTOR_RTOL,
-                cond_limit: float = COND_LIMIT) -> tuple[VTable, SpectralData]:
+def forward_map(p: PotentialCoefficients) -> tuple[VTable, SpectralData]:
     """Build the full V table from the potential and read off the spectral data."""
     order = p.order
     n_max = p.n_max
     kern = diagonal_kernel(order.m, n_max)
-    tolerances = (left_tol, cond_limit, polyalg.REMAINDER_RTOL)
-    if tolerances not in kern.clean_sweeps:
-        _check_columns(kern, slice(0, n_max), left_tol, cond_limit)
-        kern.clean_sweeps.add(tolerances)
+    if kern.forward_refusal is not None:
+        _check_column(kern, kern.forward_refusal)
     with kern.workspace() as ws:
         _load(kern, ws, p.coeffs)
         for fill, append in zip(ws.fills, ws.appends):

@@ -11,22 +11,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .core import DEGENERACY_TOL, SpectralData, roots_of_unity
+from . import core, linalg
+from .core import SpectralData, roots_of_unity
 from .errors import DegenerateDenominatorError, InputError, NonFiniteResultError
 
 CONVENTION = "det(E-F)"
 HARD_BLOCK_CAP = 256
 # largest stack of matrices handed to one determinant call
 STACK_BYTES = 256 * 1024
+DET_TOL = 1e-10  # D_N has converged when |D_N - D_{N-1}| < DET_TOL (1 + |D_N|)
 
 
-def _prefactor(s: SpectralData, n_blocks: int, tol: float) -> np.ndarray:
+def _prefactor(s: SpectralData, n_blocks: int) -> np.ndarray:
     """z-independent part i (1 - w_l) S_nj / (r w_l (1 - w_j) - n (1 - w_l)).
 
     Blocks n > s.n_max carry no data and stay zero.  Every other denominator
-    is checked, also where S_nj = 0; the error names the first (r, l, n, j)
-    in C order.
+    is checked against core.DEGENERACY_TOL, also where S_nj = 0; the error
+    names the first (r, l, n, j) in C order.
     """
     order = s.order
     jc = order.j_count
@@ -35,7 +36,7 @@ def _prefactor(s: SpectralData, n_blocks: int, tol: float) -> np.ndarray:
     cols = rows[:s.n_max]
     den = (rows[:, None, None, None] * w[None, :, None, None] * (1 - w)[None, None, None, :]
            - cols[None, None, :, None] * (1 - w)[None, :, None, None])
-    small = np.abs(den) <= tol
+    small = np.abs(den) <= core.DEGENERACY_TOL
     if small.any():
         r, l, n, j = (int(i) + 1 for i in np.argwhere(small)[0])
         raise DegenerateDenominatorError(
@@ -58,7 +59,7 @@ def _determinants(s: SpectralData, n_max: int | None):
         raise InputError(f"n_max must be >= 1, got {n_max}")
     jc = s.order.j_count
     n_cap = min(n_max or HARD_BLOCK_CAP, s.n_max, HARD_BLOCK_CAP)
-    pre = _prefactor(s, n_cap, DEGENERACY_TOL)
+    pre = _prefactor(s, n_cap)
     block_n = np.repeat(np.arange(1, n_cap + 1), jc)
 
     def dets(zs: np.ndarray, blocks: int = n_cap) -> np.ndarray:
@@ -91,12 +92,12 @@ class DeterminantReport:
 
 
 def det_truncated(s: SpectralData, z: complex, n_min: int = 4, n_max: int | None = None,
-                  tol: float = 1e-10, dense_trace: bool = False) -> DeterminantReport:
+                  dense_trace: bool = False) -> DeterminantReport:
     """The scan's determinant det(E - F_N(z)) at one point z, Im z >= 0 enforced.
 
     N = min(n_max, data depth).  The value is exact once every data block is
     in; when n_max cuts the data short, the report also holds D_{N-1} and
-    converged says whether the consecutive gap is below tol.  dense_trace
+    converged says whether the consecutive gap is below DET_TOL.  dense_trace
     reports every D_n from n = n_min up.
     """
     if complex(z).imag < -1e-12:
@@ -109,7 +110,7 @@ def det_truncated(s: SpectralData, z: complex, n_min: int = 4, n_max: int | None
     ns = tuple(range(min(lo, n_min) if dense_trace else lo, n_cap + 1))
     zs = np.array([complex(z)])
     values = tuple(complex(dets(zs, n)[0]) for n in ns)
-    converged = not truncated or abs(values[-1] - values[-2]) < tol * (1.0 + abs(values[-1]))
+    converged = not truncated or abs(values[-1] - values[-2]) < DET_TOL * (1.0 + abs(values[-1]))
     return DeterminantReport(complex(z), ns, values, converged, values[-1])
 
 
@@ -153,7 +154,7 @@ def _winding(dets, values, re_grid, im_grid) -> int:
 
 
 def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
-                   n_max: int | None = None, det_tol: float = 1e-10) -> ScanReport:
+                   n_max: int | None = None, det_tol: float = DET_TOL) -> ScanReport:
     """Evaluate the determinant over a [0, 2pi] x [0, H] grid and count enclosed zeros.
 
     The verdict combines a modulus floor with a boundary winding number: the

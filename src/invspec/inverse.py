@@ -15,8 +15,9 @@ no causal sweep: p is minus the d_a terms.
 Both stages read the tables of the kernel shared with the forward map
 (``kernel.py``) and write the buffers of one pooled workspace through the
 views the kernel planned for each offset and column; inverse_map runs both
-in the same workspace.  Every guard is checked in one vectorised pass before
-its stage runs.
+in the same workspace.  v_from_s checks its denominators, which depend on
+the data's zeros, in one vectorised pass; p_from_v reads the verdict of its
+remainder guard that the kernel settled when it was built.
 """
 from __future__ import annotations
 
@@ -24,18 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import polyalg
-from .core import DEGENERACY_TOL, PotentialCoefficients, SpectralData, VTable, roots_of_unity
+from . import core
+from .core import PotentialCoefficients, SpectralData, VTable, roots_of_unity
 from .errors import DegenerateDenominatorError, InputError
 from .kernel import DiagonalKernel, Workspace, diagonal_kernel
 
 
-def _check_denominators(kern: DiagonalKernel, table: np.ndarray, tol: float) -> None:
-    """Raise at the first denominator below tol that the column sweep would divide by.
+def _check_denominators(kern: DiagonalKernel, table: np.ndarray) -> None:
+    """Raise at the first |denominator| <= core.DEGENERACY_TOL that the column sweep would divide by.
 
     Entry (n, j, r, l) is first read at column n + r, and only when S_nj != 0;
     within a column the sweep runs over n, then j, then l.
     """
+    tol = core.DEGENERACY_TOL
     n, j = np.nonzero((kern.den_floor <= tol) & (table != 0))
     if not n.size:
         return
@@ -49,9 +51,9 @@ def _check_denominators(kern: DiagonalKernel, table: np.ndarray, tol: float) -> 
         "degenerate denominator at (n={}, j={}, r={}, l={})".format(*indices), indices=indices)
 
 
-def _v_columns(kern: DiagonalKernel, ws: Workspace, s: SpectralData, tol: float) -> None:
+def _v_columns(kern: DiagonalKernel, ws: Workspace, s: SpectralData) -> None:
     """Write the triangular V table to ws as columns V[alpha, n, j], one diagonal offset at a time."""
-    _check_denominators(kern, s.table, tol)
+    _check_denominators(kern, s.table)
     np.copyto(ws.diagonal, s.table)
     np.multiply(1j * (1 - roots_of_unity(s.order)[1:]), s.table, out=ws.lead)
     for col, inv_den, acc, lead, acc_rows, offset_rows in ws.offsets:
@@ -60,20 +62,19 @@ def _v_columns(kern: DiagonalKernel, ws: Workspace, s: SpectralData, tol: float)
         np.multiply(lead, acc_rows, out=offset_rows)
 
 
-def v_from_s(s: SpectralData, tol: float = DEGENERACY_TOL) -> VTable:
+def v_from_s(s: SpectralData) -> VTable:
     """Fill the triangular V table from spectral data, one diagonal offset at a time."""
     kern = diagonal_kernel(s.order.m, s.n_max)
     with kern.workspace() as ws:
-        _v_columns(kern, ws, s, tol)
+        _v_columns(kern, ws, s)
         return VTable._from_sweep(s.order, s.n_max, ws.columns.transpose(2, 1, 0))
 
 
 def _p_from_columns(kern: DiagonalKernel, ws: Workspace) -> PotentialCoefficients:
     """The potential from the V table held in ws as columns V[alpha, n, j]."""
     order, n_max = kern.order, ws.v.shape[0]
-    hit = np.flatnonzero(kern.read_remainder > polyalg.REMAINDER_RTOL)
-    if hit.size:
-        kern.check_remainders(int(hit[0]) + 1, diag_first=False)
+    if kern.inverse_refusal is not None:
+        kern.check_remainders(kern.inverse_refusal, diag_first=False)
     cols = ws.v.reshape(n_max, 1, -1)
     np.matmul(cols, kern.d_a.reshape(n_max, cols.shape[-1], -1), out=ws.a_terms)
     if ws.causal:
@@ -99,11 +100,11 @@ def p_from_v(v: VTable) -> PotentialCoefficients:
         return _p_from_columns(kern, ws)
 
 
-def inverse_map(s: SpectralData, tol: float = DEGENERACY_TOL) -> PotentialCoefficients:
+def inverse_map(s: SpectralData) -> PotentialCoefficients:
     """Spectral data to potential coefficients."""
     kern = diagonal_kernel(s.order.m, s.n_max)
     with kern.workspace() as ws:
-        _v_columns(kern, ws, s, tol)
+        _v_columns(kern, ws, s)
         return _p_from_columns(kern, ws)
 
 

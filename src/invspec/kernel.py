@@ -33,8 +33,8 @@ A kernel tabulates, once per (m, N), everything these sweeps read, each table
 once and in the layout its sweep reads.  A forward table is a list of
 per-column blocks in one flat buffer, each block only the entries its column
 reads, so none is padded to the widest column.  The guards keep only the
-floors they compare with their tolerances; the entries a tripped guard
-reports are recomputed when it trips.  Table axes are 0-based: index i
+floors they compare with the tolerance constants, and the build settles
+every guard that depends on nothing else.  Table axes are 0-based: index i
 stands for the mode i + 1 of n, alpha, s or r, and for the root w_{i+1} of j
 or l.
 
@@ -55,6 +55,11 @@ import numpy as np
 
 from . import linalg, polyalg
 from .core import Order, roots_of_unity
+
+# the forward sweep refuses a column with a left factor |L| <= LEFT_FACTOR_RTOL
+# times its scale, or a diagonal system whose pivot ratio exceeds COND_LIMIT
+LEFT_FACTOR_RTOL = 1e-12
+COND_LIMIT = 1e12
 
 
 class DiagonalKernel:
@@ -89,9 +94,13 @@ class DiagonalKernel:
     Only where a floor trips do check_remainders, abs_left and abs_den
     recompute, as the build computed them, the entries they report.
 
-    clean_sweeps holds the (left_tol, cond_limit, polyalg.REMAINDER_RTOL)
-    under which the forward map's guard pass over all N columns found nothing;
-    the verdict depends on nothing else, so the pass runs once per tolerances.
+    Every guard but v_from_s's denominators depends only on (m, N) and the
+    tolerance constants, so the build settles them: forward_refusal is the
+    first column alpha (1-based) the forward sweep refuses, inverse_refusal
+    the first whose remainders p_from_v refuses, None where there is none.
+    A kernel keeps the verdict of the constants it was built under: changing
+    LEFT_FACTOR_RTOL, COND_LIMIT, polyalg.REMAINDER_RTOL or linalg.PIVOT_TOL
+    at run time takes diagonal_kernel.cache_clear().
     """
 
     def __init__(self, m: int, n_max: int):
@@ -114,8 +123,9 @@ class DiagonalKernel:
         self.den_floor = np.where(read, np.abs(den), np.inf).min(axis=(0, 1))
         self.diag_lu = np.array([linalg.lu_factor(self.d_a[a, a].T)[0] for a in range(n_max)])
         self.diag_ratio = np.array([linalg.factor_ratio(lu) for lu in self.diag_lu])
+        singular = linalg.negligible_pivots(self.diag_lu).any(axis=-1)
         system = np.array(self.d_a[modes - 1, modes - 1].transpose(0, 2, 1))
-        system[linalg.negligible_pivots(self.diag_lu).any(axis=-1)] = np.eye(size)
+        system[singular] = np.eye(size)
         inv = np.linalg.inv(system)
         # every diagonal entry is a product with the inverse: one refinement step with
         # an extended-precision residual (where the platform has one) rounds it closely
@@ -148,13 +158,18 @@ class DiagonalKernel:
         col_b = np.where(tri[..., None, None], rem_b, 0.0).max(axis=(1, 2, 3))
         earlier_b = np.concatenate([[0.0], np.maximum.accumulate(col_b)[:-1]])
         self.read_remainder = np.maximum(col_a, earlier_b)
+        remainders = self.read_remainder > polyalg.REMAINDER_RTOL
+        # the relative scale keeps the resonance guard meaningful at large alpha
+        resonant = (self.left_floor <= LEFT_FACTOR_RTOL * self.left_scale).any(axis=-1)
+        refused = resonant | remainders | (self.diag_ratio > COND_LIMIT) | singular
+        self.forward_refusal, self.inverse_refusal = (
+            int(np.argmax(trips)) + 1 if trips.any() else None for trips in (refused, remainders))
         blocks = self.left_recip + self.weights + self.response
         for table in [t for t in vars(self).values() if isinstance(t, np.ndarray)] + blocks:
             table.setflags(write=False)
         for block in blocks:
             block.base.setflags(write=False)
         self.pool: list[Workspace] = []
-        self.clean_sweeps: set[tuple] = set()
 
     def _left(self, k: int) -> np.ndarray:
         """The left factors L[alpha, n, j] of column alpha = k + 1 at n <= k, as [n, j]."""

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import InputError, SingularMatrixError
 
+PIVOT_TOL = 1e-300  # a pivot at most this times the largest (or 1) counts as zero
+
 
 def det(a: np.ndarray) -> np.ndarray:
     """Determinants of a (..., n, n) stack of matrices; an exactly singular matrix yields 0."""
@@ -44,15 +46,15 @@ def lu_factor(a: np.ndarray):
     return lu, piv, sign
 
 
-def negligible_pivots(lu: np.ndarray, tol: float = 1e-300) -> np.ndarray:
+def negligible_pivots(lu: np.ndarray) -> np.ndarray:
     """Mask of the pivots a solve with packed LU factors (..., n, n) treats as zero."""
     d = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
-    return (d <= tol * np.maximum(d.max(axis=-1, keepdims=True), 1.0)) | (d == 0)
+    return (d <= PIVOT_TOL * np.maximum(d.max(axis=-1, keepdims=True), 1.0)) | (d == 0)
 
 
-def check_pivots(lu: np.ndarray, tol: float = 1e-300) -> None:
+def check_pivots(lu: np.ndarray) -> None:
     """Raise SingularMatrixError at the negligible pivot back substitution reaches first."""
-    small = np.flatnonzero(negligible_pivots(lu, tol))
+    small = np.flatnonzero(negligible_pivots(lu))
     if small.size:
         i = int(small[-1])
         raise SingularMatrixError(f"negligible pivot at index {i}", pivot_index=i)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from invspec import Order, PotentialCoefficients, SpectralData
+from invspec import Order, PotentialCoefficients, SpectralData, analytic, core, kernel, polyalg
+
+# the module each guard constant lives in
+_CONSTANT_HOMES = {"LEFT_FACTOR_RTOL": kernel, "COND_LIMIT": kernel, "REMAINDER_RTOL": polyalg,
+                   "DEGENERACY_TOL": core, "POLE_TOL": analytic}
 
 
 def random_potential(order: Order, n_max: int, rng, scale: float = 0.05) -> PotentialCoefficients:
@@ -23,3 +27,23 @@ def random_spectral(order: Order, n_max: int, rng, scale: float = 0.01) -> Spect
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def guard_constants(monkeypatch):
+    """guard_constants(NAME=value, ...) sets guard constants for one test.
+
+    A cached kernel keeps the verdict of the constants it was built under, so
+    the kernel cache is cleared before the test, at every change and after
+    the test, once the constants are restored.
+    """
+    kernel.diagonal_kernel.cache_clear()
+
+    def set_constants(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(_CONSTANT_HOMES[name], name, value)
+        kernel.diagonal_kernel.cache_clear()
+
+    yield set_constants
+    monkeypatch.undo()
+    kernel.diagonal_kernel.cache_clear()

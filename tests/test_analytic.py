@@ -357,21 +357,22 @@ def test_series_match_scalar_loops(rng):
     (k_pole(Order(2), 3, 2), 2.0, (1, 1)),  # also poles of every other j
     (-0.5 - 1.5j, 1.6, (2, 2)),  # catches (n=1, j=3) too: j orders before n
 ])
-def test_pole_guard_reports_the_scalar_loops_first_pole(rng, k, pole_tol, first):
+def test_pole_guard_reports_the_scalar_loops_first_pole(rng, guard_constants, k, pole_tol, first):
     # phi(i t, -i k) is eval_f(t, k), with the same distances to the poles
     v, _ = forward_map(random_potential(Order(2), 6, rng))
+    guard_constants(POLE_TOL=pole_tol)
     for scalar, args in [(scalar_eval_f, (0.4, k)), (scalar_eval_phi, (0.4j, -1j * k))]:
         for depth in (None, 3, 1):
             try:
                 want = scalar(v, *args, depth=depth, pole_tol=pole_tol)
             except PoleProximityError as exc:
                 with pytest.raises(PoleProximityError) as got:
-                    eval_f(v, 0.4, k, depth=depth, pole_tol=pole_tol)
+                    eval_f(v, 0.4, k, depth=depth)
                 assert got.value.indices == exc.indices
             else:
-                assert eval_f(v, 0.4, k, depth=depth, pole_tol=pole_tol) == pytest.approx(want, rel=1e-13)
+                assert eval_f(v, 0.4, k, depth=depth) == pytest.approx(want, rel=1e-13)
     with pytest.raises(PoleProximityError) as full:
-        eval_f(v, 0.4, k, pole_tol=pole_tol)
+        eval_f(v, 0.4, k)
     assert full.value.indices == first
 
 

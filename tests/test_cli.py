@@ -9,8 +9,11 @@ import pytest
 
 from invspec import det_truncated
 from invspec.cli import exit_code_for, load_problem
-from invspec.errors import (ConvergenceError, InputError, NonFiniteResultError, ResonantIndexError,
-                            SingularMatrixError, VerificationError)
+from invspec import errors
+from invspec.errors import (ConvergenceError, DegenerateDenominatorError, DivisionRemainderError,
+                            InputError, InvspecError, NonFiniteResultError, PoleProximityError,
+                            ResonantIndexError, SingularMatrixError, SingularSystemError,
+                            TruncationError, VerificationError)
 
 
 def run_cli(*args, cwd=None):
@@ -323,7 +326,9 @@ def test_non_finite_results_exit_2_and_write_nothing(tmp_path, command, mode, ou
     result = run_cli(command, "--input", str(tmp_path / "in.json"),
                      *[str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg for arg in outputs])
     assert result.returncode == 2
-    assert "not finite" in result.stderr and "Traceback" not in result.stderr
+    # the one error line, with no numpy warning about the overflow before it
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ") and "not finite" in result.stderr
     assert result.stdout == ""
     assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
 
@@ -338,15 +343,31 @@ def test_inverse_refuses_a_bad_am_cap_before_writing(tmp_path):
     assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
 
 
-def test_exit_code_contract_mapping():
-    assert exit_code_for(InputError("x")) == 1
-    assert exit_code_for(ResonantIndexError("x", indices=(1, 2, 1))) == 2
-    assert exit_code_for(SingularMatrixError("x", pivot_index=0)) == 2
-    assert exit_code_for(NonFiniteResultError("x")) == 2
-    assert exit_code_for(ConvergenceError("x")) == 3
-    assert exit_code_for(VerificationError("x", failed=["round_trip"])) == 4
+EXIT_CODES = {InvspecError: 1, InputError: 1, TruncationError: 1,
+              DegenerateDenominatorError: 2, ResonantIndexError: 2, PoleProximityError: 2,
+              SingularMatrixError: 2, SingularSystemError: 2, DivisionRemainderError: 2,
+              NonFiniteResultError: 2, ConvergenceError: 3, VerificationError: 4}
+ERROR_CLASSES = [obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)]
+
+
+def test_every_error_class_has_an_exit_code():
+    assert set(ERROR_CLASSES) == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_contract_mapping(cls):
+    assert exit_code_for(cls("x")) == EXIT_CODES[cls]
+
+
+def test_an_error_outside_the_contract_is_raised_again():
     with pytest.raises(KeyError):
         exit_code_for(KeyError("unmapped"))
+
+
+def test_python_dash_m_invspec_runs_the_cli():
+    result = subprocess.run([sys.executable, "-m", "invspec", "--help"], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: invspec")
 
 
 def test_outputs_are_deterministic(tmp_path):

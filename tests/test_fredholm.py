@@ -12,7 +12,7 @@ def f_matrix(s: SpectralData, z: complex, n_blocks: int) -> np.ndarray:
     """The operator matrix F(z) at truncation n_blocks: the scan's z-independent
     prefactor times e^{i n z}, n the column block."""
     col = np.repeat(np.exp(1j * np.arange(1, n_blocks + 1) * z), s.order.j_count)
-    return fredholm._prefactor(s, n_blocks, DEGENERACY_TOL) * col[None, :]
+    return fredholm._prefactor(s, n_blocks) * col[None, :]
 
 
 def rank_one_m1(value: complex) -> SpectralData:
@@ -268,7 +268,7 @@ def loop_prefactor(s, n_blocks, tol, w):
 def test_prefactor_matches_scalar_loop(m, n_max, n_blocks):
     s = random_spectral(Order(m), n_max, np.random.default_rng(m + n_blocks))
     want = loop_prefactor(s, n_blocks, DEGENERACY_TOL, roots_of_unity(Order(m)))
-    got = fredholm._prefactor(s, n_blocks, DEGENERACY_TOL)
+    got = fredholm._prefactor(s, n_blocks)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     # blocks past the data depth stay zero
@@ -276,7 +276,7 @@ def test_prefactor_matches_scalar_loop(m, n_max, n_blocks):
 
 
 @pytest.mark.parametrize("quantile", [0.01, 0.1, 0.25])
-def test_prefactor_guard_names_the_loop_index(monkeypatch, quantile):
+def test_prefactor_guard_names_the_loop_index(monkeypatch, guard_constants, quantile):
     # unit-modulus points in place of the roots move the smallest denominator
     # away from (1, 1, 1, 1); the vanishing S at the tripped index is still checked
     order = Order(3)
@@ -293,6 +293,7 @@ def test_prefactor_guard_names_the_loop_index(monkeypatch, quantile):
     assert info.value.indices != (1, 1, 1, 1)
     table = np.array(s.table)
     table[n - 1, j - 1] = 0.0
+    guard_constants(DEGENERACY_TOL=tol)
     with pytest.raises(DegenerateDenominatorError) as info:
-        fredholm._prefactor(SpectralData(order, 4, table), 5, tol)
+        fredholm._prefactor(SpectralData(order, 4, table), 5)
     assert info.value.indices == (r, l, n, j)

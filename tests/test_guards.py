@@ -1,14 +1,14 @@
 """Each degeneracy guard of the forward and inverse maps, tripped on purpose.
 
-The tolerances are pushed until a guard fires; the error must carry the index
-the column sweep reaches first.  The expected indices are those of the
-original scalar loops.
+The tolerance constants are pushed until a guard fires; the error must carry
+the index the column sweep reaches first.  The expected indices are those of
+the original scalar loops.
 """
 import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import Order, SpectralData, forward_map, inverse_map, polyalg, v_from_s
+from invspec import Order, SpectralData, forward_map, inverse_map, v_from_s
 from invspec.errors import (DegenerateDenominatorError, DivisionRemainderError,
                             ResonantIndexError, SingularSystemError)
 
@@ -19,18 +19,21 @@ from invspec.errors import (DegenerateDenominatorError, DivisionRemainderError,
     (2, 10, 1.0, (3, 4, 1)),
     (3, 6, 0.5, (1, 2, 1)),
 ])
-def test_resonant_left_factor_guard(m, n_max, left_tol, indices):
+def test_resonant_left_factor_guard(guard_constants, m, n_max, left_tol, indices):
     p = random_potential(Order(m), n_max, np.random.default_rng(3))
+    guard_constants(LEFT_FACTOR_RTOL=left_tol)
     with pytest.raises(ResonantIndexError) as info:
-        forward_map(p, left_tol=left_tol)
+        forward_map(p)
     assert info.value.indices == indices
 
 
-def test_degenerate_denominator_guard():
+def test_degenerate_denominator_guard(guard_constants):
     _, s = forward_map(random_potential(Order(3), 10, np.random.default_rng(3)))
-    v_from_s(s, tol=0.8)
+    guard_constants(DEGENERACY_TOL=0.8)
+    v_from_s(s)
+    guard_constants(DEGENERACY_TOL=1.0)
     with pytest.raises(DegenerateDenominatorError) as info:
-        v_from_s(s, tol=1.0)
+        v_from_s(s)
     assert info.value.indices == (1, 1, 1, 1)
 
 
@@ -40,21 +43,23 @@ def test_degenerate_denominator_guard():
     (3, [(1, j) for j in range(1, 6)], 2.0, (2, 1, 1, 1)),
     (3, [(1, j) for j in range(1, 6)] + [(2, 1)], 2.0, (2, 5, 1, 5)),
 ])
-def test_degenerate_denominator_skips_zero_data(m, zeros, tol, indices):
+def test_degenerate_denominator_skips_zero_data(guard_constants, m, zeros, tol, indices):
     # a vanishing S_nj multiplies its whole sum, so its denominators are never read
     table = np.full((6, 2 * m - 1), 0.01 + 0.002j)
     for n, j in zeros:
         table[n - 1, j - 1] = 0.0
+    guard_constants(DEGENERACY_TOL=tol)
     with pytest.raises(DegenerateDenominatorError) as info:
-        v_from_s(SpectralData(Order(m), 6, table), tol=tol)
+        v_from_s(SpectralData(Order(m), 6, table))
     assert info.value.indices == indices
 
 
 @pytest.mark.parametrize("m, cond_limit, alpha", [(2, 5.0, 4), (3, 50.0, 4), (3, 30.0, 1)])
-def test_singular_diagonal_system_guard(m, cond_limit, alpha):
+def test_singular_diagonal_system_guard(guard_constants, m, cond_limit, alpha):
     p = random_potential(Order(m), 8, np.random.default_rng(3))
+    guard_constants(COND_LIMIT=cond_limit)
     with pytest.raises(SingularSystemError) as info:
-        forward_map(p, cond_limit=cond_limit)
+        forward_map(p)
     assert info.value.alpha == alpha
 
 
@@ -63,10 +68,10 @@ def test_singular_diagonal_system_guard(m, cond_limit, alpha):
     (2, 1e-16, (3, 1), (3, 1)),
     (3, 1e-16, (2, 1), (1, 1)),
 ])
-def test_division_remainder_guard(monkeypatch, m, rtol, forward_nj, inverse_nj):
+def test_division_remainder_guard(guard_constants, m, rtol, forward_nj, inverse_nj):
     p = random_potential(Order(m), 8, np.random.default_rng(3))
     s = random_spectral(Order(m), 8, np.random.default_rng(4))
-    monkeypatch.setattr(polyalg, "REMAINDER_RTOL", rtol)
+    guard_constants(REMAINDER_RTOL=rtol)
     with pytest.raises(DivisionRemainderError, match=r"\(n=%d, j=%d\)" % forward_nj):
         forward_map(p)
     with pytest.raises(DivisionRemainderError, match=r"\(n=%d, j=%d\)" % inverse_nj):

@@ -235,17 +235,18 @@ def raised(fn) -> tuple:
     (4, 32, 1e-12, 1e6, 1e-9),
     (4, 32, 1e-12, 1e12, 3e-14),
 ])
-def test_guards_raise_where_the_column_sweep_meets_them(monkeypatch, m, n_max, left_tol, cond_limit, rtol):
-    monkeypatch.setattr(polyalg, "REMAINDER_RTOL", rtol)
+def test_guards_raise_where_the_column_sweep_meets_them(guard_constants, m, n_max, left_tol, cond_limit,
+                                                        rtol):
+    guard_constants(LEFT_FACTOR_RTOL=left_tol, COND_LIMIT=cond_limit, REMAINDER_RTOL=rtol)
     p = random_potential(Order(m), n_max, np.random.default_rng(3))
     kern = diagonal_kernel(m, n_max)
     want = raised(lambda: sweep_guards(kern, left_tol, cond_limit))
-    assert raised(lambda: forward_map(p, left_tol=left_tol, cond_limit=cond_limit)) == want
+    assert raised(lambda: forward_map(p)) == want
 
 
 @pytest.mark.parametrize("m, n_max, rtol", [(3, 32, 1e-16), (3, 32, 1e-15), (4, 32, 3e-14)])
-def test_inverse_remainder_guard_matches_the_full_tables(monkeypatch, m, n_max, rtol):
-    monkeypatch.setattr(polyalg, "REMAINDER_RTOL", rtol)
+def test_inverse_remainder_guard_matches_the_full_tables(guard_constants, m, n_max, rtol):
+    guard_constants(REMAINDER_RTOL=rtol)
     data = random_spectral(Order(m), n_max, np.random.default_rng(4))
     want = raised(lambda: reads_guards(Order(m), n_max))
     assert want[0] is DivisionRemainderError
@@ -258,21 +259,24 @@ def test_inverse_remainder_guard_matches_the_full_tables(monkeypatch, m, n_max, 
     (4, 32, 2.0, [(1, j) for j in range(1, 8)]),
     (4, 32, 3.0, [(n, j) for n in (1, 2) for j in range(1, 8)] + [(3, 1)]),
 ])
-def test_denominator_guard_past_the_acceptance_sizes_matches_the_full_table(m, n_max, tol, zeros):
+def test_denominator_guard_past_the_acceptance_sizes_matches_the_full_table(guard_constants, m, n_max, tol,
+                                                                            zeros):
     table = np.array(random_spectral(Order(m), n_max, np.random.default_rng(4)).table)
     for n, j in zeros:
         table[n - 1, j - 1] = 0.0
     data = SpectralData(Order(m), n_max, table)
     want = raised(lambda: denominator_guard(data, tol))
     assert want[0] is DegenerateDenominatorError
-    assert raised(lambda: v_from_s(data, tol=tol)) == want
-    assert raised(lambda: inverse_map(data, tol=tol)) == want
+    guard_constants(DEGENERACY_TOL=tol)
+    assert raised(lambda: v_from_s(data)) == want
+    assert raised(lambda: inverse_map(data)) == want
 
 
-def column_resonance_hits(left_tol: float, factor: float) -> list:
+def column_resonance_hits(guard_constants, left_tol: float, factor: float) -> list:
     """Check the one-column resonance guard of an m = 3 kernel whose j = 2m - 1 scale is multiplied
     by factor against the full table of left factors; the resonant entries of each column, n then j."""
     m, n_max = 3, 8
+    guard_constants(LEFT_FACTOR_RTOL=left_tol, COND_LIMIT=np.inf)
     real = diagonal_kernel(m, n_max)
     left = np.abs(old_left(Order(m), n_max))
     kern = copy.copy(real)
@@ -281,7 +285,7 @@ def column_resonance_hits(left_tol: float, factor: float) -> list:
     for alpha in range(2, n_max + 1):
         hits = [(n, alpha, j) for n in range(1, alpha) for j in range(1, 2 * m)
                 if left[n - 1, alpha - 1, j - 1] <= left_tol * kern.left_scale[alpha - 1, j - 1]]
-        got = raised(lambda: forward._check_columns(kern, slice(alpha - 1, alpha), left_tol, np.inf))
+        got = raised(lambda: forward._check_column(kern, alpha))
         assert got[0] is (ResonantIndexError if hits else None)
         assert got[2] == (hits[0] if hits else None)
         columns.append(hits)
@@ -289,17 +293,17 @@ def column_resonance_hits(left_tol: float, factor: float) -> list:
 
 
 @pytest.mark.parametrize("left_tol", [0.5, 3.0])
-def test_single_entry_resonance_guard_matches_the_full_table(left_tol):
+def test_single_entry_resonance_guard_matches_the_full_table(guard_constants, left_tol):
     # at 0.5 only the roots j = 1, 2m - 1 resonate, at 3.0 the middle ones too
-    columns = column_resonance_hits(left_tol, 1.0)
+    columns = column_resonance_hits(guard_constants, left_tol, 1.0)
     tripped = sum(len(hits) for hits in columns)
     assert 0 < tripped < 8 * 7 // 2 * 5
 
 
-def test_resonance_guard_reports_the_first_entry_of_its_column_in_n_then_j_order():
+def test_resonance_guard_reports_the_first_entry_of_its_column_in_n_then_j_order(guard_constants):
     # j = 1 resonates first at every n of the real kernel, so both orders agree
     # there; doubling the scale of j = 2m - 1 makes it resonate at smaller n
-    columns = column_resonance_hits(0.5, 2.0)
+    columns = column_resonance_hits(guard_constants, 0.5, 2.0)
     # a column whose first hit in j-then-n order is another entry
     assert any(hits and hits[0] != min(hits, key=lambda hit: (hit[2], hit[0])) for hits in columns)
 
@@ -331,87 +335,106 @@ def test_remainder_guard_reports_the_first_planted_read_in_reading_order(monkeyp
     monkeypatch.setattr(polyalg, "d_b_table", d_b_table)
     kern = DiagonalKernel(m, n_max)
     assert np.flatnonzero(kern.read_remainder > polyalg.REMAINDER_RTOL)[0] == 3
+    assert kern.forward_refusal == kern.inverse_refusal == 4
     for diag_first in (True, False):
         want = raised(lambda: check_reads(Order(m), full_remainders(Order(m), n_max), 4, diag_first))
         assert want[1] == "nonzero remainder dividing at pole (n=1, j=1): 2.000e+00 of the numerator scale"
         assert raised(lambda: kern.check_remainders(4, diag_first)) == want
     want = raised(lambda: sweep_guards(kern, 1e-12, 1e12))
     assert want[0] is DivisionRemainderError
-    assert raised(lambda: forward._check_columns(kern, slice(0, n_max), 1e-12, 1e12)) == want
+    assert raised(lambda: forward._check_column(kern, kern.forward_refusal)) == want
 
 
-def test_two_guards_at_one_column_raise_the_first_in_column_order():
+def test_two_guards_at_one_column_raise_the_first_in_column_order(guard_constants):
     # alpha = 4 has a resonant left factor at left_tol 1 and a pivot ratio above 5
     p = random_potential(Order(2), 10, np.random.default_rng(3))
+    guard_constants(COND_LIMIT=5.0)
     with pytest.raises(SingularSystemError) as info:
-        forward_map(p, cond_limit=5.0)
+        forward_map(p)
     assert info.value.alpha == 4
+    guard_constants(LEFT_FACTOR_RTOL=1.0, COND_LIMIT=1e12)
     with pytest.raises(ResonantIndexError) as info:
-        forward_map(p, left_tol=1.0)
+        forward_map(p)
     assert info.value.indices == (3, 4, 1)
+    guard_constants(COND_LIMIT=5.0)
     with pytest.raises(ResonantIndexError) as info:
-        forward_map(p, left_tol=1.0, cond_limit=5.0)
+        forward_map(p)
     assert info.value.indices == (3, 4, 1)
 
 
-def test_guards_at_different_columns_raise_the_earlier_column():
+def test_guards_at_different_columns_raise_the_earlier_column(guard_constants):
     p = random_potential(Order(2), 10, np.random.default_rng(3))
+    guard_constants(LEFT_FACTOR_RTOL=0.5)
     with pytest.raises(ResonantIndexError) as info:
-        forward_map(p, left_tol=0.5)
+        forward_map(p)
     assert info.value.indices == (9, 10, 1)
+    guard_constants(COND_LIMIT=5.0)
     with pytest.raises(SingularSystemError) as info:
-        forward_map(p, left_tol=0.5, cond_limit=5.0)
+        forward_map(p)
     assert info.value.alpha == 4
 
 
-def test_a_clean_sweep_is_remembered_only_under_its_own_tolerances(monkeypatch):
+def test_the_default_kernel_maps_cleanly_after_a_patched_test():
+    # the tests above build refusing kernels at (2, 10); the fixture drops them
+    p = random_potential(Order(2), 10, np.random.default_rng(3))
+    _, s = forward_map(p)
+    kern = diagonal_kernel(2, 10)
+    assert kern.forward_refusal is None and kern.inverse_refusal is None
+    assert relative(inverse_map(s).coeffs, p.coeffs) <= 1e-12
+
+
+def test_a_clean_kernel_maps_without_the_diagnosis(monkeypatch):
     p = random_potential(Order(2), 10, np.random.default_rng(3))
     v, s = forward_map(p)
-    kern = diagonal_kernel(2, 10)
-    assert (forward.LEFT_FACTOR_RTOL, forward.COND_LIMIT, polyalg.REMAINDER_RTOL) in kern.clean_sweeps
 
     def unreachable(*args):
-        raise AssertionError("guard pass repeated under remembered tolerances")
+        raise AssertionError("a clean kernel ran the guard diagnosis")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(forward, "_check_columns", unreachable)
-        again = forward_map(p)
+    monkeypatch.setattr(forward, "_check_column", unreachable)
+    monkeypatch.setattr(DiagonalKernel, "check_remainders", unreachable)
+    again = forward_map(p)
     assert np.array_equal(again[0].table, v.table) and np.array_equal(again[1].table, s.table)
-    # a lowered cond_limit or remainder tolerance, or a raised left_tol, checks anew
+    inverse_map(s)
+
+
+def plant_zero_column(monkeypatch) -> None:
+    """Zero d_a(n = 3, alpha = 3, j = 2) in the tables a kernel at m = 2 builds from: the diagonal
+    system at alpha = 3 gets a zero column, and its in-house LU an exactly zero pivot at index 1."""
+    real_table = polyalg.d_a_table
+
+    def singular_table(*args):
+        d_a, rem = real_table(*args)
+        d_a = np.array(d_a)
+        d_a[2, 2, 1] = 0.0
+        return d_a, rem
+
+    monkeypatch.setattr(polyalg, "d_a_table", singular_table)
+
+
+def test_zero_pivot_guard_order(monkeypatch, guard_constants):
+    plant_zero_column(monkeypatch)
+    p = random_potential(Order(2), 6, np.random.default_rng(3))
+    guard_constants()
     with pytest.raises(SingularSystemError) as info:
-        forward_map(p, cond_limit=5.0)
-    assert info.value.alpha == 4
-    with pytest.raises(ResonantIndexError) as info:
-        forward_map(p, left_tol=1.0)
-    assert info.value.indices == (3, 4, 1)
-    monkeypatch.setattr(polyalg, "REMAINDER_RTOL", 1e-16)
-    with pytest.raises(DivisionRemainderError, match=r"\(n=3, j=1\)"):
         forward_map(p)
-
-
-def test_zero_pivot_guard_order():
-    # a kernel whose diagonal system at alpha = 3 has an exactly zero pivot
-    real = diagonal_kernel(2, 6)
-    lu = np.array(real.diag_lu)
-    lu[2, 1, 1] = 0.0
-    ratio = np.array(real.diag_ratio)
-    ratio[2] = linalg.factor_ratio(lu[2])
-    kern = copy.copy(real)
-    kern.diag_lu, kern.diag_ratio = lu, ratio
-    columns = slice(0, 6)
-    with pytest.raises(SingularSystemError) as info:
-        forward._check_columns(kern, columns, 1e-12, 1e12)
     assert info.value.alpha == 3
+    guard_constants(COND_LIMIT=np.inf)
     with pytest.raises(SingularMatrixError) as info:
-        forward._check_columns(kern, columns, 1e-12, np.inf)
+        forward_map(p)
     assert info.value.pivot_index == 1
     # left_tol 1 first trips at alpha = 4, left_tol 2 at alpha = 2
+    guard_constants(LEFT_FACTOR_RTOL=1.0)
     with pytest.raises(SingularMatrixError):
-        forward._check_columns(kern, columns, 1.0, np.inf)
+        forward_map(p)
+    guard_constants(LEFT_FACTOR_RTOL=2.0)
     with pytest.raises(ResonantIndexError) as info:
-        forward._check_columns(kern, columns, 2.0, np.inf)
+        forward_map(p)
     assert info.value.indices == (1, 2, 1)
-    forward._check_columns(kern, slice(3, 6), 1e-12, np.inf)
+    guard_constants(LEFT_FACTOR_RTOL=1e-12)
+    kern = diagonal_kernel(2, 6)
+    assert kern.forward_refusal == 3
+    for alpha in range(4, 7):
+        forward._check_column(kern, alpha)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -435,27 +458,21 @@ def test_response_table_solves_the_diagonal_relation(m, n_max):
     assert worst <= 1e-13  # measured <= 6e-14, at (4, 32) where d_a(31, 31) has condition 1e9
 
 
-def test_response_build_tolerates_a_singular_diagonal_system(monkeypatch):
-    # a diagonal system at alpha = 3 with a zero column: the in-house LU has a
-    # zero pivot at index 1, and the kernel still builds without a warning
-    real_table = polyalg.d_a_table
-
-    def singular_table(*args):
-        d_a, rem = real_table(*args)
-        d_a = np.array(d_a)
-        d_a[2, 2, 1] = 0.0
-        return d_a, rem
-
-    monkeypatch.setattr(polyalg, "d_a_table", singular_table)
+def test_response_build_tolerates_a_singular_diagonal_system(monkeypatch, guard_constants):
+    # the kernel still builds without a warning, and refuses only that column
+    plant_zero_column(monkeypatch)
     kern = DiagonalKernel(2, 6)
     assert all(np.isfinite(response).all() for response in kern.response)
+    assert kern.forward_refusal == 3 and kern.inverse_refusal is None
     with pytest.raises(SingularSystemError) as info:
-        forward._check_columns(kern, slice(0, 6), 1e-12, 1e12)
+        forward._check_column(kern, 3)
     assert info.value.alpha == 3
+    for alpha in (1, 2, 4, 5, 6):
+        forward._check_column(kern, alpha)
+    guard_constants(COND_LIMIT=np.inf)
     with pytest.raises(SingularMatrixError) as info:
-        forward._check_columns(kern, slice(0, 6), 1e-12, np.inf)
+        forward._check_column(kern, 3)
     assert info.value.pivot_index == 1
-    forward._check_columns(kern, slice(3, 6), 1e-12, 1e12)
 
 
 def padded_forward_tables(kern) -> tuple:
