@@ -22,62 +22,6 @@ from .errors import InputError, PoleProximityError, TruncationError
 from .forward import series_q
 
 POLE_TOL = 1e-9  # eval_f refuses a point this close to a pole
-RATE_TOL = 1e-12  # ExpSum.collected merges rates this close
-MODE_TOL = 1e-9  # mode_coefficients refuses a rate this far from an integer mode
-
-
-@dataclass(frozen=True, eq=False)
-class ExpSum:
-    """Finite exponential sum t -> sum_i coeffs[i] * exp(rates[i] * t)."""
-
-    coeffs: np.ndarray
-    rates: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        r = np.atleast_1d(np.asarray(self.rates, dtype=complex))
-        if c.shape != r.shape or c.ndim != 1:
-            raise InputError("coeffs and rates must be 1-d arrays of equal length")
-        c.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "rates", r)
-
-    def __call__(self, t: complex) -> complex:
-        return complex(np.sum(self.coeffs * np.exp(self.rates * t)))
-
-    def derivative(self, n: int = 1) -> "ExpSum":
-        return ExpSum(self.coeffs * self.rates ** n, self.rates)
-
-    def scale(self, c: complex) -> "ExpSum":
-        return ExpSum(c * self.coeffs, self.rates)
-
-    def collected(self) -> "ExpSum":
-        """Merge terms whose rates coincide to within RATE_TOL."""
-        if self.coeffs.size == 0:
-            return self
-        order_idx = np.lexsort((self.rates.imag, self.rates.real))
-        r = self.rates[order_idx]
-        c = self.coeffs[order_idx]
-        out_r, out_c = [r[0]], [c[0]]
-        for ri, ci in zip(r[1:], c[1:]):
-            if abs(ri - out_r[-1]) <= RATE_TOL:
-                out_c[-1] += ci
-            else:
-                out_r.append(ri)
-                out_c.append(ci)
-        return ExpSum(np.array(out_c), np.array(out_r))
-
-    def mode_coefficients(self) -> dict[int, complex]:
-        """Coefficients keyed by integer decay mode for sums with rates -n."""
-        merged = self.collected()
-        modes: dict[int, complex] = {}
-        for c, r in zip(merged.coeffs, merged.rates):
-            n = round(-r.real)
-            if abs(r - (-n)) > MODE_TOL:
-                raise InputError(f"rate {r} is not an integer decay mode")
-            modes[n] = modes.get(n, 0j) + complex(c)
-        return modes
 
 
 def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None = None) -> complex:
@@ -155,15 +99,23 @@ def _transition_terms(s: SpectralData):
     return s.table[n, j] / (1j * (1 - w[j])), c * w[j], -c, n + 1
 
 
-def kernel_diag(v: VTable) -> ExpSum:
-    """K(x, x) as an exponential sum in x (rates are the negative column indices)."""
-    kc, ka, kb, *_ = _kernel_terms(v)
-    return ExpSum(kc, ka + kb).collected()
+def q0_from_kernel(v: VTable) -> dict[int, complex]:
+    """2m d/dx K(x, x) = sum over alpha of q[alpha] e^(-alpha x), as {alpha: q[alpha]} over the
+    columns that hold a nonzero entry; its modes feed the trace cross-check.
 
-
-def q0_from_kernel(v: VTable) -> ExpSum:
-    """2m * d/dx K(x, x); its integer modes feed the trace cross-check."""
-    return kernel_diag(v).derivative().scale(2 * v.order.m)
+    A column's terms share the rate -alpha up to rounding.  They are summed in
+    ascending order of their rates, and the sum is multiplied by the first of them.
+    """
+    kc, ka, kb, kcol, _ = _kernel_terms(v)
+    rates = ka + kb
+    sums, rate = {}, {}
+    for i in np.lexsort((rates.imag, rates.real)).tolist():
+        alpha = int(kcol[i])
+        if alpha in sums:
+            sums[alpha] += kc[i]
+        else:
+            sums[alpha], rate[alpha] = kc[i], rates[i]
+    return {alpha: complex(2 * v.order.m * (total * rate[alpha])) for alpha, total in sums.items()}
 
 
 def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: float | np.ndarray,

@@ -7,7 +7,8 @@ Problem file schema (version "1"):
      "entries": [{"gamma" | "j": <int>, "n": <int>, "re": <float>, "im": <float>}, ...]}
 
 Complex numbers always serialize as {re, im} finite doubles, and the integer
-fields must be integral (2.0 reads as 2; 2.9 is refused, not truncated).
+fields must be integral (2.0 reads as 2; 2.9 is refused, not truncated).  A
+JSON boolean is refused in every numeric field, though Python reads it as 0 or 1.
 Exit codes: 0 success, 1 malformed input, 2 degenerate arithmetic (a
 result that is not finite included), 3 non-convergence, 4 verification
 failure.  A command computes everything it writes before it writes any of
@@ -42,10 +43,17 @@ def _complex_json(z: complex) -> dict:
 
 
 def _integral(value) -> int:
-    """A JSON integer field as an int; a float counts only when it is integral."""
-    if isinstance(value, float) and not value.is_integer():
+    """A JSON integer field as an int; a float counts only when it is integral, a boolean never."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _real(value) -> float:
+    """A JSON number field as a float; a boolean is refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def load_problem(path: str):
@@ -78,7 +86,7 @@ def load_problem(path: str):
         try:
             idx = _integral(entry[index_key])
             n = _integral(entry["n"])
-            value = complex(float(entry["re"]), float(entry["im"]))
+            value = complex(_real(entry["re"]), _real(entry["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed entry {entry!r}: {exc}") from exc
         if not cmath.isfinite(value):
@@ -227,6 +235,9 @@ def _verify_checks(p: PotentialCoefficients, args) -> list[dict]:
     order = p.order
     m = order.m
     v, s = forward_map(p)
+    # every check below reads these tables: refuse them before any check runs
+    if not (np.isfinite(v.table).all() and np.isfinite(s.table).all()):
+        raise NonFiniteResultError("the forward map's V table or spectral data is not finite")
     checks = []
 
     p_back = inverse.inverse_map(s)
@@ -284,7 +295,7 @@ def _verify_checks(p: PotentialCoefficients, args) -> list[dict]:
                    "threshold": args.det_floor, "pass": bool(det_ok),
                    "winding": int(scan.winding)})
 
-    modes = analytic.q0_from_kernel(v).mode_coefficients()
+    modes = analytic.q0_from_kernel(v)
     q_target = q_from_p(p)[order.gamma_count - 1, 0]
     q0_err = abs(modes.get(1, 0j) - q_target)
     checks.append({"name": "q0_trace", "value": float(q0_err),

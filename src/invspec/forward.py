@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel, linalg
+from . import kernel
 from .core import PotentialCoefficients, SpectralData, VTable
-from .errors import ResonantIndexError, SingularSystemError
+from .errors import ResonantIndexError, SingularMatrixError, SingularSystemError
 from .kernel import DiagonalKernel, Workspace, diagonal_kernel
 
 
@@ -57,7 +57,11 @@ def _check_column(kern: DiagonalKernel, alpha: int) -> None:
     kern.check_remainders(alpha, diag_first=True)
     if kern.diag_ratio[alpha - 1] > kernel.COND_LIMIT:
         raise SingularSystemError(f"diagonal system at alpha={alpha} is numerically singular", alpha=alpha)
-    linalg.check_pivots(kern.diag_lu[alpha - 1])
+    small = np.flatnonzero(kernel.negligible(kern.diag_pivots[alpha - 1]))
+    if small.size:
+        # back substitution meets the last negligible pivot first
+        i = int(small[-1])
+        raise SingularMatrixError(f"negligible pivot at index {i}", pivot_index=i)
 
 
 def _load(kern: DiagonalKernel, ws: Workspace, pc: np.ndarray) -> None:

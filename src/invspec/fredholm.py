@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core, linalg
+from . import core
 from .core import SpectralData, roots_of_unity
 from .errors import DegenerateDenominatorError, InputError, NonFiniteResultError
 
@@ -71,7 +71,7 @@ def _determinants(s: SpectralData, n_max: int | None):
         out = np.empty(zs.size, dtype=complex)
         for lo in range(0, zs.size, per):
             col = np.exp(weight * zs[lo:lo + per, None])
-            out[lo:lo + per] = linalg.det(eye - sub * col[:, None, :])
+            out[lo:lo + per] = np.linalg.det(eye - sub * col[:, None, :])
         if not np.isfinite(out).all():
             raise NonFiniteResultError(f"the determinant at truncation {blocks} is not finite")
         return out

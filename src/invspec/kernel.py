@@ -53,13 +53,40 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import linalg, polyalg
+from . import polyalg
 from .core import Order, roots_of_unity
 
 # the forward sweep refuses a column with a left factor |L| <= LEFT_FACTOR_RTOL
-# times its scale, or a diagonal system whose pivot ratio exceeds COND_LIMIT
+# times its scale, a diagonal system whose pivot ratio exceeds COND_LIMIT, or
+# one with a pivot at most PIVOT_TOL times the largest (or 1), a zero pivot
 LEFT_FACTOR_RTOL = 1e-12
 COND_LIMIT = 1e12
+PIVOT_TOL = 1e-300
+
+
+def pivot_moduli(systems: np.ndarray) -> np.ndarray:
+    """|U_ii| of the partial-pivot LU of each matrix of a stack [batch, size, size].
+
+    One elimination runs over the whole stack: each matrix gets the row swaps,
+    divisions and rank-1 updates that eliminating it alone would make, in the
+    same order, so its pivots are bit for bit that elimination's.  A step
+    whose pivot is exactly zero leaves its matrix unchanged.
+    """
+    lu = np.array(systems, dtype=complex)
+    batch, size = lu.shape[:2]
+    at = np.arange(batch)
+    for k in range(size - 1):
+        p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
+        lu[at, k], lu[at, p] = lu[at, p], lu[at, k]
+        live = lu[:, k, k] != 0
+        below = lu[live, k + 1:, k] / lu[live, k, k, None]
+        lu[live, k + 1:, k + 1:] -= below[:, :, None] * lu[live, k, None, k + 1:]
+    return np.abs(np.diagonal(lu, axis1=1, axis2=2))
+
+
+def negligible(pivots: np.ndarray) -> np.ndarray:
+    """Mask of the pivot moduli [..., size] a solve treats as zero."""
+    return (pivots <= PIVOT_TOL * np.maximum(pivots.max(axis=-1, keepdims=True), 1.0)) | (pivots == 0)
 
 
 class DiagonalKernel:
@@ -82,9 +109,10 @@ class DiagonalKernel:
     its first rows, stacked as p_share[k], also map p[., alpha]; where a pivot
     is negligible, a column the guards refuse, it holds the identity's image.
     inv_den[r, l, n, j] = 1 / den, den = n w_j (1 - w_l) - r (1 - w_j), is the
-    inverse map's.  diag_lu[alpha] and diag_ratio[alpha] are the in-house LU
-    factors and pivot ratio of the forward map's diagonal system d_a(alpha,
-    alpha)^T, which depends only on m and alpha.  pair_at and moment_at place
+    inverse map's.  diag_pivots[alpha] are the pivot moduli |U_ii| of the
+    partial-pivot elimination of the forward map's diagonal system d_a(alpha,
+    alpha)^T, which depends only on m and alpha, and diag_ratio[alpha] is
+    their ratio max / min (inf at a zero pivot).  pair_at and moment_at place
     the pairs in a flat (nu, gamma) block and in the flat moment rows of one
     forward column.
 
@@ -99,7 +127,7 @@ class DiagonalKernel:
     first column alpha (1-based) the forward sweep refuses, inverse_refusal
     the first whose remainders p_from_v refuses, None where there is none.
     A kernel keeps the verdict of the constants it was built under: changing
-    LEFT_FACTOR_RTOL, COND_LIMIT, polyalg.REMAINDER_RTOL or linalg.PIVOT_TOL
+    LEFT_FACTOR_RTOL, COND_LIMIT, PIVOT_TOL or polyalg.REMAINDER_RTOL
     at run time takes diagonal_kernel.cache_clear().
     """
 
@@ -121,10 +149,11 @@ class DiagonalKernel:
         self.inv_den = 1 / den
         read = modes[:, None, None, None] + modes[:, None] <= n_max
         self.den_floor = np.where(read, np.abs(den), np.inf).min(axis=(0, 1))
-        self.diag_lu = np.array([linalg.lu_factor(self.d_a[a, a].T)[0] for a in range(n_max)])
-        self.diag_ratio = np.array([linalg.factor_ratio(lu) for lu in self.diag_lu])
-        singular = linalg.negligible_pivots(self.diag_lu).any(axis=-1)
         system = np.array(self.d_a[modes - 1, modes - 1].transpose(0, 2, 1))
+        self.diag_pivots = pivot_moduli(system)
+        lo = self.diag_pivots.min(axis=1)
+        self.diag_ratio = np.divide(self.diag_pivots.max(axis=1), lo, out=np.full(n_max, np.inf), where=lo > 0)
+        singular = negligible(self.diag_pivots).any(axis=1)
         system[singular] = np.eye(size)
         inv = np.linalg.inv(system)
         # every diagonal entry is a product with the inverse: one refinement step with

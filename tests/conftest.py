@@ -24,6 +24,23 @@ def random_spectral(order: Order, n_max: int, rng, scale: float = 0.01) -> Spect
     return SpectralData(order, n_max, raw / np.sqrt(2.0) * cap[:, None])
 
 
+def reference_pivots(a: np.ndarray) -> np.ndarray:
+    """|U_ii| of the partial-pivot LU of one square matrix, eliminated on its own, a step whose
+    pivot is exactly zero skipped: the oracle for the kernel's batched elimination."""
+    lu = np.array(a, dtype=complex)
+    n = lu.shape[0]
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+        pivot = lu[k, k]
+        if pivot == 0:
+            continue
+        lu[k + 1:, k] /= pivot
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return np.abs(np.diag(lu))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -170,7 +170,7 @@ def test_criterion_9_q0_cross_check(fixture_set):
     for m in ORDERS:
         for n_max in DEPTHS:
             for p, v, _ in fixture_set[(m, n_max)]:
-                modes = q0_from_kernel(v).mode_coefficients()
+                modes = q0_from_kernel(v)
                 target = q_from_p(p)[2 * m - 2, 0]
                 worst = max(worst, abs(modes.get(1, 0j) - target))
     report(9, worst <= 1e-7, f"q0 trace leading-mode max gap {worst:.3e} (tol 1e-07)")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_potential
-from invspec import (ExpSum, Order, PotentialCoefficients, SpectralData, VTable, eval_f,
+from invspec import (Order, PotentialCoefficients, SpectralData, VTable, eval_f,
                      forward_map, jump_relation_check, k_pole, marchenko_residual, ode_residual,
                      q0_from_kernel, q_from_p, roots_of_unity, shift_spectral)
 from invspec import analytic
@@ -49,21 +49,67 @@ def transition(s: SpectralData, t: float, u: float) -> complex:
     return complex(np.sum(fc * np.exp(fg * t + fh * u)))
 
 
-def test_expsum_evaluate_and_derivative():
-    f = ExpSum(np.array([2.0, 1j]), np.array([-1.0, -2.0 + 1j]))
-    t = 0.7
-    expected = 2 * np.exp(-t) + 1j * np.exp((-2 + 1j) * t)
-    assert f(t) == pytest.approx(expected)
-    d = f.derivative(2)
-    expected_d = 2 * np.exp(-t) + 1j * (-2 + 1j) ** 2 * np.exp((-2 + 1j) * t)
-    assert d(t) == pytest.approx(expected_d)
+def kernel_diagonal(v: VTable, x: float) -> complex:
+    """K(x, x), summed term by term."""
+    kc, ka, kb, *_ = analytic._kernel_terms(v)
+    return complex(np.sum(kc * np.exp((ka + kb) * x)))
 
 
-def test_expsum_mode_collection():
-    f = ExpSum(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -2.0, -1.0]))
-    modes = f.mode_coefficients()
-    assert modes[1] == pytest.approx(4.0)
-    assert modes[2] == pytest.approx(2.0)
+def test_q0_is_2m_times_the_derivative_of_the_kernel_diagonal(rng):
+    for m in (1, 2, 3):
+        p = random_potential(Order(m), 6, rng)
+        v, _ = forward_map(p)
+        modes = q0_from_kernel(v)
+        h = 1e-4
+        for x in (0.2, 0.9):
+            series = sum(q * np.exp(-alpha * x) for alpha, q in modes.items())
+            # fourth-order central difference of K(x, x)
+            diff = (8 * (kernel_diagonal(v, x + h) - kernel_diagonal(v, x - h))
+                    - (kernel_diagonal(v, x + 2 * h) - kernel_diagonal(v, x - 2 * h))) / (12 * h)
+            assert abs(series - 2 * m * diff) <= 1e-9 * abs(series)
+
+
+def rate_merged_q0(v: VTable) -> dict:
+    """The earlier route to q0_from_kernel: K(x, x)'s terms sorted by rate and merged where a rate
+    lies within 1e-12 of its group's first, then differentiated and scaled by 2m as arrays."""
+    kc, ka, kb, *_ = analytic._kernel_terms(v)
+    rates = ka + kb
+    at = np.lexsort((rates.imag, rates.real))
+    merged_r, merged_c = [], []
+    for r, c in zip(rates[at], kc[at]):
+        if merged_r and abs(r - merged_r[-1]) <= 1e-12:
+            merged_c[-1] += c
+        else:
+            merged_r.append(r)
+            merged_c.append(c)
+    coeffs = 2 * v.order.m * (np.array(merged_c, dtype=complex) * np.array(merged_r, dtype=complex) ** 1)
+    return {round(-r.real): complex(c) for r, c in zip(merged_r, coeffs)}
+
+
+def test_q0_equals_the_rate_merged_sum_exactly():
+    rng = np.random.default_rng(45)
+    for m, n_max in [(1, 64), (2, 32), (3, 12), (4, 16), (6, 10)]:
+        for scale in (0.05, 0.5):
+            v, _ = forward_map(random_potential(Order(m), n_max, rng, scale=scale))
+            got, want = q0_from_kernel(v), rate_merged_q0(v)
+            assert list(got) == list(want) and all(got[alpha] == want[alpha] for alpha in want)
+
+
+def test_q0_merges_the_terms_of_each_column():
+    # columns 1 and 3 hold several terms at rates -alpha up to rounding; column 2 holds none
+    order = Order(2)
+    table = np.zeros((3, 3, 3), dtype=complex)
+    table[:, 0, 0] = [0.1, 0.2j, -0.3]
+    table[0, 1, 2] = 0.05
+    table[2, 0, 2] = 0.07j
+    table[1, 2, 2] = -0.02 + 0.01j
+    v = VTable(order, 3, table)
+    modes = q0_from_kernel(v)
+    assert sorted(modes) == [1, 3]
+    w = roots_of_unity(order)[1:]
+    for alpha in (1, 3):
+        terms = table[:, :, alpha - 1] / (1j * (1 - w))[:, None]
+        assert modes[alpha] == pytest.approx(-2 * order.m * alpha * terms.sum(), rel=1e-14, abs=0)
 
 
 def test_eval_series_free_case():
@@ -235,7 +281,7 @@ def test_shift_spectral_rules(rng):
 
 
 def test_q0_trace_zero_table():
-    modes = q0_from_kernel(VTable.zeros(Order(1), 3)).mode_coefficients()
+    modes = q0_from_kernel(VTable.zeros(Order(1), 3))
     assert modes == {}
 
 
@@ -243,7 +289,7 @@ def test_q0_trace_leading_mode(rng):
     for m in (1, 2):
         p = random_potential(Order(m), 6, rng)
         v, _ = forward_map(p)
-        modes = q0_from_kernel(v).mode_coefficients()
+        modes = q0_from_kernel(v)
         target = q_from_p(p)[2 * m - 2, 0]
         assert abs(modes[1] - target) <= 1e-8
 
@@ -253,8 +299,8 @@ def test_q0_leading_modes_stable_in_depth(rng):
     p = random_potential(order, 8, rng)
     v8, _ = forward_map(p)
     v5, _ = forward_map(p.truncated(5))
-    m8 = q0_from_kernel(v8).mode_coefficients()
-    m5 = q0_from_kernel(v5).mode_coefficients()
+    m8 = q0_from_kernel(v8)
+    m5 = q0_from_kernel(v5)
     for n in (1, 2, 3):
         assert abs(m8[n] - m5[n]) <= 1e-12 * max(1.0, abs(m8[n]))
 

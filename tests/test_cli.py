@@ -293,6 +293,26 @@ def test_load_problem_rejects_non_finite_values_and_non_integral_indices(tmp_pat
     load_problem(str(inp))
 
 
+@pytest.mark.parametrize("mode, key", [("potential", "m"), ("spectral", "N"), ("potential", "gamma"),
+                                       ("spectral", "j"), ("potential", "n"), ("potential", "re"),
+                                       ("spectral", "im")])
+def test_boolean_fields_exit_1_and_write_nothing(tmp_path, mode, key):
+    # every field reads True as 1 without the check, and the file then maps cleanly
+    index = "gamma" if mode == "potential" else "j"
+    entry = {index: 0 if mode == "potential" else 1, "n": 1, "re": 0.01, "im": 0.0}
+    doc = {"schema_version": "1", "mode": mode, "m": 2, "N": 4, "entries": [entry]}
+    (entry if key in entry else doc)[key] = True
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="True"):
+        load_problem(str(inp))
+    out = tmp_path / "out.json"
+    command = "forward" if mode == "potential" else "inverse"
+    result = run_cli(command, "--input", str(inp), "--output", str(out))
+    assert result.returncode == 1 and result.stderr.startswith("error: malformed")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, mode, value", [
     ("forward", "potential", float("nan")),
     ("inverse", "spectral", float("inf")),
@@ -331,6 +351,26 @@ def test_non_finite_results_exit_2_and_write_nothing(tmp_path, command, mode, ou
     assert result.stderr.startswith("error: ") and "not finite" in result.stderr
     assert result.stdout == ""
     assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
+
+
+def test_verify_refuses_a_non_finite_forward_map_before_any_check(tmp_path, monkeypatch, capsys):
+    from invspec import analytic, cli, fredholm, inverse
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify ran a check on the non-finite forward map")
+
+    for module, name in [(inverse, "inverse_map"), (analytic, "marchenko_residual"),
+                         (analytic, "jump_relation_check"), (analytic, "shift_spectral"),
+                         (analytic, "ode_residual"), (fredholm, "scan_halfplane"),
+                         (analytic, "q0_from_kernel")]:
+        monkeypatch.setattr(module, name, unreachable)
+    entries = [potential_entry(1, 1, 1e200), potential_entry(2, 2, 1e200)]
+    write_problem(tmp_path / "in.json", "potential", 2, 8, entries)
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", "--input", str(tmp_path / "in.json"), "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: the forward map's V table or spectral data is not finite\n"
+    assert not report.exists()
 
 
 def test_inverse_refuses_a_bad_am_cap_before_writing(tmp_path):

@@ -15,6 +15,14 @@ def f_matrix(s: SpectralData, z: complex, n_blocks: int) -> np.ndarray:
     return fredholm._prefactor(s, n_blocks) * col[None, :]
 
 
+def cofactor_det(a: np.ndarray) -> complex:
+    """Determinant by cofactor expansion along the first row."""
+    if a.shape[0] == 1:
+        return complex(a[0, 0])
+    return sum((-1) ** col * a[0, col] * cofactor_det(np.delete(a[1:], col, axis=1))
+               for col in range(a.shape[0]))
+
+
 def rank_one_m1(value: complex) -> SpectralData:
     return SpectralData(Order(1), 1, np.array([[value]], dtype=complex))
 
@@ -39,6 +47,18 @@ def test_f_matrix_m1_entry_formula():
         for n in (1, 2):
             expected = -1j * s.entry(n, 1) * np.exp(1j * n * z) / (n + r)
             assert f[r - 1, n - 1] == pytest.approx(expected)
+
+
+def test_determinants_match_the_cofactor_oracle(rng):
+    for m, n_max in [(1, 5), (2, 2), (3, 1)]:
+        s = random_spectral(Order(m), n_max, rng, scale=2.0)
+        for z in (0.3, 1.1 + 0.2j, 2.5 + 0.05j):
+            report = det_truncated(s, z, n_min=1, dense_trace=True)
+            assert report.ns == tuple(range(1, n_max + 1))
+            for n, value in zip(report.ns, report.values):
+                side = n * (2 * m - 1)
+                expected = cofactor_det(np.eye(side) - f_matrix(s, z, n))
+                assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
 def test_rank_one_closed_form_and_truncation_stability():

@@ -4,9 +4,11 @@ The oracles below are the earlier forward, v_from_s and p_from_v sweeps: one
 einsum per column or offset over tables in their original layouts, checked to
 rounding; the per-column slicing sweeps over the kernel's tables, checked bit
 for bit; the forward tables padded to the widest column, against which each
-packed column block is checked bit for bit; and the per-column order in which
-the earlier forward sweep met its guards, over full guard tables that the
-kernel no longer stores.  The last tests check that the pooled workspaces
+packed column block is checked bit for bit; the per-matrix LU
+(conftest.reference_pivots), against which the kernel's batched pivot moduli
+are checked bit for bit; and the per-column order in which the earlier
+forward sweep met its guards, over full guard tables that the kernel no
+longer stores.  The last tests check that the pooled workspaces
 carry nothing from one call to the next and are never shared: between calls,
 across threads, or with a returned table.
 """
@@ -17,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_potential, random_spectral
-from invspec import (Order, SpectralData, VTable, forward, forward_map, inverse_map, linalg, p_from_v,
+from conftest import random_potential, random_spectral, reference_pivots
+from invspec import (Order, SpectralData, VTable, forward, forward_map, inverse_map, kernel, p_from_v,
                      polyalg, roots_of_unity, v_from_s)
 from invspec.errors import (DegenerateDenominatorError, DivisionRemainderError, ResonantIndexError,
                             SingularMatrixError, SingularSystemError)
@@ -39,9 +41,22 @@ def old_left(order: Order, n_max: int) -> np.ndarray:
     return (modes[None, :, None] - c[:, None, :]) ** (2 * order.m) - c[:, None, :] ** (2 * order.m)
 
 
+def reference_negligible(d: np.ndarray) -> np.ndarray:
+    """The pivot moduli of one matrix a solve treats as zero."""
+    return (d <= kernel.PIVOT_TOL * max(d.max(), 1.0)) | (d == 0)
+
+
+def reference_ratio(d: np.ndarray) -> float:
+    """max / min of one matrix's pivot moduli; inf at a zero pivot."""
+    return float(d.max() / d.min()) if d.min() else np.inf
+
+
 def checked_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b after the in-house LU's pivot check, as the earlier sweeps did."""
-    linalg.check_pivots(linalg.lu_factor(a)[0])
+    """Solve a x = b after the per-matrix LU's pivot check, as the earlier sweeps did: the
+    last negligible pivot, which back substitution meets first, raises."""
+    small = np.flatnonzero(reference_negligible(reference_pivots(a)))
+    if small.size:
+        raise SingularMatrixError(f"negligible pivot at index {small[-1]}", pivot_index=int(small[-1]))
     return np.linalg.solve(a, b)
 
 
@@ -161,14 +176,15 @@ def check_reads(order: Order, remainders: tuple, alpha: int, diag_first: bool) -
             raise polyalg.remainder_error(rel, n, j)
 
 
-def sweep_guards(kern, left_tol: float, cond_limit: float) -> None:
-    """The guards in the order the earlier forward sweep met them, column by column, over full tables."""
+def sweep_guards(kern, left_tol: float, cond_limit: float, columns=None) -> None:
+    """The guards in the order the earlier forward sweep met them, column by column, over full tables;
+    at every column, or at the given ones."""
     order = kern.order
     n_max = kern.d_a.shape[0]
     left = old_left(order, n_max)
     remainders = full_remainders(order, n_max)
     scale = (np.arange(1, n_max + 1)[:, None] / np.abs(1 - roots_of_unity(order)[1:])) ** (2 * order.m)
-    for alpha in range(1, n_max + 1):
+    for alpha in columns or range(1, n_max + 1):
         small = np.abs(left[:alpha - 1, alpha - 1]) <= left_tol * scale[alpha - 1]
         if small.any():
             n, j = np.argwhere(small)[0] + 1
@@ -176,7 +192,7 @@ def sweep_guards(kern, left_tol: float, cond_limit: float) -> None:
                                      indices=(int(n), alpha, int(j)))
         check_reads(order, remainders, alpha, diag_first=True)
         a_mat = kern.d_a[alpha - 1, alpha - 1].T
-        if linalg.factor_ratio(linalg.lu_factor(a_mat)[0]) > cond_limit:
+        if reference_ratio(reference_pivots(a_mat)) > cond_limit:
             raise SingularSystemError(f"diagonal system at alpha={alpha} is numerically singular", alpha=alpha)
         checked_solve(a_mat, np.zeros(order.gamma_count))
 
@@ -399,7 +415,7 @@ def test_a_clean_kernel_maps_without_the_diagnosis(monkeypatch):
 
 def plant_zero_column(monkeypatch) -> None:
     """Zero d_a(n = 3, alpha = 3, j = 2) in the tables a kernel at m = 2 builds from: the diagonal
-    system at alpha = 3 gets a zero column, and its in-house LU an exactly zero pivot at index 1."""
+    system at alpha = 3 gets a zero column, and its elimination an exactly zero pivot at index 1."""
     real_table = polyalg.d_a_table
 
     def singular_table(*args):
@@ -435,6 +451,73 @@ def test_zero_pivot_guard_order(monkeypatch, guard_constants):
     assert kern.forward_refusal == 3
     for alpha in range(4, 7):
         forward._check_column(kern, alpha)
+
+
+def reference_guard(kern) -> tuple:
+    """The per-matrix elimination's pivot moduli and ratios of the kernel's diagonal systems."""
+    pivots = np.array([reference_pivots(kern.d_a[k, k].T) for k in range(kern.n_max)])
+    return pivots, np.array([reference_ratio(d) for d in pivots])
+
+
+@pytest.mark.parametrize("m, n_max, refusal", [
+    # the roundtrip sizes, then the two sizes past them that the forward map refuses
+    (1, 64, None), (2, 32, None), (2, 64, None), (3, 32, None), (6, 24, 22), (8, 20, 5),
+])
+def test_batched_pivot_guard_equals_the_per_matrix_elimination(m, n_max, refusal):
+    kern = diagonal_kernel(m, n_max)
+    pivots, ratio = reference_guard(kern)
+    assert same_bits(kern.diag_pivots, pivots)
+    assert same_bits(kern.diag_ratio, ratio)
+    assert kern.forward_refusal == refusal
+    tol, limit = kernel.LEFT_FACTOR_RTOL, kernel.COND_LIMIT
+    if refusal is None:
+        assert raised(lambda: sweep_guards(kern, tol, limit)) == (None, "", None, None)
+    else:
+        # (6, 24) is refused by its pivot ratio, (8, 20) by a division remainder
+        assert raised(lambda: sweep_guards(kern, tol, limit, range(1, refusal)))[0] is None
+        want = raised(lambda: sweep_guards(kern, tol, limit, [refusal]))
+        assert want[0] is (SingularSystemError if m == 6 else DivisionRemainderError)
+        assert raised(lambda: forward._check_column(kern, refusal)) == want
+
+
+def test_batched_pivot_guard_at_a_planted_zero_pivot(monkeypatch, guard_constants):
+    plant_zero_column(monkeypatch)
+    kern = DiagonalKernel(2, 6)
+    pivots, ratio = reference_guard(kern)
+    assert same_bits(kern.diag_pivots, pivots)
+    assert same_bits(kern.diag_ratio, ratio)
+    assert kern.diag_pivots[2, 1] == 0 and kern.diag_ratio[2] == np.inf
+    assert kern.forward_refusal == 3
+    guard_constants(COND_LIMIT=np.inf)
+    want = raised(lambda: sweep_guards(kern, kernel.LEFT_FACTOR_RTOL, np.inf, [3]))
+    assert want[0] is SingularMatrixError
+    assert raised(lambda: forward._check_column(kern, 3)) == want
+
+
+def test_pivot_moduli_flag_a_singular_matrix(rng):
+    # a stack with exactly zero pivots, one skipped before the last step: a zero first column,
+    # a zero middle column and the zero matrix; equal rows; and equal-modulus pivot candidates
+    stack = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+    stack[1, :, 0] = 0.0
+    stack[2, :, 2] = 0.0
+    stack[3, 3] = stack[3, 1]
+    stack[4] = 0.0
+    stack[5, :, 0] = [1.0, -1.0, 1j, -1j, 1.0]
+    got = kernel.pivot_moduli(stack)
+    assert same_bits(got, np.array([reference_pivots(a) for a in stack]))
+    assert got[1, 0] == got[2, 2] == 0.0 and not got[4].any()
+    for d in got:
+        assert np.array_equal(kernel.negligible(d), reference_negligible(d))
+    assert np.array_equal(kernel.negligible(got[[0, 1, 2, 4]]).any(axis=1), [False, True, True, True])
+    singular = kernel.pivot_moduli(np.array([[[1.0, 2.0], [2.0, 4.0]]]))
+    assert singular[0, 1] == 0.0 and kernel.negligible(singular)[0, 1]
+
+
+def test_pivot_moduli_measure_bad_conditioning():
+    pivots = kernel.pivot_moduli(np.array([np.eye(4), np.diag([1.0, 1e-14, 1.0, 1.0])]))
+    ratio = pivots.max(axis=1) / pivots.min(axis=1)
+    assert ratio[0] == 1.0 and ratio[1] > 1e12
+    assert not kernel.negligible(pivots).any()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -488,7 +571,7 @@ def padded_forward_tables(kern) -> tuple:
     lower = np.tri(n_max, k=-1, dtype=bool)[..., None]
     left_recip = np.divide((-1) ** (m + 1), left, out=np.zeros_like(left), where=lower).reshape(n_max, -1)
     system = np.array(kern.d_a[modes - 1, modes - 1].transpose(0, 2, 1))
-    system[linalg.negligible_pivots(kern.diag_lu).any(axis=-1)] = np.eye(size)
+    system[[reference_negligible(reference_pivots(a)).any() for a in system]] = np.eye(size)
     inv = np.linalg.inv(system)
     wide = np.clongdouble
     inv = inv + inv @ (np.eye(size) - system.astype(wide) @ inv.astype(wide)).astype(complex)
