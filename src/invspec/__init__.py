@@ -10,8 +10,8 @@ neither numpy nor any submodule, and ``invspec.forward_map`` imports
 import importlib
 
 _EXPORTS = {
-    "core": ("AmReport", "Order", "PotentialCoefficients", "SpectralData", "VTable",
-             "a_m_constant", "k_pole", "pole", "roots_of_unity"),
+    "core": ("Order", "PotentialCoefficients", "SpectralData", "VTable", "a_m_constant", "k_pole",
+             "pole", "roots_of_unity"),
     "forward": ("forward_map", "q_from_p", "series_q"),
     "inverse": ("ContractionReport", "MomentReport", "contraction_conditions", "first_moment",
                 "inverse_map", "p_from_v", "v_from_s"),

@@ -8,11 +8,12 @@ Problem file schema (version "1"):
 
 Complex numbers always serialize as {re, im} finite doubles, and the integer
 fields must be integral (2.0 reads as 2; 2.9 is refused, not truncated).  A
-JSON boolean is refused in every numeric field, though Python reads it as 0 or 1.
-Exit codes: 0 success, 1 malformed input, 2 degenerate arithmetic (a
-result that is not finite included), 3 non-convergence, 4 verification
-failure.  A command computes everything it writes before it writes any of
-it, so a run that fails writes no file.
+JSON boolean or string is refused in every numeric field, though Python reads
+true as 1 and "2" as 2.
+Exit codes: 0 success, 1 malformed input (a command-line usage error
+included), 2 degenerate arithmetic (a result that is not finite included),
+3 non-convergence, 4 verification failure.  A command computes everything
+it writes before it writes any of it, so a run that fails writes no file.
 """
 from __future__ import annotations
 
@@ -43,15 +44,15 @@ def _complex_json(z: complex) -> dict:
 
 
 def _integral(value) -> int:
-    """A JSON integer field as an int; a float counts only when it is integral, a boolean never."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """A JSON integer field as an int; a float counts only when integral, a boolean or a string never."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
 def _real(value) -> float:
-    """A JSON number field as a float; a boolean is refused."""
-    if isinstance(value, bool):
+    """A JSON number field as a float; a boolean or a string is refused."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
 
@@ -170,14 +171,13 @@ def cmd_inverse(args) -> int:
     if not isinstance(problem, SpectralData):
         raise InputError("inverse expects a spectral-mode problem file")
     p = inverse.inverse_map(problem)
-    am = a_m_constant(problem.order, cap=args.am_cap)
+    a_m = a_m_constant(problem.order)
     moment = inverse.first_moment(problem)
-    contraction = inverse.contraction_conditions(problem, am.value)
+    contraction = inverse.contraction_conditions(problem, a_m)
     outputs = [(_json_text(_problem_doc(p)), args.output)]
     if args.report:
         outputs.append((_json_text({
-            "a_m": {"value": am.value, "argmax": list(am.argmax),
-                    "ordered_value": am.ordered_value, "cap": am.cap},
+            "a_m": {"value": a_m},
             "first_moment": {"total": moment.total,
                              "tail_decay_exponent": moment.tail_decay_exponent},
             "contraction": {"condition_i": contraction.condition_i,
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--input", required=True)
     inv.add_argument("--output", default="-")
     inv.add_argument("--report", default=None, help="write condition reports to this path")
-    inv.add_argument("--am-cap", type=int, default=50)
     inv.set_defaults(func=cmd_inverse)
 
     det = sub.add_parser("det", help="scan the determinant over [0, 2pi] x [0, im-max]")
@@ -383,8 +382,11 @@ def exit_code_for(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, a code the contract keeps for degenerate arithmetic
+        return 1 if exc.code == 2 else exc.code
     try:
         # every output is checked finite before it is written: overflow warnings only add noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -12,9 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, InputError
-
-DEGENERACY_TOL = 1e-12  # v_from_s, the operator and a_m_constant refuse a denominator this small
+from .errors import InputError
 
 
 @lru_cache(maxsize=None)
@@ -217,49 +215,22 @@ class VTable:
         return VTable(self.order, depth, self.table[:, :depth, :depth])
 
 
-@dataclass(frozen=True)
-class AmReport:
-    """Enumerated maximum of the contraction-constant quotient.
+def a_m_constant(order: Order) -> float:
+    """The contraction constant a_m = sup |(1 - w_j)(n + r)| / |r (1 - w_j) - n (1 - w_l) w_j|
+    over the nontrivial roots w_j, w_l and the modes n, r >= 1, in closed form: 1 / sin(pi / 2m).
 
-    The true supremum runs over unbounded n, r; ``value`` is the maximum over
-    1 <= n, r <= cap with all index pairs (j, l), and ``ordered_value``
-    restricts to j <= l.  Monitor the plateau in ``cap`` before trusting it.
+    The lemma: a nontrivial root w = e^{i theta} has 1 / (1 - w) = 1/2 + (i/2) cot(theta / 2),
+    so Re 1 / (1 - w) = 1/2 and Re w / (1 - w) = -1/2.  Hence the Cauchy denominator
+
+        den = n w_j (1 - w_l) - r (1 - w_j) = (1 - w_j)(1 - w_l) [n w_j / (1 - w_j) - r / (1 - w_l)]
+
+    has a bracket of real part -(n + r) / 2, and |1 - w| >= 2 sin(pi / 2m) gives
+
+        |den| >= |1 - w_j| |1 - w_l| (n + r) / 2 >= 2 sin^2(pi / 2m) (n + r),
+
+    so no denominator of the inverse map or of the data operator comes near zero.  The
+    quotient above is then at most 2 / |1 - w_l| <= 1 / sin(pi / 2m), with equality at
+    j = l = 1, n = r = 1.  The same real parts make every product rate of the Marchenko
+    integral -(n + n') / 2 <= -1, so its tail integrals converge.
     """
-
-    value: float
-    argmax: tuple
-    ordered_value: float
-    ordered_argmax: tuple
-    cap: int
-
-
-def a_m_constant(order: Order, cap: int) -> AmReport:
-    """Numerical maximum of |(1-w_j)(n+r)| / |r(1-w_j) - n(1-w_l) w_j|."""
-    if cap < 1:
-        raise InputError(f"cap must be >= 1, got {cap}")
-    w = roots_of_unity(order)
-    n = np.arange(1, cap + 1, dtype=float)
-    nn, rr = np.meshgrid(n, n, indexing="ij")
-    best = (0.0, ())
-    best_ordered = (0.0, ())
-    for j in range(1, order.j_count + 1):
-        for l in range(1, order.j_count + 1):
-            den = np.abs(rr * (1 - w[j]) - nn * (1 - w[l]) * w[j])
-            small = den < DEGENERACY_TOL
-            if np.any(small):
-                i0 = np.argwhere(small)[0]
-                raise DegenerateDenominatorError(
-                    f"degenerate quotient denominator at j={j}, l={l}, "
-                    f"n={int(nn[tuple(i0)])}, r={int(rr[tuple(i0)])}",
-                    indices=(j, l, int(nn[tuple(i0)]), int(rr[tuple(i0)])),
-                )
-            quot = np.abs(1 - w[j]) * (nn + rr) / den
-            flat = int(np.argmax(quot))
-            val = float(quot.flat[flat])
-            arg = (j, l, int(nn.flat[flat]), int(rr.flat[flat]))
-            if val > best[0]:
-                best = (val, arg)
-            if j <= l and val > best_ordered[0]:
-                best_ordered = (val, arg)
-    return AmReport(best[0], best[1], best_ordered[0], best_ordered[1], cap)
-
+    return float(1 / np.sin(np.pi / (2 * order.m)))

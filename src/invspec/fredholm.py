@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
 from .core import SpectralData, roots_of_unity
 from .errors import DegenerateDenominatorError, InputError, NonFiniteResultError
 
@@ -25,9 +24,8 @@ DET_TOL = 1e-10  # D_N has converged when |D_N - D_{N-1}| < DET_TOL (1 + |D_N|)
 def _prefactor(s: SpectralData, n_blocks: int) -> np.ndarray:
     """z-independent part i (1 - w_l) S_nj / (r w_l (1 - w_j) - n (1 - w_l)).
 
-    Blocks n > s.n_max carry no data and stay zero.  Every other denominator
-    is checked against core.DEGENERACY_TOL, also where S_nj = 0; the error
-    names the first (r, l, n, j) in C order.
+    Blocks n > s.n_max carry no data and stay zero.  No denominator comes near
+    zero: its modulus is at least 2 sin^2(pi/2m) (n + r) (core.a_m_constant).
     """
     order = s.order
     jc = order.j_count
@@ -36,11 +34,6 @@ def _prefactor(s: SpectralData, n_blocks: int) -> np.ndarray:
     cols = rows[:s.n_max]
     den = (rows[:, None, None, None] * w[None, :, None, None] * (1 - w)[None, None, None, :]
            - cols[None, None, :, None] * (1 - w)[None, :, None, None])
-    small = np.abs(den) <= core.DEGENERACY_TOL
-    if small.any():
-        r, l, n, j = (int(i) + 1 for i in np.argwhere(small)[0])
-        raise DegenerateDenominatorError(
-            f"degenerate operator denominator at (r={r}, l={l}, n={n}, j={j})", indices=(r, l, n, j))
     out = np.zeros((n_blocks, jc, n_blocks, jc), dtype=complex)
     out[:, :, :cols.size] = (1j * (1 - w))[None, :, None, None] * s.table[:cols.size] / den
     return out.reshape(n_blocks * jc, n_blocks * jc)

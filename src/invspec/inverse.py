@@ -15,9 +15,10 @@ no causal sweep: p is minus the d_a terms.
 Both stages read the tables of the kernel shared with the forward map
 (``kernel.py``) and write the buffers of one pooled workspace through the
 views the kernel planned for each offset and column; inverse_map runs both
-in the same workspace.  v_from_s checks its denominators, which depend on
-the data's zeros, in one vectorised pass; p_from_v reads the verdict of its
-remainder guard that the kernel settled when it was built.
+in the same workspace.  v_from_s needs no guard: every denominator it
+divides by has modulus at least 2 sin^2(pi/2m) (n + r) (the lemma of
+core.a_m_constant).  p_from_v reads the verdict of its remainder guard that
+the kernel settled when it was built, so no guard depends on the data.
 """
 from __future__ import annotations
 
@@ -25,35 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .core import PotentialCoefficients, SpectralData, VTable, roots_of_unity
-from .errors import DegenerateDenominatorError, InputError
+from .errors import InputError
 from .kernel import DiagonalKernel, Workspace, diagonal_kernel
 
 
-def _check_denominators(kern: DiagonalKernel, table: np.ndarray) -> None:
-    """Raise at the first |denominator| <= core.DEGENERACY_TOL that the column sweep would divide by.
-
-    Entry (n, j, r, l) is first read at column n + r, and only when S_nj != 0;
-    within a column the sweep runs over n, then j, then l.
-    """
-    tol = core.DEGENERACY_TOL
-    n, j = np.nonzero((kern.den_floor <= tol) & (table != 0))
-    if not n.size:
-        return
-    # |den| at every (r, l) of each (n, j) whose floor tripped, as [r, l, pair]
-    r = np.arange(table.shape[0])[:, None, None]
-    small = (kern.abs_den(n, j) <= tol) & (r + n + 2 <= table.shape[0])
-    r, l, at = np.nonzero(small)
-    first = np.lexsort((l, j[at], n[at], r + n[at]))[0]
-    indices = (int(n[at[first]]) + 1, int(j[at[first]]) + 1, int(r[first]) + 1, int(l[first]) + 1)
-    raise DegenerateDenominatorError(
-        "degenerate denominator at (n={}, j={}, r={}, l={})".format(*indices), indices=indices)
-
-
-def _v_columns(kern: DiagonalKernel, ws: Workspace, s: SpectralData) -> None:
+def _v_columns(ws: Workspace, s: SpectralData) -> None:
     """Write the triangular V table to ws as columns V[alpha, n, j], one diagonal offset at a time."""
-    _check_denominators(kern, s.table)
     np.copyto(ws.diagonal, s.table)
     np.multiply(1j * (1 - roots_of_unity(s.order)[1:]), s.table, out=ws.lead)
     for col, inv_den, acc, lead, acc_rows, offset_rows in ws.offsets:
@@ -66,7 +45,7 @@ def v_from_s(s: SpectralData) -> VTable:
     """Fill the triangular V table from spectral data, one diagonal offset at a time."""
     kern = diagonal_kernel(s.order.m, s.n_max)
     with kern.workspace() as ws:
-        _v_columns(kern, ws, s)
+        _v_columns(ws, s)
         return VTable._from_sweep(s.order, s.n_max, ws.columns.transpose(2, 1, 0))
 
 
@@ -104,7 +83,7 @@ def inverse_map(s: SpectralData) -> PotentialCoefficients:
     """Spectral data to potential coefficients."""
     kern = diagonal_kernel(s.order.m, s.n_max)
     with kern.workspace() as ws:
-        _v_columns(kern, ws, s)
+        _v_columns(ws, s)
         return _p_from_columns(kern, ws)
 
 

@@ -34,7 +34,7 @@ once and in the layout its sweep reads.  A forward table is a list of
 per-column blocks in one flat buffer, each block only the entries its column
 reads, so none is padded to the widest column.  The guards keep only the
 floors they compare with the tolerance constants, and the build settles
-every guard that depends on nothing else.  Table axes are 0-based: index i
+every guard, as none depends on the data.  Table axes are 0-based: index i
 stands for the mode i + 1 of n, alpha, s or r, and for the root w_{i+1} of j
 or l.
 
@@ -109,7 +109,8 @@ class DiagonalKernel:
     its first rows, stacked as p_share[k], also map p[., alpha]; where a pivot
     is negligible, a column the guards refuse, it holds the identity's image.
     inv_den[r, l, n, j] = 1 / den, den = n w_j (1 - w_l) - r (1 - w_j), is the
-    inverse map's.  diag_pivots[alpha] are the pivot moduli |U_ii| of the
+    inverse map's; |den| >= 2 sin^2(pi/2m) (n + r) (core.a_m_constant), so it
+    needs no guard.  diag_pivots[alpha] are the pivot moduli |U_ii| of the
     partial-pivot elimination of the forward map's diagonal system d_a(alpha,
     alpha)^T, which depends only on m and alpha, and diag_ratio[alpha] is
     their ratio max / min (inf at a zero pivot).  pair_at and moment_at place
@@ -117,15 +118,14 @@ class DiagonalKernel:
     forward column.
 
     The guards read floors: read_remainder; left_floor[alpha, j], the smallest
-    |L| at n < alpha, against left_scale[alpha, j] = (alpha / |1 - w_j|)^2m;
-    and den_floor[n, j], the smallest |den| that v_from_s reads (r + n <= N).
-    Only where a floor trips do check_remainders, abs_left and abs_den
-    recompute, as the build computed them, the entries they report.
+    |L| at n < alpha, against left_scale[alpha, j] = (alpha / |1 - w_j|)^2m.
+    Only where a floor trips do check_remainders and abs_left recompute, as
+    the build computed them, the entries they report.
 
-    Every guard but v_from_s's denominators depends only on (m, N) and the
-    tolerance constants, so the build settles them: forward_refusal is the
-    first column alpha (1-based) the forward sweep refuses, inverse_refusal
-    the first whose remainders p_from_v refuses, None where there is none.
+    Every guard depends only on (m, N) and the tolerance constants, so the
+    build settles them all: forward_refusal is the first column alpha
+    (1-based) the forward sweep refuses, inverse_refusal the first whose
+    remainders p_from_v refuses, None where there is none.
     A kernel keeps the verdict of the constants it was built under: changing
     LEFT_FACTOR_RTOL, COND_LIMIT, PIVOT_TOL or polyalg.REMAINDER_RTOL
     at run time takes diagonal_kernel.cache_clear().
@@ -145,10 +145,8 @@ class DiagonalKernel:
         self.w = roots_of_unity(order)[1:]
         self.c = modes[:, None] / (1 - self.w)
         self.left_scale = (modes[:, None] / np.abs(1 - self.w)) ** (2 * m)
-        den = self._den(modes[:, None, None, None], np.arange(jc)[:, None, None], modes[:, None], np.arange(jc))
-        self.inv_den = 1 / den
-        read = modes[:, None, None, None] + modes[:, None] <= n_max
-        self.den_floor = np.where(read, np.abs(den), np.inf).min(axis=(0, 1))
+        self.inv_den = 1 / (modes[:, None] * self.w * (1 - self.w)[:, None, None]
+                            - modes[:, None, None, None] * (1 - self.w))
         system = np.array(self.d_a[modes - 1, modes - 1].transpose(0, 2, 1))
         self.diag_pivots = pivot_moduli(system)
         lo = self.diag_pivots.min(axis=1)
@@ -205,18 +203,9 @@ class DiagonalKernel:
         c, two_m = self.c[:k], 2 * self.order.m
         return (k + 1 - c) ** two_m - c ** two_m
 
-    def _den(self, r, l, n, j) -> np.ndarray:
-        """den = n w_j (1 - w_l) - r (1 - w_j) at modes r, n and 0-based roots l, j, broadcast."""
-        return n * self.w[j] * (1 - self.w)[l] - r * (1 - self.w)[j]
-
     def abs_left(self, alpha: int) -> np.ndarray:
         """|L[alpha, n, j]| at n < alpha, as [n, j], as the build computed it."""
         return np.abs(self._left(alpha - 1))
-
-    def abs_den(self, n: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """|den[r, l, n, j]| at every (r, l) and the 0-based index pairs (n, j), as [r, l, pair]."""
-        modes = np.arange(1, self.n_max + 1)
-        return np.abs(self._den(modes[:, None, None], np.arange(self.order.j_count)[:, None], n + 1, j))
 
     @contextmanager
     def workspace(self):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from invspec import Order, PotentialCoefficients, SpectralData, analytic, core, kernel, polyalg
+from invspec import Order, PotentialCoefficients, SpectralData, analytic, kernel, polyalg
 
 # the module each guard constant lives in
 _CONSTANT_HOMES = {"LEFT_FACTOR_RTOL": kernel, "COND_LIMIT": kernel, "REMAINDER_RTOL": polyalg,
-                   "DEGENERACY_TOL": core, "POLE_TOL": analytic}
+                   "POLE_TOL": analytic}
 
 
 def random_potential(order: Order, n_max: int, rng, scale: float = 0.05) -> PotentialCoefficients:

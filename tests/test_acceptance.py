@@ -153,7 +153,7 @@ def test_criterion_8_hand_anchors():
     _, s = forward_map(PotentialCoefficients(Order(1), 3, coeffs))
     anchor = abs(s.entry(1, 1) - 1j * eps)
 
-    a1 = a_m_constant(Order(1), cap=60).value
+    a1 = a_m_constant(Order(1))
 
     value = 0.7 - 0.4j
     rank_one = SpectralData(Order(1), 1, np.array([[value]], dtype=complex))
@@ -180,7 +180,7 @@ def test_criterion_10_contraction_reports():
     def single(value):
         return SpectralData(Order(1), 1, np.array([[value]], dtype=complex))
 
-    a1 = a_m_constant(Order(1), cap=40).value
+    a1 = a_m_constant(Order(1))
     half = contraction_conditions(single(1.0), a1)
     exact = (half.condition_ii_p == pytest.approx(0.5, abs=1e-15)
              and half.condition_i == pytest.approx(1.0, abs=1e-15)

@@ -293,24 +293,37 @@ def test_load_problem_rejects_non_finite_values_and_non_integral_indices(tmp_pat
     load_problem(str(inp))
 
 
-@pytest.mark.parametrize("mode, key", [("potential", "m"), ("spectral", "N"), ("potential", "gamma"),
-                                       ("spectral", "j"), ("potential", "n"), ("potential", "re"),
-                                       ("spectral", "im")])
-def test_boolean_fields_exit_1_and_write_nothing(tmp_path, mode, key):
-    # every field reads True as 1 without the check, and the file then maps cleanly
+NUMERIC_FIELDS = [("potential", "m"), ("spectral", "N"), ("potential", "gamma"), ("spectral", "j"),
+                  ("potential", "n"), ("potential", "re"), ("spectral", "im")]
+
+
+def refuses_field(tmp_path, mode: str, key: str, value) -> None:
+    """A problem file whose field key holds value: load_problem and the CLI refuse it, writing nothing."""
     index = "gamma" if mode == "potential" else "j"
     entry = {index: 0 if mode == "potential" else 1, "n": 1, "re": 0.01, "im": 0.0}
     doc = {"schema_version": "1", "mode": mode, "m": 2, "N": 4, "entries": [entry]}
-    (entry if key in entry else doc)[key] = True
+    (entry if key in entry else doc)[key] = value
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(doc))
-    with pytest.raises(InputError, match="True"):
+    with pytest.raises(InputError, match=repr(value)):
         load_problem(str(inp))
     out = tmp_path / "out.json"
     command = "forward" if mode == "potential" else "inverse"
     result = run_cli(command, "--input", str(inp), "--output", str(out))
     assert result.returncode == 1 and result.stderr.startswith("error: malformed")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, key", NUMERIC_FIELDS)
+def test_boolean_fields_exit_1_and_write_nothing(tmp_path, mode, key):
+    # every field reads True as 1 without the check, and the file then maps cleanly
+    refuses_field(tmp_path, mode, key, True)
+
+
+@pytest.mark.parametrize("mode, key", NUMERIC_FIELDS)
+def test_string_fields_exit_1_and_write_nothing(tmp_path, mode, key):
+    # int() and float() read "1" as 1 without the check, and the file then maps cleanly
+    refuses_field(tmp_path, mode, key, "1")
 
 
 @pytest.mark.parametrize("command, mode, value", [
@@ -374,13 +387,29 @@ def test_verify_refuses_a_non_finite_forward_map_before_any_check(tmp_path, monk
 
 
 def test_inverse_refuses_a_bad_am_cap_before_writing(tmp_path):
+    # --am-cap is retired: a_m has a closed form.  Like any usage error it is malformed input
     inp = tmp_path / "s.json"
     write_problem(inp, "spectral", 2, 4, [{"j": 1, "n": 1, "re": 0.01, "im": 0.0}])
     result = run_cli("inverse", "--input", str(inp), "--output", str(tmp_path / "p.json"),
                      "--report", str(tmp_path / "report.json"), "--am-cap", "0")
     assert result.returncode == 1
-    assert "cap must be >= 1" in result.stderr
+    assert "unrecognized arguments: --am-cap 0" in result.stderr
     assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["forward", "--output", "{}/out.json"], "the following arguments are required: --input"),
+    (["transform", "--input", "{}/s.json"], "invalid choice: 'transform'"),
+    (["det", "--input", "{}/s.json", "--output", "{}/grid.csv", "--re-steps", "x"], "invalid int value: 'x'"),
+])
+def test_usage_errors_exit_1_and_write_nothing(tmp_path, args, message):
+    # argparse's own code for a usage error is 2, which the contract keeps for degenerate arithmetic
+    write_problem(tmp_path / "s.json", "spectral", 2, 4, [{"j": 1, "n": 1, "re": 0.01, "im": 0.0}])
+    result = run_cli(*(arg.format(tmp_path) for arg in args))
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage: invspec") and message in result.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
+    assert run_cli("det", "--help").returncode == 0
 
 
 EXIT_CODES = {InvspecError: 1, InputError: 1, TruncationError: 1,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from invspec import (Order, PotentialCoefficients, SpectralData, VTable,
-                     a_m_constant, k_pole, pole, roots_of_unity)
+from conftest import random_potential
+from invspec import (Order, PotentialCoefficients, SpectralData, VTable, a_m_constant, analytic,
+                     forward_map, k_pole, kernel, pole, roots_of_unity)
 from invspec.errors import InputError
 
 
@@ -52,14 +53,43 @@ def test_pole_scales_linearly_in_n(m):
 
 
 def test_a1_is_exactly_one():
-    report = a_m_constant(Order(1), cap=40)
-    assert report.value == pytest.approx(1.0, abs=1e-14)
-    assert report.ordered_value == pytest.approx(1.0, abs=1e-14)
+    assert a_m_constant(Order(1)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_root_of_unity_lemma_bounds_denominators_rates_and_a_m(rng):
+    # |den| >= 2 sin^2(pi/2m) (n + r), den = n w_j (1 - w_l) - r (1 - w_j), with equality at
+    # n = r = 1 and w_j = w_l = w_1; N = 128 up to m = 8 and 32 past it keeps the grid small
+    for m in range(1, 33):
+        w = roots_of_unity(Order(m))[1:]
+        modes = np.arange(1, (128 if m <= 8 else 32) + 1)
+        den = (modes[:, None] * w * (1 - w)[:, None, None]
+               - modes[:, None, None, None] * (1 - w))
+        ratio = np.abs(den) / (2 * np.sin(np.pi / (2 * m)) ** 2
+                               * (modes[:, None, None, None] + modes[:, None]))
+        assert ratio.min() >= 1 - 1e-14
+        assert ratio[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-14)
+    for m, n_max in [(1, 64), (2, 64), (3, 32), (4, 32)]:
+        modes = np.arange(1, n_max + 1)
+        bound = 2 * np.sin(np.pi / (2 * m)) ** 2 * (modes[:, None, None, None] + modes[:, None])
+        assert (np.abs(1 / kernel.diagonal_kernel(m, n_max).inv_den) >= (1 - 1e-14) * bound).all()
+    # every product rate of the Marchenko integral has real part -(n + n') / 2 <= -1
+    for m in range(1, 7):
+        v, s = forward_map(random_potential(Order(m), 8, rng))
+        kb = analytic._kernel_terms(v)[2]
+        fg = analytic._transition_terms(s)[1]
+        assert np.add.outer(kb.real, fg.real).max() <= -1 + 1e-13
+    # the quotient enumerated over 1 <= n, r <= 50 peaks at the closed form
+    n = np.arange(1, 51)[:, None]
+    r = np.arange(1, 51)
+    for m in range(1, 5):
+        w = roots_of_unity(Order(m))
+        wj, wl = w[1:, None, None, None], w[1:, None, None]
+        quotient = np.abs((1 - wj) * (n + r)) / np.abs(r * (1 - wj) - n * (1 - wl) * wj)
+        assert quotient.max() == pytest.approx(a_m_constant(Order(m)), rel=1e-15)
 
 
 def test_a2_matches_bruteforce_enumeration():
     order = Order(2)
-    report = a_m_constant(order, cap=50)
     w = roots_of_unity(order)
     best = 0.0
     for j in range(1, 4):
@@ -68,20 +98,13 @@ def test_a2_matches_bruteforce_enumeration():
                 for r in range(1, 51):
                     q = abs((1 - w[j]) * (n + r)) / abs(r * (1 - w[j]) - n * (1 - w[l]) * w[j])
                     best = max(best, q)
-    assert report.value == pytest.approx(best, rel=1e-13)
-    assert report.ordered_value <= report.value
+    assert a_m_constant(order) == pytest.approx(best, rel=1e-15)
 
 
 def test_a2_single_point_quotient():
     w = roots_of_unity(Order(2))
     expected = abs((1 - w[1]) * 2) / abs(1 * (1 - w[1]) - 1 * (1 - w[2]) * w[1])
-    report = a_m_constant(Order(2), cap=1)
-    assert report.value >= expected - 1e-15
-
-
-def test_a_m_monotone_in_cap():
-    values = [a_m_constant(Order(2), cap=c).value for c in (5, 10, 20, 40)]
-    assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+    assert a_m_constant(Order(2)) >= expected - 1e-15
 
 
 def test_order_validation():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import (Order, SpectralData, det_truncated, forward_map, fredholm, roots_of_unity,
-                     scan_halfplane)
-from invspec.core import DEGENERACY_TOL
+from invspec import (Order, SpectralData, det_truncated, forward_map, fredholm, inverse_map,
+                     roots_of_unity, scan_halfplane)
 from invspec.errors import DegenerateDenominatorError, InputError
 
 
@@ -268,7 +267,7 @@ def test_batched_scan_matches_pointwise_determinants(fixture):
     assert winding == (0 if fixture in ("truncated", "round_trip_m2") else 1)
 
 
-def loop_prefactor(s, n_blocks, tol, w):
+def loop_prefactor(s, n_blocks, w):
     """The operator prefactor as one scalar loop over (r, l, n, j)."""
     jc = s.order.j_count
     out = np.zeros((n_blocks * jc, n_blocks * jc), dtype=complex)
@@ -277,8 +276,6 @@ def loop_prefactor(s, n_blocks, tol, w):
             for n in range(1, min(n_blocks, s.n_max) + 1):
                 for j in range(1, jc + 1):
                     den = r * w[l] * (1 - w[j]) - n * (1 - w[l])
-                    if abs(den) <= tol:
-                        raise DegenerateDenominatorError("loop", indices=(r, l, n, j))
                     out[(r - 1) * jc + l - 1, (n - 1) * jc + j - 1] = (
                         1j * (1 - w[l]) * s.table[n - 1, j - 1] / den)
     return out
@@ -287,7 +284,7 @@ def loop_prefactor(s, n_blocks, tol, w):
 @pytest.mark.parametrize("m, n_max, n_blocks", [(1, 6, 6), (2, 6, 4), (2, 4, 7), (3, 5, 5), (4, 3, 5)])
 def test_prefactor_matches_scalar_loop(m, n_max, n_blocks):
     s = random_spectral(Order(m), n_max, np.random.default_rng(m + n_blocks))
-    want = loop_prefactor(s, n_blocks, DEGENERACY_TOL, roots_of_unity(Order(m)))
+    want = loop_prefactor(s, n_blocks, roots_of_unity(Order(m)))
     got = fredholm._prefactor(s, n_blocks)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -295,25 +292,45 @@ def test_prefactor_matches_scalar_loop(m, n_max, n_blocks):
     assert not got[:, n_max * (2 * m - 1):].any()
 
 
-@pytest.mark.parametrize("quantile", [0.01, 0.1, 0.25])
-def test_prefactor_guard_names_the_loop_index(monkeypatch, guard_constants, quantile):
-    # unit-modulus points in place of the roots move the smallest denominator
-    # away from (1, 1, 1, 1); the vanishing S at the tripped index is still checked
-    order = Order(3)
-    w = np.exp(1j * np.array([0.0, np.pi, 0.3, 0.35, 2.0, 4.0]))
-    monkeypatch.setattr(fredholm, "roots_of_unity", lambda _: w)
-    s = random_spectral(order, 4, np.random.default_rng(6))
-    rows = np.arange(1, 6)
-    den = np.abs(rows[:, None, None, None] * w[None, 1:, None, None] * (1 - w[1:])[None, None, None, :]
-                 - rows[None, None, :4, None] * (1 - w[1:])[None, :, None, None])
-    tol = np.quantile(den, quantile)
-    with pytest.raises(DegenerateDenominatorError) as info:
-        loop_prefactor(s, 5, tol, w)
-    r, l, n, j = info.value.indices
-    assert info.value.indices != (1, 1, 1, 1)
-    table = np.array(s.table)
-    table[n - 1, j - 1] = 0.0
-    guard_constants(DEGENERACY_TOL=tol)
-    with pytest.raises(DegenerateDenominatorError) as info:
-        fredholm._prefactor(SpectralData(order, 4, table), 5)
-    assert info.value.indices == (r, l, n, j)
+def log_det_series(s: SpectralData) -> np.ndarray:
+    """l_1..l_N, where log P(q) = sum_n l_n q^n and det(E - F(z)) = P(e^{iz}).
+
+    P has degree at most deg = (2m - 1) N (N + 1) / 2, so one FFT of its values at
+    K = 2^ceil(log2(deg + 1)) points of |q| = 1 gives its coefficients c_n exactly,
+    and the log series follows from n l_n = n c_n - sum_{k<n} k l_k c_{n-k}.
+    """
+    m, n_max = s.order.m, s.n_max
+    points = 1 << ((2 * m - 1) * n_max * (n_max + 1) // 2).bit_length()
+    _, dets = fredholm._determinants(s, None)
+    c = np.fft.fft(dets(2 * np.pi * np.arange(points) / points)) / points
+    l = np.zeros(n_max + 1, dtype=complex)
+    for n in range(1, n_max + 1):
+        l[n] = c[n] - np.dot(np.arange(1, n) * l[1:n], c[n - 1:0:-1]) / n
+    return l[1:]
+
+
+@pytest.mark.parametrize("data, m, n_max", [
+    ("forward", 1, 8), ("forward", 2, 8), ("forward", 3, 5),
+    ("random", 1, 8), ("random", 2, 8), ("random", 3, 5),
+    # S_11 = 4i puts a zero of P inside |q| < 1 (at q = 1/2 for m = 1); the recurrence is formal
+    ("zero", 1, 8), ("zero", 2, 8),
+])
+def test_determinant_log_series_gives_the_top_coefficient(data, m, n_max):
+    # p_{2m-2, n} = -2m n^2 l_n: the top coefficient function of the potential is read off the
+    # Taylor series of the log of the Fredholm determinant
+    order = Order(m)
+    rng = np.random.default_rng(m + n_max)
+    if data == "forward":
+        p = random_potential(order, n_max, rng)
+        _, s = forward_map(p)
+    else:
+        if data == "random":
+            s = random_spectral(order, n_max, rng)
+        else:
+            table = np.zeros((n_max, order.j_count), dtype=complex)
+            table[0, 0] = 4j
+            s = SpectralData(order, n_max, table)
+        p = inverse_map(s)
+    top = p.coeffs[2 * m - 2]
+    n = np.arange(1, n_max + 1)
+    assert np.abs(-2 * m * n ** 2 * log_det_series(s) - top).max() <= 1e-10 * np.abs(top).max()

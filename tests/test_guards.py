@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import Order, SpectralData, forward_map, inverse_map, v_from_s
-from invspec.errors import (DegenerateDenominatorError, DivisionRemainderError,
-                            ResonantIndexError, SingularSystemError)
+from invspec import Order, forward_map, inverse_map
+from invspec.errors import DivisionRemainderError, ResonantIndexError, SingularSystemError
 
 
 @pytest.mark.parametrize("m, n_max, left_tol, indices", [
@@ -24,33 +23,6 @@ def test_resonant_left_factor_guard(guard_constants, m, n_max, left_tol, indices
     guard_constants(LEFT_FACTOR_RTOL=left_tol)
     with pytest.raises(ResonantIndexError) as info:
         forward_map(p)
-    assert info.value.indices == indices
-
-
-def test_degenerate_denominator_guard(guard_constants):
-    _, s = forward_map(random_potential(Order(3), 10, np.random.default_rng(3)))
-    guard_constants(DEGENERACY_TOL=0.8)
-    v_from_s(s)
-    guard_constants(DEGENERACY_TOL=1.0)
-    with pytest.raises(DegenerateDenominatorError) as info:
-        v_from_s(s)
-    assert info.value.indices == (1, 1, 1, 1)
-
-
-@pytest.mark.parametrize("m, zeros, tol, indices", [
-    (2, [(1, 1)], 2.5, (1, 3, 1, 3)),
-    (3, [(1, 1), (1, 2)], 2.5, (1, 4, 1, 5)),
-    (3, [(1, j) for j in range(1, 6)], 2.0, (2, 1, 1, 1)),
-    (3, [(1, j) for j in range(1, 6)] + [(2, 1)], 2.0, (2, 5, 1, 5)),
-])
-def test_degenerate_denominator_skips_zero_data(guard_constants, m, zeros, tol, indices):
-    # a vanishing S_nj multiplies its whole sum, so its denominators are never read
-    table = np.full((6, 2 * m - 1), 0.01 + 0.002j)
-    for n, j in zeros:
-        table[n - 1, j - 1] = 0.0
-    guard_constants(DEGENERACY_TOL=tol)
-    with pytest.raises(DegenerateDenominatorError) as info:
-        v_from_s(SpectralData(Order(m), 6, table))
     assert info.value.indices == indices
 
 

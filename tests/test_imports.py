@@ -50,7 +50,7 @@ def test_every_export_resolves_to_its_home_object():
                           "homes": sorted({getattr(invspec, n).__module__ for n in names})}))
     """)
     assert out["before"] is False
-    assert len(out["names"]) == 30
+    assert len(out["names"]) == 29
     assert out["wrong"] == []
     assert out["cached"] is True
     assert out["star"] == sorted(out["names"])

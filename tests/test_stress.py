@@ -27,7 +27,7 @@ def test_round_trip_at_contraction_sum_66():
     order = Order(2)
     p = random_potential(order, 24, np.random.default_rng(20240811), scale=10.85)
     _, s = forward_map(p)
-    contraction = contraction_conditions(s, a_m_constant(order, cap=50).value).condition_ii_p
+    contraction = contraction_conditions(s, a_m_constant(order)).condition_ii_p
     assert 60 < contraction < 70
     assert relative(inverse_map(s).coeffs, p.coeffs) <= 3e-14
 

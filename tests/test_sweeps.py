@@ -20,10 +20,9 @@ import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral, reference_pivots
-from invspec import (Order, SpectralData, VTable, forward, forward_map, inverse_map, kernel, p_from_v,
-                     polyalg, roots_of_unity, v_from_s)
-from invspec.errors import (DegenerateDenominatorError, DivisionRemainderError, ResonantIndexError,
-                            SingularMatrixError, SingularSystemError)
+from invspec import (Order, VTable, forward, forward_map, inverse_map, kernel, p_from_v, polyalg,
+                     roots_of_unity, v_from_s)
+from invspec.errors import DivisionRemainderError, ResonantIndexError, SingularMatrixError, SingularSystemError
 from invspec.kernel import DiagonalKernel, diagonal_kernel
 
 SIZES = [(1, 64), (2, 64), (3, 32), (4, 32)]
@@ -204,28 +203,10 @@ def reads_guards(order: Order, n_max: int) -> None:
         check_reads(order, remainders, alpha, diag_first=False)
 
 
-def denominator_guard(s, tol: float) -> None:
-    """v_from_s's guard over the full |den[r, l, n, j]| table, in the column sweep's order."""
-    n_max = s.n_max
-    w = roots_of_unity(s.order)[1:]
-    modes = np.arange(1, n_max + 1)
-    den = (modes[None, None, :, None] * w[None, None, None, :] * (1 - w)[None, :, None, None]
-           - modes[:, None, None, None] * (1 - w)[None, None, None, :])
-    small = ((np.abs(den) <= tol) & (s.table != 0)[None, None]
-             & (modes[:, None, None, None] + modes[None, None, :, None] <= n_max))
-    if small.any():
-        hit = np.argwhere(small)
-        r, l, n, j = hit[np.lexsort((hit[:, 1], hit[:, 3], hit[:, 2], hit[:, 0] + hit[:, 2]))[0]] + 1
-        indices = (int(n), int(j), int(r), int(l))
-        raise DegenerateDenominatorError(
-            "degenerate denominator at (n={}, j={}, r={}, l={})".format(*indices), indices=indices)
-
-
 def raised(fn) -> tuple:
     try:
         fn()
-    except (ResonantIndexError, DivisionRemainderError, SingularSystemError, SingularMatrixError,
-            DegenerateDenominatorError) as exc:
+    except (ResonantIndexError, DivisionRemainderError, SingularSystemError, SingularMatrixError) as exc:
         return type(exc), str(exc), getattr(exc, "indices", None), getattr(exc, "alpha", None)
     return None, "", None, None
 
@@ -266,25 +247,6 @@ def test_inverse_remainder_guard_matches_the_full_tables(guard_constants, m, n_m
     data = random_spectral(Order(m), n_max, np.random.default_rng(4))
     want = raised(lambda: reads_guards(Order(m), n_max))
     assert want[0] is DivisionRemainderError
-    assert raised(lambda: inverse_map(data)) == want
-
-
-@pytest.mark.parametrize("m, n_max, tol, zeros", [
-    (3, 32, 1.0, []),
-    (3, 32, 2.0, [(1, 1), (2, 1)]),
-    (4, 32, 2.0, [(1, j) for j in range(1, 8)]),
-    (4, 32, 3.0, [(n, j) for n in (1, 2) for j in range(1, 8)] + [(3, 1)]),
-])
-def test_denominator_guard_past_the_acceptance_sizes_matches_the_full_table(guard_constants, m, n_max, tol,
-                                                                            zeros):
-    table = np.array(random_spectral(Order(m), n_max, np.random.default_rng(4)).table)
-    for n, j in zeros:
-        table[n - 1, j - 1] = 0.0
-    data = SpectralData(Order(m), n_max, table)
-    want = raised(lambda: denominator_guard(data, tol))
-    assert want[0] is DegenerateDenominatorError
-    guard_constants(DEGENERACY_TOL=tol)
-    assert raised(lambda: v_from_s(data)) == want
     assert raised(lambda: inverse_map(data)) == want
 
 
@@ -618,11 +580,7 @@ def test_denominator_floor_and_recomputed_entries_equal_the_full_table(m, n_max)
     modes = np.arange(1, n_max + 1)
     den = (modes[None, None, :, None] * w[None, None, None, :] * (1 - w)[None, :, None, None]
            - modes[:, None, None, None] * (1 - w)[None, None, None, :])
-    read = modes[:, None, None, None] + modes[None, None, :, None] <= n_max
-    assert same_bits(kern.den_floor, np.where(read, np.abs(den), np.inf).min(axis=(0, 1)))
     assert same_bits(kern.inv_den, 1 / den)
-    n, j = np.nonzero(np.ones((n_max, 2 * m - 1), dtype=bool))
-    assert same_bits(kern.abs_den(n, j), np.abs(den[:, :, n, j]))
 
 
 def slicing_forward(p) -> tuple[np.ndarray, np.ndarray]:
