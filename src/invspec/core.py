@@ -185,12 +185,11 @@ class VTable:
 
     @classmethod
     def _from_sweep(cls, order: Order, n_max: int, table: np.ndarray) -> "VTable":
-        """A copy of a (j_count, n_max, n_max) table that a column sweep built
-        triangular, without checking its triangle again."""
-        arr = np.array(table, dtype=complex, order="C")
-        arr.setflags(write=False)
+        """A fresh C-ordered complex (j_count, n_max, n_max) table that a sweep
+        built triangular, frozen and kept without a copy or a check of its triangle."""
+        table.setflags(write=False)
         v = object.__new__(cls)
-        for name, value in (("order", order), ("n_max", n_max), ("table", arr)):
+        for name, value in (("order", order), ("n_max", n_max), ("table", table)):
             object.__setattr__(v, name, value)
         return v
 
@@ -228,9 +227,21 @@ def a_m_constant(order: Order) -> float:
 
         |den| >= |1 - w_j| |1 - w_l| (n + r) / 2 >= 2 sin^2(pi / 2m) (n + r),
 
-    so no denominator of the inverse map or of the data operator comes near zero.  The
+    so no denominator of v_from_s or of the data operator comes near zero.  The
     quotient above is then at most 2 / |1 - w_l| <= 1 / sin(pi / 2m), with equality at
     j = l = 1, n = r = 1.  The same real parts make every product rate of the Marchenko
     integral -(n + n') / 2 <= -1, so its tail integrals converge.
     """
     return float(1 / np.sin(np.pi / (2 * order.m)))
+
+
+def cauchy_denominators(order: Order, n_max: int) -> np.ndarray:
+    """den[r, l, n, j] = r w_l (1 - w_j) - n (1 - w_l) over the modes r, n = 1..n_max and the
+    nontrivial roots w_l, w_j, the denominators of the data operator and of v_from_s.
+
+    By the lemma of a_m_constant, |den| >= 2 sin^2(pi / 2m) (n + r): none comes near zero.
+    """
+    w = roots_of_unity(order)[1:]
+    modes = np.arange(1, n_max + 1)
+    return (modes[:, None, None, None] * w[None, :, None, None] * (1 - w)[None, None, None, :]
+            - modes[None, None, :, None] * (1 - w)[None, :, None, None])

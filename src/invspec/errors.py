@@ -29,32 +29,12 @@ class PoleProximityError(DegenerateDenominatorError):
     """A series evaluation point is too close to a pole (n, j)."""
 
 
-class SingularMatrixError(InvspecError):
-    """Linear solve hit a negligible pivot; carries the pivot index."""
-
-    def __init__(self, message: str, pivot_index: int = -1):
-        super().__init__(message)
-        self.pivot_index = pivot_index
-
-
-class SingularSystemError(InvspecError):
-    """The diagonal solve at some column is numerically singular."""
-
-    def __init__(self, message: str, alpha: int = -1):
-        super().__init__(message)
-        self.alpha = alpha
-
-
 class TruncationError(InvspecError):
     """A recurrence requested an entry beyond the stored truncation depth."""
 
     def __init__(self, message: str, needed_depth: int = -1):
         super().__init__(message)
         self.needed_depth = needed_depth
-
-
-class DivisionRemainderError(InvspecError):
-    """Exact linear-factor division left a remainder above tolerance."""
 
 
 class NonFiniteResultError(InvspecError):

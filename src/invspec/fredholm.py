@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpectralData, roots_of_unity
+from .core import SpectralData, cauchy_denominators, roots_of_unity
 from .errors import DegenerateDenominatorError, InputError, NonFiniteResultError
 
 CONVENTION = "det(E-F)"
@@ -25,17 +25,14 @@ def _prefactor(s: SpectralData, n_blocks: int) -> np.ndarray:
     """z-independent part i (1 - w_l) S_nj / (r w_l (1 - w_j) - n (1 - w_l)).
 
     Blocks n > s.n_max carry no data and stay zero.  No denominator comes near
-    zero: its modulus is at least 2 sin^2(pi/2m) (n + r) (core.a_m_constant).
+    zero (core.cauchy_denominators).
     """
-    order = s.order
-    jc = order.j_count
-    w = roots_of_unity(order)[1:]
-    rows = np.arange(1, n_blocks + 1)
-    cols = rows[:s.n_max]
-    den = (rows[:, None, None, None] * w[None, :, None, None] * (1 - w)[None, None, None, :]
-           - cols[None, None, :, None] * (1 - w)[None, :, None, None])
+    jc = s.order.j_count
+    w = roots_of_unity(s.order)[1:]
+    cols = min(n_blocks, s.n_max)
+    den = cauchy_denominators(s.order, n_blocks)[:, :, :cols]
     out = np.zeros((n_blocks, jc, n_blocks, jc), dtype=complex)
-    out[:, :, :cols.size] = (1j * (1 - w))[None, :, None, None] * s.table[:cols.size] / den
+    out[:, :, :cols] = (1j * (1 - w))[None, :, None, None] * s.table[:cols] / den
     return out.reshape(n_blocks * jc, n_blocks * jc)
 
 

@@ -1,24 +1,20 @@
-"""Inverse spectral map: spectral data to the V table and back to the potential.
+"""Inverse spectral map: spectral data to potential coefficients, and the V table in closed form.
 
-The V table is rebuilt from the diagonal outward: V_nn^(j) = S_nj seeds each
-column, and an entry at column n + beta is a weighted sum over the full
-column beta.  With V held column by column, as V[s, n, j], each diagonal
-offset beta is one BLAS matvec of column beta against the kernel's reciprocal
-denominators, stored as inv_den[r, l, n, j].  The potential then falls out of
-the diagonal relation read as a definition of p_{gamma alpha}: the column
-moments' pairs (nu, gamma < nu) and the d_a terms of the finished table are
-formed in one batched product each, the pairs placed into the moment blocks
-through the kernel's index set, and a causal sweep over alpha adds the mixed
-convolution, one matvec per column against the coefficients already found,
-kept newest first.  At m = 1 there are no pairs, so no moment product and
-no causal sweep: p is minus the d_a terms.
-Both stages read the tables of the kernel shared with the forward map
-(``kernel.py``) and write the buffers of one pooled workspace through the
-views the kernel planned for each offset and column; inverse_map runs both
-in the same workspace.  v_from_s needs no guard: every denominator it
-divides by has modulus at least 2 sin^2(pi/2m) (n + r) (the lemma of
-core.a_m_constant).  p_from_v reads the verdict of its remainder guard that
-the kernel settled when it was built, so no guard depends on the data.
+inverse_map runs the pole recurrence of the shared kernel (``kernel.py``)
+backward: at column alpha the residues at the new poles, n = alpha, are the
+data S_alpha, and the relation there is a (2m-1) x (2m-1) Vandermonde system
+for the column's new coefficients sq[., alpha].  A column costs five numpy
+calls over the views the kernel planned for it in a pooled workspace: the
+earlier columns' share d, one matvec; the solution x0 and its refinement,
+two stacked products with the kernel's solve tables; and the column's
+weighted values at the later poles, one matvec and one multiply.  The map
+divides only at poles n >= alpha, where |Q_alpha| stays far from zero
+(kernel.py), so it has no guard.
+
+v_from_s is the Cauchy closed form of the V table: V_nn^(j) = S_nj seeds
+each column, and an entry at column n + beta is a weighted sum over the full
+column beta.  Every denominator it divides by has modulus at least 2
+sin^2(pi/2m) (n + r) (core.cauchy_denominators), so it needs no guard either.
 """
 from __future__ import annotations
 
@@ -26,65 +22,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PotentialCoefficients, SpectralData, VTable, roots_of_unity
+from .core import PotentialCoefficients, SpectralData, VTable, cauchy_denominators, roots_of_unity
 from .errors import InputError
-from .kernel import DiagonalKernel, Workspace, diagonal_kernel
-
-
-def _v_columns(ws: Workspace, s: SpectralData) -> None:
-    """Write the triangular V table to ws as columns V[alpha, n, j], one diagonal offset at a time."""
-    np.copyto(ws.diagonal, s.table)
-    np.multiply(1j * (1 - roots_of_unity(s.order)[1:]), s.table, out=ws.lead)
-    for col, inv_den, acc, lead, acc_rows, offset_rows in ws.offsets:
-        # column beta holds rows r <= beta; row n of the result lands in column n + beta
-        np.matmul(col, inv_den, out=acc)
-        np.multiply(lead, acc_rows, out=offset_rows)
+from .kernel import diagonal_kernel
 
 
 def v_from_s(s: SpectralData) -> VTable:
     """Fill the triangular V table from spectral data, one diagonal offset at a time."""
-    kern = diagonal_kernel(s.order.m, s.n_max)
-    with kern.workspace() as ws:
-        _v_columns(ws, s)
-        return VTable._from_sweep(s.order, s.n_max, ws.columns.transpose(2, 1, 0))
-
-
-def _p_from_columns(kern: DiagonalKernel, ws: Workspace) -> PotentialCoefficients:
-    """The potential from the V table held in ws as columns V[alpha, n, j]."""
-    order, n_max = kern.order, ws.v.shape[0]
-    if kern.inverse_refusal is not None:
-        kern.check_remainders(kern.inverse_refusal, diag_first=False)
-    cols = ws.v.reshape(n_max, 1, -1)
-    np.matmul(cols, kern.d_a.reshape(n_max, cols.shape[-1], -1), out=ws.a_terms)
-    if ws.causal:
-        # the negated moments: p = -(conv + a_term) is then one matvec and one subtraction
-        np.matmul(cols, kern.d_b.reshape(n_max, cols.shape[-1], -1), out=ws.pair_w)
-        np.negative(ws.pair_w, out=ws.pair_w)
-        ws.w_blocks[:, kern.pair_at] = ws.pair_w[:, 0]
-        # at column k the found coefficients p[., k - 1 - s], s = 0..k-1, are a suffix of lags
-        for found, w, p_k, a_term in ws.causal:
-            np.matmul(found, w, out=p_k)
-            p_k -= a_term
-    else:
-        # m = 1 has no moment pairs, so no convolution: p = 0 - a_term (+0, not -0, where a_term is 0)
-        np.subtract(0, ws.a_terms[::-1, 0], out=ws.lag_rows)
-    return PotentialCoefficients(order, n_max, ws.lag_rows[::-1].T)
-
-
-def p_from_v(v: VTable) -> PotentialCoefficients:
-    """Read the diagonal relation backwards to recover the potential coefficients."""
-    kern = diagonal_kernel(v.order.m, v.n_max)
-    with kern.workspace() as ws:
-        np.copyto(ws.columns, v.table.transpose(2, 1, 0))
-        return _p_from_columns(kern, ws)
+    order, n_max = s.order, s.n_max
+    jc = order.j_count
+    # inv_den[r*l, n*j] = 1 / (n w_j (1 - w_l) - r (1 - w_j))
+    inv_den = (1 / cauchy_denominators(order, n_max)).transpose(2, 3, 0, 1).reshape(n_max * jc, -1)
+    lead = (1j * (1 - roots_of_unity(order)[1:]) * s.table).reshape(-1)
+    cols = np.zeros((n_max, n_max, jc), dtype=complex)
+    flat = cols.reshape(n_max * n_max, jc)
+    flat[::n_max + 1] = s.table
+    for beta in range(1, n_max):
+        head = (n_max - beta) * jc
+        # column beta holds rows r <= beta; row n of the result lands in column n + beta
+        acc = cols[beta - 1].reshape(-1)[:beta * jc] @ inv_den[:beta * jc, :head]
+        flat[beta * n_max::n_max + 1] = (lead[:head] * acc).reshape(-1, jc)
+    return VTable._from_sweep(order, n_max, cols.transpose(2, 1, 0).copy())
 
 
 def inverse_map(s: SpectralData) -> PotentialCoefficients:
     """Spectral data to potential coefficients."""
-    kern = diagonal_kernel(s.order.m, s.n_max)
+    order, n_max = s.order, s.n_max
+    kern = diagonal_kernel(order.m, n_max)
     with kern.workspace() as ws:
-        _v_columns(ws, s)
-        return _p_from_columns(kern, ws)
+        np.multiply(s.table, kern.t_scale, out=ws.u[:, :order.j_count])
+        for lag_d, values_d, d, first, td, x0, solve, u, slot, lag, values, acc, weights, row in ws.inverse:
+            np.matmul(lag_d, values_d, out=d)
+            np.matmul(first, td, out=x0)
+            np.matmul(solve, u, out=slot)
+            np.matmul(lag, values, out=acc)
+            np.multiply(weights, acc, out=row)
+        # p = sq / (-i)^gamma, the inverse of forward.series_q
+        g = np.arange(order.gamma_count)
+        return PotentialCoefficients(order, n_max, ws.lag_rows[::-1].T / (-1j) ** g[:, None])
 
 
 @dataclass(frozen=True)

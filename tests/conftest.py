@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from invspec import Order, PotentialCoefficients, SpectralData, analytic, kernel, polyalg
+from invspec import Order, PotentialCoefficients, SpectralData, analytic, kernel
 
 # the module each guard constant lives in
-_CONSTANT_HOMES = {"LEFT_FACTOR_RTOL": kernel, "COND_LIMIT": kernel, "REMAINDER_RTOL": polyalg,
-                   "POLE_TOL": analytic}
+_CONSTANT_HOMES = {"LEFT_FACTOR_RTOL": kernel, "POLE_TOL": analytic}
 
 
 def random_potential(order: Order, n_max: int, rng, scale: float = 0.05) -> PotentialCoefficients:
@@ -22,23 +21,6 @@ def random_spectral(order: Order, n_max: int, rng, scale: float = 0.01) -> Spect
     raw = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
     cap = scale * 2.0 ** -np.arange(1, n_max + 1)
     return SpectralData(order, n_max, raw / np.sqrt(2.0) * cap[:, None])
-
-
-def reference_pivots(a: np.ndarray) -> np.ndarray:
-    """|U_ii| of the partial-pivot LU of one square matrix, eliminated on its own, a step whose
-    pivot is exactly zero skipped: the oracle for the kernel's batched elimination."""
-    lu = np.array(a, dtype=complex)
-    n = lu.shape[0]
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-        pivot = lu[k, k]
-        if pivot == 0:
-            continue
-        lu[k + 1:, k] /= pivot
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return np.abs(np.diag(lu))
 
 
 @pytest.fixture

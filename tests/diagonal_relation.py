@@ -1,22 +1,28 @@
-"""Exact linear-factor division of dense complex polynomials, and the d-coefficient tables.
+"""The paper's diagonal relation, as d-coefficient tables: the reference the pole recurrence is checked against.
 
-Polynomials are 1-d complex arrays of ascending-degree coefficients.  The
-divisions that extract the d-coefficient families are synthetic (Horner) at
-the known pole k_nj; the scalar prefactor in + k(1 - w_j) = (1 - w_j)(k - k_nj)
-is applied after dividing, which keeps the root-based division exact.  Each
-family is built as a whole table by divisions vectorised over every pole
-(d_a_table, one division; d_b_table, one per numerator degree).
+At each column alpha the V table and the potential satisfy, for gamma = 0..2m-2,
+
+    p[gamma, alpha] + sum_{j, n <= alpha} d_a(n, alpha, j)[gamma] V[j, n, alpha]
+        + sum_{nu, r < alpha} p[nu, r] W[alpha - r, nu, gamma] = 0,
+
+    W[s, nu, gamma] = sum_{j, n <= s} d_b(n, s, nu, j)[gamma] V[j, n, s].
+
+d_a and d_b are quotients of exact linear-factor divisions of dense complex
+polynomials (1-d arrays of ascending-degree coefficients), synthetic (Horner)
+at the known pole k_nj; the scalar prefactor in + k(1 - w_j) = (1 - w_j)(k -
+k_nj) is applied after dividing, which keeps the root-based division exact.
+Each family is built as a whole table by divisions vectorised over every pole
+(d_a_table, one division; d_b_table, one per numerator degree), with the
+relative remainders that measure the divisions' rounding.  p_from_v reads
+the relation backwards, as a definition of p[., alpha], column by column.
 """
-from __future__ import annotations
-
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .core import Order, k_pole, roots_of_unity
-from .errors import DivisionRemainderError, InputError
-
-REMAINDER_RTOL = 1e-9
+from invspec import Order, k_pole, roots_of_unity
+from invspec.errors import InputError
 
 
 def divide_by_linear(p, root):
@@ -110,7 +116,32 @@ def d_b_table(order: Order, ss, ns, nu_max: int) -> tuple[np.ndarray, np.ndarray
     return d, rel
 
 
-def remainder_error(rel: float, n: int, j: int) -> DivisionRemainderError:
-    """The error for a division at pole (n, j) whose relative remainder exceeds REMAINDER_RTOL."""
-    return DivisionRemainderError(
-        f"nonzero remainder dividing at pole (n={n}, j={j}): {rel:.3e} of the numerator scale")
+@lru_cache(maxsize=None)
+def relation_tables(m: int, n_max: int) -> tuple:
+    """d_a[alpha, n, j, gamma] and d_b[s, n, j, nu, gamma], zero at gamma >= nu."""
+    order, modes = Order(m), np.arange(1, n_max + 1)
+    size = order.gamma_count
+    pairs = d_b_table(order, modes, modes, size - 1)[0]
+    d_b = np.zeros(pairs.shape[:-1] + (size, size), dtype=complex)
+    d_b[(...,) + np.tril_indices(size, -1)] = pairs
+    return d_a_table(order, modes, modes)[0], d_b
+
+
+def p_from_v(v) -> np.ndarray:
+    """The potential the diagonal relation reads off a V table, column by column."""
+    d_a, d_b = relation_tables(v.order.m, v.n_max)
+    w = np.einsum("snjvg,jns->svg", d_b, v.table)
+    a_terms = np.einsum("anjg,jna->ag", d_a, v.table)
+    p = np.zeros((v.order.gamma_count, v.n_max), dtype=complex)
+    for k in range(v.n_max):
+        p[:, k] = -(np.einsum("vr,rvg->g", p[:, :k], w[:k][::-1]) + a_terms[k])
+    return p
+
+
+def term_magnitudes(v, p) -> np.ndarray:
+    """For each entry of p, the sum of the magnitudes of the terms the relation adds up."""
+    d_a, d_b = relation_tables(v.order.m, v.n_max)
+    w = np.einsum("snjvg,jns->svg", np.abs(d_b), np.abs(v.table))
+    a_terms = np.einsum("anjg,jna->ag", np.abs(d_a), np.abs(v.table))
+    return np.array([np.einsum("vr,rvg->g", np.abs(p[:, :k]), w[:k][::-1]) + a_terms[k]
+                     for k in range(v.n_max)]).T

@@ -496,7 +496,7 @@ def test_marchenko_memory_grows_with_poles_not_term_pairs(m, n_max, limit_mb):
     assert peak < limit_mb * 1e6
 
 
-def test_marchenko_point_arrays_keep_both_guards():
+def test_marchenko_point_arrays_refuse_u_below_t():
     p = random_potential(Order(2), 6, np.random.default_rng(3))
     v, s = forward_map(p)
     # the first offending point in C order is named

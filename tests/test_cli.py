@@ -10,9 +10,8 @@ import pytest
 from invspec import det_truncated
 from invspec.cli import exit_code_for, load_problem
 from invspec import errors
-from invspec.errors import (ConvergenceError, DegenerateDenominatorError, DivisionRemainderError,
-                            InputError, InvspecError, NonFiniteResultError, PoleProximityError,
-                            ResonantIndexError, SingularMatrixError, SingularSystemError,
+from invspec.errors import (ConvergenceError, DegenerateDenominatorError, InputError, InvspecError,
+                            NonFiniteResultError, PoleProximityError, ResonantIndexError,
                             TruncationError, VerificationError)
 
 
@@ -386,6 +385,30 @@ def test_verify_refuses_a_non_finite_forward_map_before_any_check(tmp_path, monk
     assert not report.exists()
 
 
+def test_q0_trace_checks_every_mode_of_the_kernel_trace(tmp_path, monkeypatch):
+    # one perturbed entry of column 2, V[j=1, n=1, alpha=2], moves mode 2 of the trace
+    # and leaves mode 1, the only mode the check once compared, as it was
+    from invspec import VTable, analytic, cli
+
+    entries = [potential_entry(0, 1, 0.02 - 0.01j), potential_entry(2, 2, 0.005j)]
+    write_problem(tmp_path / "in.json", "potential", 2, 6, entries)
+    p = load_problem(str(tmp_path / "in.json"))
+    real_forward = cli.forward_map
+    v, s = real_forward(p)
+    table = np.array(v.table)
+    table[0, 0, 1] += 1e-3
+    bad = VTable(v.order, v.n_max, table)
+    monkeypatch.setattr(cli, "forward_map", lambda q: (bad, s) if q is p else real_forward(q))
+    target = cli.q_from_p(p)[2]
+    assert abs(analytic.q0_from_kernel(bad)[1] - target[0]) <= 1e-7
+    args = cli.build_parser().parse_args(["verify", "--input", str(tmp_path / "in.json")])
+    q0 = next(c for c in cli._verify_checks(p, args) if c["name"] == "q0_trace")
+    assert not q0["pass"] and q0["value"] > 1e-4
+    monkeypatch.setattr(cli, "forward_map", real_forward)
+    q0 = next(c for c in cli._verify_checks(p, args) if c["name"] == "q0_trace")
+    assert q0["pass"] and q0["value"] <= 1e-15
+
+
 def test_inverse_refuses_a_bad_am_cap_before_writing(tmp_path):
     # --am-cap is retired: a_m has a closed form.  Like any usage error it is malformed input
     inp = tmp_path / "s.json"
@@ -414,7 +437,6 @@ def test_usage_errors_exit_1_and_write_nothing(tmp_path, args, message):
 
 EXIT_CODES = {InvspecError: 1, InputError: 1, TruncationError: 1,
               DegenerateDenominatorError: 2, ResonantIndexError: 2, PoleProximityError: 2,
-              SingularMatrixError: 2, SingularSystemError: 2, DivisionRemainderError: 2,
               NonFiniteResultError: 2, ConvergenceError: 3, VerificationError: 4}
 ERROR_CLASSES = [obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)]
 

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_potential
 from invspec import (Order, PotentialCoefficients, SpectralData, VTable, a_m_constant, analytic,
-                     forward_map, k_pole, kernel, pole, roots_of_unity)
+                     forward_map, k_pole, pole, roots_of_unity)
+from invspec.core import cauchy_denominators
 from invspec.errors import InputError
 
 
@@ -71,7 +72,7 @@ def test_root_of_unity_lemma_bounds_denominators_rates_and_a_m(rng):
     for m, n_max in [(1, 64), (2, 64), (3, 32), (4, 32)]:
         modes = np.arange(1, n_max + 1)
         bound = 2 * np.sin(np.pi / (2 * m)) ** 2 * (modes[:, None, None, None] + modes[:, None])
-        assert (np.abs(1 / kernel.diagonal_kernel(m, n_max).inv_den) >= (1 - 1e-14) * bound).all()
+        assert (np.abs(cauchy_denominators(Order(m), n_max)) >= (1 - 1e-14) * bound).all()
     # every product rate of the Marchenko integral has real part -(n + n') / 2 <= -1
     for m in range(1, 7):
         v, s = forward_map(random_potential(Order(m), 8, rng))
@@ -175,3 +176,14 @@ def test_tables_are_immutable():
     p = PotentialCoefficients.zeros(Order(1), 2)
     with pytest.raises(ValueError):
         p.coeffs[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 1), (1, 16), (2, 8), (3, 32), (4, 16)])
+def test_cauchy_denominators_equal_the_full_table(m, n_max):
+    # the data operator's table, den[r, l, n, j] = r w_l (1 - w_j) - n (1 - w_l), read with
+    # (r, l) and (n, j) swapped is the inverse map's, n w_j (1 - w_l) - r (1 - w_j), to the bit
+    w = roots_of_unity(Order(m))[1:]
+    modes = np.arange(1, n_max + 1)
+    full = modes[:, None] * w * (1 - w)[:, None, None] - modes[:, None, None, None] * (1 - w)
+    got = np.ascontiguousarray(cauchy_denominators(Order(m), n_max).transpose(2, 3, 0, 1))
+    assert got.shape == full.shape and np.array_equal(got.view(np.uint8), full.view(np.uint8))

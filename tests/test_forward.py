@@ -1,10 +1,13 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_potential
 from invspec import Order, PotentialCoefficients, forward_map, q_from_p, series_q
 from invspec.kernel import diagonal_kernel
-from invspec.polyalg import d_a_table
+from diagonal_relation import d_a_table
 
 
 def single_mode_m1(eps: complex, n_max: int = 4) -> PotentialCoefficients:
@@ -21,11 +24,13 @@ def test_zero_potential_maps_to_zero():
 
 
 def test_left_factor_m1_closed_form():
-    # at m = 1 the kernel's signed reciprocal left factor is 1 / L = 1 / (alpha (alpha - n))
-    left_recip = diagonal_kernel(1, 7).left_recip
+    # at m = 1 the left factor is L = alpha (alpha - n), and the weight -1 / Q_alpha(k_n1) of a
+    # residue at n < alpha is 1 / L, as Q_alpha(k_nj) = (-1)^m L
+    kern = diagonal_kernel(1, 7)
     for n in (1, 2, 3):
         for alpha in (4, 7):
-            assert 1 / left_recip[alpha - 1][n - 1] == pytest.approx(alpha * (alpha - n))
+            assert kern.abs_left(alpha)[n - 1, 0] == pytest.approx(alpha * (alpha - n))
+            assert 1 / kern.pn_w[alpha - 1, 0, n - 1] == pytest.approx(alpha * (alpha - n))
 
 
 def test_single_mode_m1_chain():
@@ -118,3 +123,42 @@ def test_series_q_differs_by_parity_sign():
     p = PotentialCoefficients(Order(1), 1, np.array([[0.5]], dtype=complex))
     assert series_q(p)[0, 0] == pytest.approx(0.5)
     assert q_from_p(p)[0, 0] == pytest.approx(-0.5)
+
+
+def closed_form_v(m: int, n_max: int, eps: complex) -> np.ndarray:
+    """V[j, n, alpha] of the single mode p_{0,1} = eps, in scalar arithmetic.
+
+    With one mode the recurrence is Q_alpha a_alpha = -eps a_{alpha-1}, so
+    V[j, n, alpha] = (1 - w_j) (-eps)^alpha / (Q'_n(k_nj) prod_{r <= alpha, r != n} Q_r(k_nj)),
+    each Q_r(k) = prod_l (i r + k (1 - w_l)) a product of its linear factors
+    (Gasymov's m = 1 formula, for every m).
+    """
+    roots = [cmath.exp(1j * math.pi * l / m) for l in range(2 * m)]
+    v = np.zeros((2 * m - 1, n_max, n_max), dtype=complex)
+    for j in range(1, 2 * m):
+        for n in range(1, n_max + 1):
+            k = -1j * n / (1 - roots[j])
+            factors = [1j * n + k * (1 - w) for w in roots]
+            factors[j] = 1 - roots[j]
+            den = math.prod(factors)
+            for r in range(1, n):
+                den *= math.prod(1j * r + k * (1 - w) for w in roots)
+            for alpha in range(n, n_max + 1):
+                if alpha > n:
+                    den *= math.prod(1j * alpha + k * (1 - w) for w in roots)
+                v[j - 1, n - 1, alpha - 1] = (1 - roots[j]) * (-eps) ** alpha / den
+    return v
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 16), (2, 16), (3, 12), (4, 12), (6, 10)])
+def test_single_mode_matches_the_closed_form_entrywise(m, n_max):
+    # measured at most 2.8e-13, at (6, 10); the d-coefficient sweeps this map replaced
+    # were off by 8.6e-10 at (1, 16) and by a factor 1e72 at (6, 10)
+    coeffs = np.zeros((2 * m - 1, n_max), dtype=complex)
+    coeffs[0, 0] = 0.3 - 0.2j
+    v, s = forward_map(PotentialCoefficients(Order(m), n_max, coeffs))
+    want = closed_form_v(m, n_max, coeffs[0, 0])
+    upper = np.triu(np.ones((n_max, n_max), dtype=bool))
+    assert (np.abs(v.table - want)[:, upper] <= 1e-12 * np.abs(want)[:, upper]).all()
+    diagonal = np.diagonal(want, axis1=1, axis2=2).T
+    assert (np.abs(s.table - diagonal) <= 1e-12 * np.abs(diagonal)).all()

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.polynomial import polyadd, polymul, polyval
 
 from invspec import Order, k_pole, roots_of_unity
-from invspec.polyalg import binomial_power, d_a_table, d_b_table, divide_by_linear
+from diagonal_relation import binomial_power, d_a_table, d_b_table, divide_by_linear
 
 
 def d_a(order, n, alpha, j):
