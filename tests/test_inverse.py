@@ -41,6 +41,12 @@ def test_inverse_map_first_order_m1():
     assert p.entry(0, 1) == pytest.approx(-1j * 0.3j)
 
 
+def test_p_from_v_first_order_m1():
+    # the diagonal relation the sweep tests read p back through has the same first-order anchor
+    s = single_entry_spectral(1, 0.3j, n_max=1)
+    assert p_from_v(v_from_s(s))[0, 0] == pytest.approx(-1j * 0.3j)
+
+
 def test_v_from_s_matches_forward_table(rng):
     for m in (1, 2):
         p = random_potential(Order(m), 6, rng)

@@ -4,7 +4,8 @@ The oracles below are the paper's diagonal relation (diagonal_relation.py),
 read as one einsum per column, which the forward map's V and the input p
 satisfy to rounding; the earlier v_from_s sweep, one einsum per offset; the
 sweeps that slice the kernel's tables anew at every column, checked bit for
-bit; and the column order in which a sweep over the full table of left
+bit; the kernel's tables built entry by entry on separate (n, j) axes, against
+which its packed pole axis is checked bit for bit; and the column order in which a sweep over the full table of left
 factors meets the resonance guard.  The last tests check that the pooled
 workspaces carry nothing from one call to the next and are never shared:
 between calls, across threads, or with a returned table.
@@ -19,7 +20,8 @@ import pytest
 
 from conftest import random_potential, random_spectral
 from diagonal_relation import p_from_v, relation_tables, term_magnitudes
-from invspec import Order, VTable, forward, forward_map, inverse_map, roots_of_unity, series_q, v_from_s
+from invspec import (Order, VTable, forward, forward_map, inverse_map, kernel, roots_of_unity, series_q,
+                     v_from_s)
 from invspec.errors import ResonantIndexError
 from invspec.kernel import Workspace, diagonal_kernel
 
@@ -96,17 +98,43 @@ def raised(fn) -> tuple:
     return None, "", None
 
 
-@pytest.mark.parametrize("m, n_max, left_tol", [
-    (1, 16, 0.5), (2, 10, 0.5), (2, 10, 1.0), (2, 8, 1e-12), (3, 8, 1e-12), (3, 6, 0.5), (4, 8, 0.3),
-    (4, 8, 1e-12),
+@pytest.mark.parametrize("m, n_max, left_tol, cond_limit, rtol", [
+    (1, 16, 0.5, 1e12, 1e-9),
+    (1, 16, 0.5, 1e12, 1e-16),
+    (2, 10, 0.5, 5.0, 1e-9),
+    (2, 10, 1.0, 5.0, 1e-9),
+    (2, 10, 1.0, 1e12, 1e-16),
+    (2, 8, 1e-12, 5.0, 1e-16),
+    (3, 8, 1e-12, 30.0, -1.0),
+    (3, 8, 1e-12, 50.0, 1e-16),
+    (3, 6, 0.5, 50.0, 1e-16),
+    (4, 8, 0.3, 1e6, 1e-13),
+    (4, 8, 1e-12, 1e12, 1e-9),
     # past the acceptance sizes, where the kernel keeps only the guard's floors
-    (3, 32, 0.3), (3, 32, 1e-12), (4, 32, 0.07), (4, 32, 1e-12),
+    (3, 32, 0.3, 1e12, 1e-9),
+    (3, 32, 1e-12, 50.0, 1e-9),
+    (3, 32, 1e-12, 1e12, 1e-15),
+    (3, 32, 1e-12, 1e12, 1e-16),
+    (4, 32, 0.07, 1e12, 1e-9),
+    (4, 32, 1e-12, 1e6, 1e-9),
+    (4, 32, 1e-12, 1e12, 3e-14),
 ])
-def test_resonance_guard_raises_where_the_column_sweep_meets_it(guard_constants, m, n_max, left_tol):
+def test_guards_raise_where_the_column_sweep_meets_them(guard_constants, monkeypatch, m, n_max, left_tol,
+                                                        cond_limit, rtol):
+    # cond_limit and rtol are the pivot-ratio and remainder tolerances the
+    # deleted pivot and remainder guards read, under which several of these
+    # cases were refused, (3, 8) at 30.0 and -1.0 among them; set where those
+    # guards read them, they change nothing, and the resonance guard alone
+    # raises, where the column sweep meets it
     guard_constants(LEFT_FACTOR_RTOL=left_tol)
     p = random_potential(Order(m), n_max, np.random.default_rng(3))
     want = raised(lambda: sweep_guards(Order(m), n_max, left_tol))
-    assert raised(lambda: forward_map(p)) == want
+    got = raised(lambda: forward_map(p))
+    assert got == want
+    monkeypatch.setattr(kernel, "COND_LIMIT", cond_limit, raising=False)
+    monkeypatch.setattr(kernel, "REMAINDER_RTOL", rtol, raising=False)
+    diagonal_kernel.cache_clear()
+    assert raised(lambda: forward_map(p)) == got
 
 
 def column_resonance_hits(guard_constants, left_tol: float, factor: float) -> list:
@@ -201,8 +229,9 @@ def exact_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n_max", [8, 32])
-def test_solve_table_solves_the_diagonal_relation(m, n_max):
-    # at n = alpha the relation is sum_gamma c_alpha j^gamma sq[gamma, alpha] = t - d,
+def test_response_table_solves_the_diagonal_relation(m, n_max):
+    # solve is the inverse sweep's response table, each column's new
+    # coefficients as its response to (t, d): at n = alpha the relation is sum_gamma c_alpha j^gamma sq[gamma, alpha] = t - d,
     # with c^gamma the weights g0 of column 0; the refined stacked product solves it
     # to about the rounding of its result, where T_alpha^-1 alone loses cond(T_1) (7e3 at m = 4)
     kern = diagonal_kernel(m, n_max)
@@ -216,6 +245,53 @@ def test_solve_table_solves_the_diagonal_relation(m, n_max):
         want = exact_solve(kern.g0[:, k * jc:(k + 1) * jc].T, t - d)
         worst = max(worst, relative(got, want))
     assert worst <= 1e-13  # measured <= 1.5e-14 at (4, 32), where x0 alone is off by 3.8e-13
+
+
+def padded_forward_tables(kern) -> tuple:
+    """pn_w as [alpha, gamma, n, j], g0 as [gamma, n, j], t_scale and the full |L| as [alpha, n, j],
+    entry by entry: each Q_alpha(k_nj) the product of its 2m factors in l order, the l = j factor
+    at n = alpha replaced by its derivative 1 - w_j."""
+    order, n_max = kern.order, kern.n_max
+    size = jc = order.j_count
+    roots = roots_of_unity(order)
+    w = roots[1:]
+    modes = np.arange(1, n_max + 1)
+    c = modes[:, None] / (1 - w)
+    factors = np.empty((n_max, n_max, jc, 2 * order.m), dtype=complex)
+    for alpha in modes:
+        for n in modes:
+            factors[alpha - 1, n - 1] = 1j * alpha + (-1j * c[n - 1])[:, None] * (1 - roots)
+            if n == alpha:
+                factors[alpha - 1, n - 1, range(jc), range(1, jc + 1)] = 1 - w
+    q = np.array([np.prod(row) for row in factors.reshape(-1, 2 * order.m)]).reshape(n_max, n_max, jc)
+    gamma = np.arange(size)[:, None, None]
+    pn_w = np.stack([(c - alpha) ** gamma * (-1 / q[alpha - 1]) for alpha in modes])
+    t_scale = np.stack([-q[alpha - 1, alpha - 1] / (1 - w) for alpha in modes])
+    left = np.stack([(alpha - c) ** (2 * order.m) - c ** (2 * order.m) for alpha in modes])
+    return pn_w, c ** gamma, t_scale, np.abs(left)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bits, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                                                 np.ascontiguousarray(b).view(np.uint8))
+
+
+@pytest.mark.parametrize("m, n_max", PLAN_SIZES)
+def test_packed_forward_tables_equal_the_padded_tables_bitwise(m, n_max):
+    # the kernel packs each pole (n, j) into one flat axis, n-major
+    kern = diagonal_kernel(m, n_max)
+    pn_w, g0, t_scale, abs_left = padded_forward_tables(kern)
+    size = jc = 2 * m - 1
+    assert same_bits(kern.g0, g0.reshape(size, n_max * jc))
+    assert same_bits(kern.t_scale, t_scale)
+    for k in range(n_max):
+        assert same_bits(kern.pn_w[k], pn_w[k].reshape(size, n_max * jc))
+        assert same_bits(kern.abs_left(k + 1), abs_left[k, :k])
+        assert same_bits(kern.left_floor[k], abs_left[k, :k].min(axis=0, initial=np.inf))
+        assert same_bits(kern.solve[k, :, jc:2 * jc], -kern.solve[k, :, :jc])
+    for table in (kern.g0, kern.pn_w, kern.t_scale, kern.solve, kern.left_floor):
+        assert not table.flags.writeable
 
 
 def slicing_forward(p) -> tuple[np.ndarray, np.ndarray]:
