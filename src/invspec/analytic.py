@@ -92,9 +92,9 @@ def _kernel_terms(v: VTable):
 
 def _transition_terms(s: SpectralData):
     """Arrays (coeff, t_rate, u_rate, n) of the transition function's nonzero terms,
-    ordered by j, then n."""
+    ordered by n, then j."""
     w = roots_of_unity(s.order)[1:]
-    j, n = np.nonzero(s.table.T)
+    n, j = np.nonzero(s.table)
     c = (n + 1) / (1 - w[j])
     return s.table[n, j] / (1j * (1 - w[j])), c * w[j], -c, n + 1
 
@@ -128,19 +128,21 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: flo
     the truncation tail of order |S| * |V_tail|.
 
     ``t`` and ``u`` broadcast: scalars give a complex, arrays a complex array
-    of their broadcast shape.  The term tables and the matrices of the product
-    integral are built once for all points, and each point's value is the same
-    expression a scalar call evaluates.
+    of their broadcast shape.  The term tables are built once for all points,
+    and each point's value is the same expression a scalar call evaluates.
 
     The product integral sums over every (kernel term a, transition term b)
     pair, but a kernel term's u-rate kb depends only on its pole, so it is
     summed pole by pole: with x_a = kc_a e^{(ka_a + kb_a) t} and y_b = fc_b
-    e^{fg_b t + fh_b u} it is -sum_a x_a P[pole_a, N - alpha_a], where
-    P = C @ (y * T), C[g, b] = 1 / (kb_g + fg_b) over the (2m - 1) N poles and
-    T[b, L] = [n'_b <= L] keeps the modes alpha + n' <= N (``projected=False``
-    reads one all-ones column instead).  A call holds O(((2m - 1) N)^2)
-    entries, not one per pair.  Each rate kb_g + fg_b has real part
-    -(n + n') / 2 <= -1 (core.a_m_constant), so every tail integral converges.
+    e^{fg_b t + fh_b u} it is -sum_a x_a P[pole_a, cut_a - 1], where P[g, i]
+    is the sum of C[g, b] y_b over the transition terms b <= i, C[g, b] = 1 /
+    (kb_g + fg_b) over the (2m - 1) N poles.  The transition terms are ordered
+    by n', so those with alpha_a + n' <= N are the first cut_a of them
+    (``projected=False`` reads all of them): one cumulative sum per point.
+    A call holds one table of (2m - 1) N rows by the transition terms, in
+    which each point forms C y and its prefix sums, not one entry per pair.
+    Each rate kb_g + fg_b has real part -(n + n') / 2 <= -1
+    (core.a_m_constant), so every tail integral converges.
     """
     t_pts, u_pts = np.broadcast_arrays(t, u)
     below = np.flatnonzero(u_pts < t_pts)
@@ -149,22 +151,21 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: flo
         raise InputError(f"residual requires u >= t, got t={t_pts.flat[i]}, u={u_pts.flat[i]}")
     kc, ka, kb, kcol, kpole = _kernel_terms(v)
     fc, fg, fh, frow = _transition_terms(s)
-    recip = None
-    if kc.size and fc.size:
+    pairs = bool(kc.size and fc.size)
+    if pairs:
         # int_t^inf e^{a s} ds = -e^{a t}/a, so the pair (a, b) contributes
         # -x_a y_b / (kb_a + fg_b): one reciprocal per (pole, transition term)
         _, first, group = np.unique(kpole, return_index=True, return_inverse=True)
-        recip = np.add.outer(kb[first], fg)
-        np.reciprocal(recip, out=recip)
+        kb_pole = kb[first]
         if projected:
-            n_cap = min(v.n_max, s.n_max)
-            # column 0 keeps no term (n' >= 1), so it serves every alpha >= N
-            prefix = (frow[:, None] <= np.arange(n_cap)).astype(float)
-            lag = np.maximum(n_cap - kcol, 0)
+            cut = np.searchsorted(frow, np.maximum(min(v.n_max, s.n_max) - kcol, 0), side="right")
         else:
-            prefix = np.ones((fc.size, 1))
-            lag = np.zeros_like(kcol)
-    k_diag = ka + kb
+            cut = np.full(kcol.shape, fc.size)
+        # a kernel term that keeps no transition term (n' >= 1, so every alpha >= N) adds nothing
+        kept = np.flatnonzero(cut)
+        group, last = group[kept], cut[kept] - 1
+        x_coeff, x_rate = kc[kept], ka[kept] + kb[kept]
+        prefix = np.empty((first.size, fc.size), dtype=complex)
     out = np.empty(t_pts.shape, dtype=complex)
     for i, (ti, ui) in enumerate(zip(t_pts.ravel().tolist(), u_pts.ravel().tolist())):
         val = 0j
@@ -173,8 +174,13 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: flo
         if fc.size:
             f_term = fc * np.exp(fg * ti + fh * ui)
             val -= np.sum(f_term)
-        if recip is not None:
-            val += (kc * np.exp(k_diag * ti)) @ (recip @ (f_term[:, None] * prefix))[group, lag]
+        if pairs:
+            # the reciprocals are formed anew at each point, in the one working table
+            np.add.outer(kb_pole, fg, out=prefix)
+            np.reciprocal(prefix, out=prefix)
+            prefix *= f_term
+            np.cumsum(prefix, axis=1, out=prefix)
+            val += (x_coeff * np.exp(x_rate * ti)) @ prefix[group, last]
         out.flat[i] = val
     return complex(out) if out.ndim == 0 else out
 

@@ -1,21 +1,27 @@
 """Forward spectral map: potential coefficients to the V table and spectral data.
 
-The map runs the pole recurrence of the shared kernel (``kernel.py``) forward:
-given the coefficients sq = series_q(p), each column alpha's residues at its
-poles follow from the earlier columns, and the V table is the residues
-scaled by 1 - w_j; its diagonal is the spectral data.  The column sweep is
-lower triangular, so entries with alpha <= N never depend on deeper
-potential modes.
+The map runs the value recurrence of the shared kernel (``kernel.py``)
+forward, given the coefficients sq = series_q(p), at the poles k_nj and at
+their mirror points w_j k_nj.  By the jump relation, V[j, n, n + beta] =
+S_nj a_beta(w_j k_nj), because Q_beta(w_j k_nj) = Q_{n+beta}(k_nj); so the
+map needs no residue recurrence.  Column alpha's sum at the pole n = alpha,
+divided by Q'_alpha, is the residue Res a_alpha(k_alpha j) = S_alpha j / (1 -
+w_j); at the later poles it gives the values the later columns read, and at
+the mirrors n <= N - alpha the values a_alpha(w_j k_nj).  The column sweep is lower triangular, so entries with
+alpha <= N never depend on deeper potential modes.
 
-A column costs four numpy calls over the views the kernel planned for it in a
-pooled workspace: one matvec of the lagged coefficients against the earlier
-residues, for the poles n < alpha; one against the earlier weighted values,
-for the poles n >= alpha; one multiply by the column's weights, which gives
-its weighted row; and one copy of that row's residues, at n <= alpha, into
-the residue table.  The one guard, the resonance guard, depends only on (m,
-N), never on p, so the kernel settles it when it is built: a forward map on a
-kernel that refuses no column runs no guard, and on one that does, raises
-the refused column's error before the sweep starts.
+A column costs two numpy calls over the views the kernel planned for it in
+a pooled workspace: one matvec of the lagged coefficients against the
+earlier weighted rows at the points it reads, the poles n >= alpha and the
+mirrors n <= N - alpha, one contiguous slice; and one multiply by the
+column's weights, which gives its weighted row.  V is assembled once, after
+the sweep, from G's gamma = 0 rows.
+
+The one guard, the resonance guard, bounds the mirror divisors |Q_beta(w_j
+k_nj)| = |L[n + beta, n, j]| from below.  It depends only on (m, N), never
+on p, so the kernel settles it when it is built: a forward map on a kernel
+that refuses no column runs no guard, and on one that does, raises the
+refused column's error before the sweep starts.
 
 The maps are deterministic on one machine, BLAS build and BLAS thread count,
 and agree to rounding across BLAS builds and thread counts (OpenBLAS splits
@@ -47,17 +53,25 @@ def forward_map(p: PotentialCoefficients) -> tuple[VTable, SpectralData]:
     kern = diagonal_kernel(order.m, n_max)
     if kern.forward_refusal is not None:
         _check_column(kern, kern.forward_refusal)
+    size, jc = order.gamma_count, order.j_count
     with kern.workspace() as ws:
         np.copyto(ws.lag_rows, series_q(p)[:, ::-1].T)
-        for lag_res, residues, acc_res, lag, values, acc_val, weights, row, res_row, res_src in ws.forward:
-            np.matmul(lag_res, residues, out=acc_res)
-            np.matmul(lag, values, out=acc_val)
-            np.multiply(weights, ws.acc, out=row)
-            np.copyto(res_row, res_src)
-        # R's gamma = 0 rows are the residues, as [alpha, n, j]
-        res = ws.residues[::order.gamma_count].reshape(n_max, n_max, -1).transpose(2, 1, 0)
-        v = VTable._from_sweep(order, n_max, np.multiply((1 - kern.w)[:, None, None], res,
-                                                         out=np.empty(res.shape, dtype=complex)))
+        for lag, values, acc, weights, row in ws.forward:
+            np.matmul(lag, values, out=acc)
+            np.multiply(weights, acc, out=row)
+        # G's gamma = 0 rows as [s, poles | mirrors, n, j]: the residue at the pole n = s, and
+        # a_s(w_j k_nj) at the mirrors, where a_0 = 1
+        g = ws.g[::size].reshape(n_max + 1, 2, n_max, jc)
+        s = np.multiply((1 - kern.w)[:, None], np.diagonal(g[1:, 0], axis1=0, axis2=1))
+        products = np.multiply(s[:, :, None], g[:n_max, 1].transpose(2, 1, 0))
+    # read with a row stride one longer than its rows, V shears: diagonals[j, n, beta] is
+    # V[j, n, n + beta], copied where n + beta <= N; the N spare entries hold the view's reach
+    flat = np.zeros(jc * n_max * n_max + n_max, dtype=complex)
+    item = flat.itemsize
+    diagonals = np.ndarray((jc, n_max, n_max), complex, flat,
+                           strides=(n_max * n_max * item, (n_max + 1) * item, item))
+    np.copyto(diagonals, products, where=kern.in_table)
+    v = VTable._from_sweep(order, n_max, flat[:jc * n_max * n_max].reshape(jc, n_max, n_max))
     return v, v.diagonal()
 
 

@@ -13,18 +13,25 @@ others.  Its residues are the V table, V[j, n, alpha] = (1 - w_j) Res
 a_alpha(k_nj), and the spectral data are its diagonal, S_alpha j = V[j,
 alpha, alpha].
 
-At a pole ik = c_nj = n / (1 - w_j), so the relation is a recurrence over the
-(2m-1) N poles that keeps one number per pole and column: the value
-a_alpha(k_nj) for n > alpha, the residue for n <= alpha.  A residue at n <
-alpha sums the residues of the earlier columns s >= n and is divided by
-Q_alpha(k_nj); the residue at n = alpha sums values and is divided by
-Q'_alpha(k_alpha j).  Both are built as products of the factors above, the
-l = j factor at n = alpha replaced by its derivative 1 - w_j: the difference
-form of Q cancels.
+At a pole ik = c_nj = n / (1 - w_j), and column alpha's relation gives the
+value a_alpha(k_nj) at the poles n > alpha and, divided by Q'_alpha(k_alpha
+j) in place of Q_alpha, the residue at n = alpha.  Each Q is built as the
+product of the factors above, the l = j factor at n = alpha replaced by its
+derivative 1 - w_j: the difference form of Q cancels.
 
-The forward map is given sq and reads the residues off.  The inverse map is
-given S: at n = alpha the relation is a Vandermonde system in the column's
-new coefficients sq[., alpha], which pair with a_0 = 1,
+The residues at n < alpha need no recurrence of their own.  At the mirror
+point k' = w_j k_nj, ik' = c_nj - n, (w_j k)^2m = k^2m gives Q_{n+beta}(k_nj)
+= Q_beta(k') exactly, and (ik - (n + beta - r)) = (ik' - (beta - r)), so the
+residues of the later columns at k_nj solve the relation at k':
+
+    Res a_{n+beta}(k_nj) = Res a_n(k_nj) a_beta(k'),   V[j, n, n + beta] = S_nj a_beta(w_j k_nj),
+
+the jump relation of analytic.jump_relation_check.  a_beta is regular at
+k', since Re ik' = -n/2 < 0 < Re c.  The forward map is given sq and runs
+the value recurrence at the poles n >= alpha, which gives S_alpha, and at
+the mirror points n <= N - alpha, the entries V[j, n, n + alpha].  The
+inverse map is given S: at n = alpha the relation is a Vandermonde system in
+the column's new coefficients sq[., alpha], which pair with a_0 = 1,
 
     sum_gamma (alpha c_1j)^gamma sq[gamma, alpha] = t_alpha j - d_alpha j,
 
@@ -34,19 +41,21 @@ T_1^-1, and one refinement step in working precision, folded into a second
 stacked product, recovers the digits its condition number costs (Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 12).
 
-Both sweeps hold the weighted rows G[s, gamma, pole] = (c - s)^gamma x_s,
-x_s column s's number at the pole, so column alpha's sum over (r, gamma) is
-one matvec of the lagged coefficients against G's earlier rows, and
-pn_w[alpha] = (c - alpha)^gamma (-1 / Q_alpha) turns it into column alpha's
-row in one multiply.  The forward sweep keeps the residues apart, in R, which
-stays zero at n > s, so that a residue sum reads R where a value sum reads G
-and no row is ever cleared.
+Both sweeps hold the weighted rows G[s, gamma, point] = (ik - s)^gamma
+a_s(k) over the points [poles | mirrors], so column alpha's sum over (r,
+gamma) is one matvec of the lagged coefficients against G's earlier rows,
+and weights[alpha - 1] = (ik - alpha)^gamma (-1 / Q_alpha(k)), with
+Q'_alpha at the pole n = alpha, turns it into column alpha's row in one
+multiply.  The points a forward column reads, poles n >= alpha and mirrors
+n <= N - alpha, are one contiguous slice of G's columns, and weights[alpha
+- 1] holds exactly those; the inverse reads its poles n > alpha.
 
 A kernel tabulates, once per (m, N), everything the sweeps read.  Its one
 guard is the resonance guard: a left factor L[alpha, n, j] = (alpha -
-c_nj)^2m - c_nj^2m = (-1)^m Q_alpha(k_nj) near zero at some n < alpha, where
-the forward map divides; it depends only on (m, N) and LEFT_FACTOR_RTOL, so
-the build settles it.  The inverse map never divides at n < alpha, and at n
+c_nj)^2m - c_nj^2m = (-1)^m Q_alpha(k_nj) near zero at some n < alpha.  The
+forward map divides by these numbers at the mirror points, Q_beta(w_j k_nj)
+= Q_{n+beta}(k_nj); they depend only on (m, N) and LEFT_FACTOR_RTOL, so the
+build settles the guard.  The inverse map never divides at n < alpha, and at n
 > alpha |Q| stays well away from zero.  Table axes are 0-based: index i
 stands for the mode i + 1 of n, alpha or s, and for the root w_{i+1} of j;
 a pole (n, j) is the flat index (n - 1)(2m - 1) + j - 1.
@@ -75,22 +84,28 @@ class DiagonalKernel:
     """Read-only tables of the pole recurrence at order m and depth N.
 
     w[j] is the root w_{j+1} and c[n, j] = n / (1 - w_j) the poles, ik at
-    k_nj; g0[gamma, pole] = c^gamma is column 0's weighted row, and
-    pn_w[alpha - 1, gamma, pole] = (c - alpha)^gamma (-1 / Q_alpha(k_nj)),
-    with Q'_alpha at n = alpha, turns column alpha's sum into its weighted
-    row.  t_scale[alpha - 1, j] = -Q'_alpha(k_alpha j) / (1 - w_j) scales
-    S_alpha to the right side of the inverse's Vandermonde system; solve[alpha
-    - 1] = [T^-1, -T^-1, I - T^-1 T] with T = T_alpha maps (t, d, x0) to the
-    refined solution, and its first 2 (2m - 1) columns map (t, d) to the
-    first, x0.
+    k_nj.  The sweeps' points are [poles | mirrors], each n-major with flat
+    index (n - 1)(2m - 1) + j - 1, ik = c at a pole and c - n at its mirror
+    point; g0[gamma, point] = (ik)^gamma is column 0's weighted row.
+    weights[alpha - 1] holds column alpha's weights (ik - alpha)^gamma (-1 /
+    Q_alpha(k)), with Q'_alpha at n = alpha, at the points it reads: the poles
+    n >= alpha, then the mirrors n <= N - alpha, whose divisor Q_alpha(w_j
+    k_nj) is Q_{n+alpha}(k_nj).  The weights are slices of one table of N^2
+    (2m - 1)^2 entries.  t_scale[alpha - 1, j] = -Q'_alpha(k_alpha j) / (1 -
+    w_j) scales S_alpha to the right side of the inverse's Vandermonde system;
+    solve[alpha - 1] = [T^-1, -T^-1, I - T^-1 T] with T = T_alpha maps (t, d,
+    x0) to the refined solution, and its first 2 (2m - 1) columns map (t, d)
+    to the first, x0.  in_table[n - 1, beta] marks the entries V[j, n, n +
+    beta] inside the table, n + beta <= N.
 
     The resonance guard reads left_floor[alpha - 1, j], the smallest |L| at n
     < alpha, against left_scale[alpha - 1, j] = (alpha / |1 - w_j|)^2m; only
     where it trips does abs_left recompute, as the build computed them, the
-    entries it reports.  forward_refusal is the first column alpha (1-based)
-    the forward sweep refuses, None where there is none.  A kernel keeps the
-    verdict of the constant it was built under: changing LEFT_FACTOR_RTOL at
-    run time takes diagonal_kernel.cache_clear().
+    entries it reports.  |L[alpha, n, j]| is the modulus of the mirror
+    divisor Q_{alpha-n}(w_j k_nj).  forward_refusal is the first column alpha
+    (1-based) the forward sweep refuses, None where there is none.  A kernel
+    keeps the verdict of the constant it was built under: changing
+    LEFT_FACTOR_RTOL at run time takes diagonal_kernel.cache_clear().
     """
 
     def __init__(self, m: int, n_max: int):
@@ -116,11 +131,28 @@ class DiagonalKernel:
         at, j = np.arange(n_max)[:, None], np.arange(jc)
         factors[at, at, j, j + 1] = 1 - self.w
         q = factors.prod(axis=-1)
+        del factors
         powers = np.arange(size)[:, None]
         c = self.c.reshape(-1)
-        self.g0 = c ** powers
-        self.pn_w = (c - modes[:, None, None]) ** powers * (-1 / q.reshape(n_max, 1, -1))
+        self.g0 = np.concatenate([c ** powers, (self.c - modes[:, None]).reshape(-1) ** powers], axis=1)
+        # every column's weight at every pole, as [alpha, gamma, n, j]: those at n >= alpha are
+        # the column's pole weights, and the one at n < alpha is the mirror weight of column
+        # alpha - n, as Q_{alpha-n}(w_j k_nj) = Q_alpha(k_nj) and c - alpha = (c - n) - (alpha - n)
+        full = np.power(c - modes[:, None, None], powers)
+        full *= -1 / q.reshape(n_max, 1, -1)
+        full = full.reshape(n_max, size, n_max, jc)
+        joined = np.empty(n_max * n_max * size * jc, dtype=complex)
+        ends = np.cumsum(size * jc * (2 * (n_max - np.arange(n_max)) - 1))
+        self.weights = tuple(block.reshape(size, -1) for block in np.split(joined, ends[:-1]))
+        for a, block in enumerate(self.weights):
+            points = block.reshape(size, -1, jc)
+            points[:, :n_max - a] = full[a, :, a:]
+            points[:, n_max - a:] = np.diagonal(full, a + 1, axis1=2, axis2=0).transpose(0, 2, 1)
+            block.setflags(write=False)
+        joined.setflags(write=False)
+        del full
         self.t_scale = -q[at, at, j] / (1 - self.w)
+        self.in_table = np.add.outer(np.arange(n_max), np.arange(n_max)) < n_max
         # T_alpha^-1 = diag(alpha^-gamma) T_1^-1, T_alpha[j, gamma] = c_alpha j^gamma
         t = self.c[:, :, None] ** powers.T
         inv = np.linalg.inv(t[0]) / (1.0 * modes[:, None, None]) ** powers
@@ -158,25 +190,26 @@ class Workspace:
 
     lags holds the coefficients sq newest first, sq[., N - 1 - r] at row r,
     which the forward sweep loads and the inverse sweep writes; g holds G as
-    rows (s, gamma), s = 0..N, its first block column 0's g0; residues holds
-    R as rows (s, gamma), s = 1..N, written only at n <= s; acc is a column's
-    sum at every pole, and u[alpha - 1] the inverse's (t, d, x0) of column
-    alpha.  A step is a tuple of the table slices and buffer views one column
-    reads and writes, in the order its sweep passes them to numpy:
+    rows (s, gamma), s = 0..N, over the points [poles | mirrors], its first
+    block column 0's g0; acc is a column's sum at the points it reads, and
+    u[alpha - 1] the inverse's (t, d, x0) of column alpha.  A step is a tuple
+    of the table slices and buffer views one column reads and writes, in the
+    order its sweep passes them to numpy:
 
-    - forward[k] for alpha = k + 1: (lags of s >= 1, R's rows s = 1..k at n
-      < alpha, acc there; lags, G's rows s = 0..k at n >= alpha, acc there;
-      pn_w[k], G's row alpha; R's row alpha at n <= alpha, G's row there).
+    - forward[k] for alpha = k + 1: (lags, G's rows s = 0..k at the poles n
+      >= alpha and the mirrors n <= N - alpha, acc there; weights[k], G's row
+      alpha there).
     - inverse[k]: (lags of s >= 1, G's rows s = 1..k at n = alpha, d; the
       first columns of solve[k], (t, d), x0; solve[k], u[k], the lag slot of
-      sq[., alpha]; lags, G's rows s = 0..k at n > alpha, acc there; pn_w[k]
-      there, G's row alpha there).
+      sq[., alpha]; lags, G's rows s = 0..k at the poles n > alpha, acc
+      there; the weights of those poles, G's row alpha there).
 
     The buffers are zeroed once, when the Workspace is built, and g's first
-    block set to g0.  A call reads only entries it wrote itself, g0, or R at
-    n > s, which no sweep writes and which stays zero.  The forward sweep
-    writes all of G's rows s >= 1 and R's n <= s triangle, the inverse G's
-    rows at n > s; each writes lags and acc whole, and the inverse u.
+    block set to g0.  A call reads only entries it wrote itself or g0.  Row s
+    >= 1 of G is written at the poles n >= s and the mirrors n <= N - s, by
+    the forward sweep, and at the poles n > s by the inverse; the rest of it
+    stays zero.  The forward sweep writes acc whole, each sweep writes lags
+    whole, and the inverse u.
     """
 
     def __init__(self, kern: DiagonalKernel):
@@ -184,27 +217,26 @@ class Workspace:
         jc = kern.order.j_count
         poles = n_max * jc
         self.lags = np.zeros(n_max * size, dtype=complex)
-        self.acc = np.zeros(poles, dtype=complex)
-        self.g = np.zeros(((n_max + 1) * size, poles), dtype=complex)
+        self.acc = np.zeros(2 * poles - jc, dtype=complex)
+        self.g = np.zeros(((n_max + 1) * size, 2 * poles), dtype=complex)
         self.g[:size] = kern.g0
-        self.residues = np.zeros((n_max * size, poles), dtype=complex)
         self.u = np.zeros((n_max, 3 * jc), dtype=complex)
         self.lag_rows = self.lags.reshape(n_max, size)
-        rows = self.g.reshape(n_max + 1, size, poles)
-        res = self.residues.reshape(n_max, size, poles)
+        rows = self.g.reshape(n_max + 1, size, 2 * poles)
         self.forward, self.inverse = [], []
         for k in range(n_max):
+            # column alpha = k + 1 reads the poles n >= alpha and the mirrors n <= N - alpha
             lo, hi = k * jc, (k + 1) * jc
+            end = 2 * poles - hi
             lag = self.lags[(n_max - 1 - k) * size:]
-            self.forward.append((lag[size:], self.residues[:k * size, :lo], self.acc[:lo],
-                                 lag, self.g[:(k + 1) * size, lo:], self.acc[lo:],
-                                 kern.pn_w[k], rows[k + 1], res[k, :, :hi], rows[k + 1, :, :hi]))
+            self.forward.append((lag, self.g[:(k + 1) * size, lo:end], self.acc[lo:end],
+                                 kern.weights[k], rows[k + 1, :, lo:end]))
             u = self.u[k]
             self.inverse.append((lag[size:], self.g[size:(k + 1) * size, lo:hi], u[jc:2 * jc],
                                  kern.solve[k, :, :2 * jc], u[:2 * jc], u[2 * jc:],
                                  kern.solve[k], u, lag[:size],
-                                 lag, self.g[:(k + 1) * size, hi:], self.acc[hi:],
-                                 kern.pn_w[k, :, hi:], rows[k + 1, :, hi:]))
+                                 lag, self.g[:(k + 1) * size, hi:poles], self.acc[hi:poles],
+                                 kern.weights[k][:, jc:poles - lo], rows[k + 1, :, hi:poles]))
 
 
 @lru_cache(maxsize=8)

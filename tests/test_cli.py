@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invspec import det_truncated
+from conftest import random_potential
+from invspec import Order, det_truncated
 from invspec.cli import exit_code_for, load_problem
 from invspec import errors
 from invspec.errors import (ConvergenceError, DegenerateDenominatorError, InputError, InvspecError,
@@ -186,9 +187,28 @@ def test_verify_zero_potential_passes(tmp_path):
     assert result.returncode == 0, result.stderr
     card = json.loads(report.read_text())
     assert card["all_pass"] is True
+    assert next(c for c in card["checks"] if c["name"] == "round_trip")["weighted"] == 0.0
     assert {c["name"] for c in card["checks"]} == {
         "round_trip", "marchenko_residual", "jump_relation", "translation_law",
         "ode_residual_halving", "determinant_zero_free", "q0_trace"}
+
+
+def test_verify_reports_the_weighted_round_trip_error(tmp_path):
+    # at (8, 20) the unweighted round-trip error of the top coefficients grows with cond(T_1)
+    # (2e13 at m = 8) and fails --round-tol; the report-only n^gamma-weighted error, relative
+    # to p's weighted norm, stays at rounding (measured 3.0e-10)
+    p = random_potential(Order(8), 20, np.random.default_rng([8, 20, 0]))
+    inp = tmp_path / "p.json"
+    report = tmp_path / "scorecard.json"
+    write_problem(inp, "potential", 8, 20, [potential_entry(g, n + 1, p.coeffs[g, n])
+                                            for g in range(15) for n in range(20)])
+    result = run_cli("verify", "--input", str(inp), "--report", str(report))
+    assert result.returncode == 4
+    card = json.loads(report.read_text())
+    trip = next(c for c in card["checks"] if c["name"] == "round_trip")
+    assert trip["pass"] is False and trip["value"] > trip["threshold"] == 1e-8
+    assert trip["weighted"] < 1e-9
+    assert "round_trip" in card["failed"]
 
 
 def test_verify_geometric_m1_passes(tmp_path):

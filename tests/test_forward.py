@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_potential
+from conftest import kernel_weight, random_potential
 from invspec import Order, PotentialCoefficients, forward_map, q_from_p, series_q
 from invspec.kernel import diagonal_kernel
 from diagonal_relation import d_a_table
@@ -24,13 +24,14 @@ def test_zero_potential_maps_to_zero():
 
 
 def test_left_factor_m1_closed_form():
-    # at m = 1 the left factor is L = alpha (alpha - n), and the weight -1 / Q_alpha(k_n1) of a
-    # residue at n < alpha is 1 / L, as Q_alpha(k_nj) = (-1)^m L
+    # at m = 1 the left factor is L = alpha (alpha - n), and column alpha - n's weight
+    # -1 / Q_{alpha-n}(w_1 k_n1) at the mirror point is 1 / L, as Q_{alpha-n}(w_j k_nj) =
+    # Q_alpha(k_nj) = (-1)^m L
     kern = diagonal_kernel(1, 7)
     for n in (1, 2, 3):
         for alpha in (4, 7):
             assert kern.abs_left(alpha)[n - 1, 0] == pytest.approx(alpha * (alpha - n))
-            assert 1 / kern.pn_w[alpha - 1, 0, n - 1] == pytest.approx(alpha * (alpha - n))
+            assert 1 / kernel_weight(kern, alpha, n, 1)[0] == pytest.approx(alpha * (alpha - n))
 
 
 def test_single_mode_m1_chain():

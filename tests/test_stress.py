@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_potential
+from conftest import kernel_weight, random_potential
 from invspec import (Order, PotentialCoefficients, a_m_constant, contraction_conditions, forward_map,
                      inverse_map, roots_of_unity, v_from_s)
 from invspec.kernel import diagonal_kernel
@@ -41,7 +41,8 @@ def scalar_q(m: int, alpha: int, k: complex, j: int = 0) -> complex:
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_kernel_tensors_match_scalar_coefficients(m):
     # the kernel builds Q as a product of its linear factors; the difference form, in scalar
-    # arithmetic, agrees to its own cancellation at these sizes
+    # arithmetic, agrees to its own cancellation at these sizes.  The weights at n < alpha are
+    # the mirror weights of column alpha - n, whose divisor Q_{alpha-n}(w_j k_nj) is Q_alpha(k_nj)
     order = Order(m)
     n_max = 8
     kern = diagonal_kernel(m, n_max)
@@ -52,11 +53,13 @@ def test_kernel_tensors_match_scalar_coefficients(m):
             c = n / (1 - w[j - 1])
             for gamma in range(order.gamma_count):
                 assert kern.g0[gamma, pole] == c ** gamma
+                assert kern.g0[gamma, n_max * order.j_count + pole] == (c - n) ** gamma
             for alpha in range(1, n_max + 1):
                 q = scalar_q(m, alpha, -1j * c, j if alpha == n else 0)
+                weights = kernel_weight(kern, alpha, n, j)
                 for gamma in range(order.gamma_count):
                     want = (c - alpha) ** gamma * (-1 / q)
-                    assert abs(kern.pn_w[alpha - 1, gamma, pole] - want) <= 1e-13 * abs(want)
+                    assert abs(weights[gamma] - want) <= 1e-13 * abs(want)
                 if alpha == n:
                     want = -q / (1 - w[j - 1])
                     assert abs(kern.t_scale[alpha - 1, j - 1] - want) <= 1e-13 * abs(want)

@@ -3,10 +3,12 @@
 The oracles below are the paper's diagonal relation (diagonal_relation.py),
 read as one einsum per column, which the forward map's V and the input p
 satisfy to rounding; the earlier v_from_s sweep, one einsum per offset; the
-sweeps that slice the kernel's tables anew at every column, checked bit for
-bit; the kernel's tables built entry by entry on separate (n, j) axes, against
-which its packed pole axis is checked bit for bit; and the column order in which a sweep over the full table of left
-factors meets the resonance guard.  The last tests check that the pooled
+residue recurrence the forward map ran before its mirror sweep, checked entry
+by entry; the sweeps that slice the kernel's tables anew at every column,
+checked bit for bit; the kernel's tables built entry by entry on separate (n,
+j) axes, against which its packed point axis is checked bit for bit; and the
+column order in which a sweep over the full table of left factors meets the
+resonance guard.  The last tests check that the pooled
 workspaces carry nothing from one call to the next and are never shared:
 between calls, across threads, or with a returned table.
 """
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_potential, random_spectral
+from conftest import kernel_weight, random_potential, random_spectral
 from diagonal_relation import p_from_v, relation_tables, term_magnitudes
 from invspec import (Order, VTable, forward, forward_map, inverse_map, kernel, roots_of_unity, series_q,
                      v_from_s)
@@ -250,7 +252,8 @@ def test_response_table_solves_the_diagonal_relation(m, n_max):
 def padded_forward_tables(kern) -> tuple:
     """pn_w as [alpha, gamma, n, j], g0 as [gamma, n, j], t_scale and the full |L| as [alpha, n, j],
     entry by entry: each Q_alpha(k_nj) the product of its 2m factors in l order, the l = j factor
-    at n = alpha replaced by its derivative 1 - w_j."""
+    at n = alpha replaced by its derivative 1 - w_j.  pn_w[alpha] at n < alpha is the weight the
+    residue recurrence applies to the residue at k_nj, and the mirror sweep at w_j k_nj."""
     order, n_max = kern.order, kern.n_max
     size = jc = order.j_count
     roots = roots_of_unity(order)
@@ -279,29 +282,60 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("m, n_max", PLAN_SIZES)
 def test_packed_forward_tables_equal_the_padded_tables_bitwise(m, n_max):
-    # the kernel packs each pole (n, j) into one flat axis, n-major
+    # the kernel packs each point (n, j) into one flat axis, n-major, poles then mirrors, and
+    # keeps of each column's weights only the points it reads: the poles n >= alpha, then the
+    # mirrors n <= N - alpha, whose weights are pn_w[n + alpha] at the pole n
     kern = diagonal_kernel(m, n_max)
     pn_w, g0, t_scale, abs_left = padded_forward_tables(kern)
     size = jc = 2 * m - 1
-    assert same_bits(kern.g0, g0.reshape(size, n_max * jc))
+    modes = np.arange(1, n_max + 1)[:, None]
+    mirror_g0 = (modes / (1 - roots_of_unity(Order(m))[1:]) - modes) ** np.arange(size)[:, None, None]
+    assert same_bits(kern.g0, np.concatenate([g0, mirror_g0], axis=1).reshape(size, 2 * n_max * jc))
     assert same_bits(kern.t_scale, t_scale)
     for k in range(n_max):
-        assert same_bits(kern.pn_w[k], pn_w[k].reshape(size, n_max * jc))
+        points = [pn_w[k, :, n] for n in range(k, n_max)]
+        points += [pn_w[n + k + 1, :, n] for n in range(n_max - 1 - k)]
+        assert same_bits(kern.weights[k], np.stack(points, axis=1).reshape(size, -1))
         assert same_bits(kern.abs_left(k + 1), abs_left[k, :k])
         assert same_bits(kern.left_floor[k], abs_left[k, :k].min(axis=0, initial=np.inf))
         assert same_bits(kern.solve[k, :, jc:2 * jc], -kern.solve[k, :, :jc])
-    for table in (kern.g0, kern.pn_w, kern.t_scale, kern.solve, kern.left_floor):
+    # one table holds every column's weights, N^2 (2m - 1)^2 entries
+    assert all(block.base is kern.weights[0].base for block in kern.weights)
+    assert kern.weights[0].base.size == n_max ** 2 * jc * size
+    for table in (kern.g0, kern.t_scale, kern.solve, kern.left_floor, *kern.weights):
         assert not table.flags.writeable
 
 
-def slicing_forward(p) -> tuple[np.ndarray, np.ndarray]:
-    """The forward sweep that slices the kernel's tables anew at every column: V[j, n, alpha] and S."""
+def test_mirror_divisors_are_the_guarded_left_factors():
+    # at w_j k_nj the forward map divides by Q_beta(w_j k_nj) = Q_{n+beta}(k_nj), whose modulus
+    # is |L[n + beta, n, j]|: the numbers the resonance guard bounds.  Q_beta(w_j k_nj) is
+    # evaluated here at the mirror point itself, as a product of its own factors (both measured
+    # within 2.8e-14 of |L|, at (6, 12))
+    for m, n_max in [(1, 16), (2, 24), (3, 16), (6, 12), (8, 10)]:
+        kern = diagonal_kernel(m, n_max)
+        roots = roots_of_unity(Order(m))
+        for beta in range(1, n_max):
+            for n in range(1, n_max - beta + 1):
+                for j in range(1, 2 * m):
+                    divisor = 1 / abs(kernel_weight(kern, n + beta, n, j)[0])
+                    mirror = roots[j] * (-1j * n / (1 - roots[j]))
+                    direct = abs(np.prod(1j * beta + mirror * (1 - roots)))
+                    left = kern.abs_left(n + beta)[n - 1, j - 1]
+                    assert abs(divisor - left) <= 1e-13 * left
+                    assert abs(direct - left) <= 1e-13 * left
+
+
+def residue_recurrence(p) -> np.ndarray:
+    """V[j, n, alpha] by the residue recurrence the forward map ran before the mirror sweep: the
+    residues at n < alpha sum the earlier columns' residues, in a table R that stays zero at n > s,
+    weighted by pn_w[alpha] at n < alpha."""
     order, n_max = p.order, p.n_max
     kern = diagonal_kernel(order.m, n_max)
     size = jc = order.j_count
+    pn_w = padded_forward_tables(kern)[0].reshape(n_max, size, n_max * jc)
     lags = np.ascontiguousarray(series_q(p)[:, ::-1].T).ravel()
     g = np.zeros(((n_max + 1) * size, n_max * jc), dtype=complex)
-    g[:size] = kern.g0
+    g[:size] = kern.g0[:, :n_max * jc]
     res = np.zeros((n_max * size, n_max * jc), dtype=complex)
     acc = np.zeros(n_max * jc, dtype=complex)
     for k in range(n_max):
@@ -309,10 +343,42 @@ def slicing_forward(p) -> tuple[np.ndarray, np.ndarray]:
         lag = lags[(n_max - 1 - k) * size:]
         acc[:lo] = lag[size:] @ res[:k * size, :lo]
         acc[lo:] = lag @ g[:(k + 1) * size, lo:]
-        g[(k + 1) * size:(k + 2) * size] = kern.pn_w[k] * acc
+        g[(k + 1) * size:(k + 2) * size] = pn_w[k] * acc
         res[k * size:(k + 1) * size, :hi] = g[(k + 1) * size:(k + 2) * size, :hi]
-    v = (1 - roots_of_unity(order)[1:])[:, None, None] * res[::size].reshape(n_max, n_max, jc).transpose(2, 1, 0)
-    return v, np.diagonal(v, axis1=1, axis2=2).T
+    return (1 - kern.w)[:, None, None] * res[::size].reshape(n_max, n_max, jc).transpose(2, 1, 0)
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 64), (2, 64), (3, 32), (4, 24), (6, 24), (8, 20)])
+def test_mirror_sweep_equals_the_residue_recurrence_entrywise(m, n_max):
+    # measured <= 2.1e-14, at (6, 24), over these three draws of each size
+    for seed in range(3):
+        p = random_potential(Order(m), n_max, np.random.default_rng([m, n_max, seed]))
+        v, _ = forward_map(p)
+        want = residue_recurrence(p)
+        upper = np.triu(np.ones((n_max, n_max), dtype=bool))
+        assert not v.table[:, ~upper].any()
+        assert (np.abs(v.table - want)[:, upper] <= 1e-13 * np.abs(want)[:, upper]).all()
+
+
+def slicing_forward(p) -> tuple[np.ndarray, np.ndarray]:
+    """The forward sweep that slices the kernel's tables anew at every column: V[j, n, alpha] and S."""
+    order, n_max = p.order, p.n_max
+    kern = diagonal_kernel(order.m, n_max)
+    size = jc = order.j_count
+    poles = n_max * jc
+    lags = np.ascontiguousarray(series_q(p)[:, ::-1].T).ravel()
+    g = np.zeros(((n_max + 1) * size, 2 * poles), dtype=complex)
+    g[:size] = kern.g0
+    for k in range(n_max):
+        lo, end = k * jc, 2 * poles - (k + 1) * jc
+        lag = lags[(n_max - 1 - k) * size:]
+        g[(k + 1) * size:(k + 2) * size, lo:end] = kern.weights[k] * (lag @ g[:(k + 1) * size, lo:end])
+    s = np.stack([(1 - kern.w) * g[n * size, (n - 1) * jc:n * jc] for n in range(1, n_max + 1)])
+    v = np.zeros((jc, n_max, n_max), dtype=complex)
+    for n in range(n_max):
+        # V[j, n, n + beta] = S_nj a_beta(w_j k_nj)
+        v[:, n, n:] = s[n][:, None] * g[:(n_max - n) * size:size, poles + n * jc:poles + (n + 1) * jc].T
+    return v, s
 
 
 def slicing_inverse(s) -> np.ndarray:
@@ -323,14 +389,15 @@ def slicing_inverse(s) -> np.ndarray:
     t = s.table * kern.t_scale
     lags = np.zeros(n_max * size, dtype=complex)
     g = np.zeros(((n_max + 1) * size, n_max * jc), dtype=complex)
-    g[:size] = kern.g0
+    g[:size] = kern.g0[:, :n_max * jc]
     for k in range(n_max):
         lo, hi = k * jc, (k + 1) * jc
         lag = lags[(n_max - 1 - k) * size:]
         d = lag[size:] @ g[size:(k + 1) * size, lo:hi]
         x0 = kern.solve[k, :, :2 * jc] @ np.concatenate([t[k], d])
         lag[:size] = kern.solve[k] @ np.concatenate([t[k], d, x0])
-        g[(k + 1) * size:(k + 2) * size, hi:] = kern.pn_w[k, :, hi:] * (lag @ g[:(k + 1) * size, hi:])
+        weights = kern.weights[k][:, jc:(n_max - k) * jc]
+        g[(k + 1) * size:(k + 2) * size, hi:] = weights * (lag @ g[:(k + 1) * size, hi:])
     return lags.reshape(n_max, size)[::-1].T / (-1j) ** np.arange(size)[:, None]
 
 
@@ -352,17 +419,16 @@ def test_planned_sweeps_equal_the_slicing_sweeps_bitwise(m, n_max):
 def written_entries(kern, ws) -> list:
     """(buffer, mask) for each buffer of ws: the entries some sweep writes.
 
-    Every buffer is written whole except two: G not in its first block, which
-    holds g0, and R only at n <= s.
+    Every buffer is written whole except G, whose first block holds g0 and
+    whose row s >= 1 is written at the poles n >= s and the mirrors n <= N - s.
     """
-    n_max, size = kern.n_max, kern.order.gamma_count
-    g = np.ones(ws.g.shape, dtype=bool)
-    g[:size] = False
-    residues = np.zeros((n_max, size, n_max, kern.order.j_count), dtype=bool)
-    for s in range(n_max):
-        residues[s, :, :s + 1] = True
+    n_max, size, jc = kern.n_max, kern.order.gamma_count, kern.order.j_count
+    g = np.zeros((n_max + 1, size, 2, n_max, jc), dtype=bool)
+    for s in range(1, n_max + 1):
+        g[s, :, 0, s - 1:] = True
+        g[s, :, 1, :n_max - s] = True
     whole = [(a, np.ones(a.shape, dtype=bool)) for a in (ws.lags, ws.acc, ws.u)]
-    return [(ws.g, g), (ws.residues, residues.reshape(ws.residues.shape))] + whole
+    return [(ws.g, g.reshape(ws.g.shape))] + whole
 
 
 def every_call(p, s) -> list:
@@ -424,9 +490,12 @@ def test_returned_tables_share_no_memory_with_the_workspaces():
 
 
 def test_sweep_tables_are_frozen_triangular_copies():
-    # the sweeps' tables skip VTable's triangle check; a checked VTable accepts them
+    # the sweeps' tables skip VTable's triangle check; a checked VTable accepts them, and
+    # below the triangle they hold +0.0, as VTable stores it
     p = random_potential(Order(2), 16, np.random.default_rng(6))
     v, s = forward_map(p)
+    below = np.tri(16, k=-1, dtype=bool)
     for table in (v, v_from_s(s)):
         assert not table.table.flags.writeable and table.table.flags.c_contiguous
-        assert np.array_equal(VTable(table.order, table.n_max, table.table).table, table.table)
+        assert same_bits(VTable(table.order, table.n_max, table.table).table, table.table)
+        assert same_bits(table.table[:, below], np.zeros((3, below.sum()), dtype=complex))
