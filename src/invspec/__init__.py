@@ -15,7 +15,7 @@ _EXPORTS = {
     "forward": ("forward_map", "q_from_p", "series_q"),
     "inverse": ("ContractionReport", "MomentReport", "contraction_conditions", "first_moment",
                 "inverse_map", "v_from_s"),
-    "analytic": ("JumpCheck", "eval_f", "jump_relation_check", "marchenko_residual",
+    "analytic": ("eval_f", "jump_residual", "marchenko_residual", "ode_mode_residual",
                  "ode_residual", "q0_from_kernel", "shift_spectral"),
     "fredholm": ("DeterminantReport", "ScanReport", "det_truncated", "scan_halfplane"),
 }

@@ -13,13 +13,12 @@ conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import PotentialCoefficients, SpectralData, VTable, _check_nj, roots_of_unity
+from .core import PotentialCoefficients, SpectralData, VTable, roots_of_unity
 from .errors import InputError, PoleProximityError, TruncationError
 from .forward import series_q
+from .inverse import jump_factors
 
 POLE_TOL = 1e-9  # eval_f refuses a point this close to a pole
 
@@ -51,21 +50,6 @@ def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None 
                                     1 / table, factor))
 
 
-def _ode_terms(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
-               depth: int | None) -> list[complex]:
-    """The terms whose sum is the half-line residual, leading order first; rounding alone
-    leaves the residual at a few eps times the sum of their magnitudes, at any depth."""
-    m = p.order.m
-    n_cap = min(v.n_max, p.n_max) if depth is None else depth
-    terms = [(-1) ** m * eval_f(v, t, k, deriv=2 * m, depth=n_cap),
-             -k ** (2 * m) * eval_f(v, t, k, deriv=0, depth=n_cap)]
-    q_t = series_q(p) @ np.exp(-np.arange(1, p.n_max + 1) * t)
-    for gamma, q_gamma in enumerate(q_t):
-        if q_gamma != 0:
-            terms.append(q_gamma * eval_f(v, t, k, deriv=gamma, depth=n_cap))
-    return terms
-
-
 def ode_residual(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
                  depth: int | None = None) -> complex:
     """Residual of the half-line equation on the truncated series.
@@ -73,7 +57,41 @@ def ode_residual(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
     Uses the coefficient table the recurrences encode (forward.series_q), so a
     correct (p, V) pair drives the residual to zero as the depth grows.
     """
-    return complex(sum(_ode_terms(p, v, t, k, depth)))
+    m = p.order.m
+    n_cap = min(v.n_max, p.n_max) if depth is None else depth
+    total = (-1) ** m * eval_f(v, t, k, 2 * m, n_cap) - k ** (2 * m) * eval_f(v, t, k, 0, n_cap)
+    q_t = series_q(p) @ np.exp(-np.arange(1, p.n_max + 1) * t)
+    for gamma, q_gamma in enumerate(q_t):
+        if q_gamma != 0:
+            total += q_gamma * eval_f(v, t, k, gamma, n_cap)
+    return complex(total)
+
+
+def ode_mode_residual(p: PotentialCoefficients, v: VTable) -> float:
+    """Worst scaled residual of the half-line equation on its modes e^{(ik - alpha) t}, alpha = 1..N,
+    Q_alpha(k) a_alpha + sum_{r, gamma} sq[gamma, r] (ik - alpha + r)^gamma a_{alpha-r} (kernel.py),
+    a_0 = 1 and a_alpha = sum_{j, n} V[j, n, alpha] / (i n + k (1 - w_j)) as in eval_f, at k = 0.37,
+    0.9 + 0.2i and 1.7.  At Im k >= 0 every |i n + k (1 - w_j)| >= n sin(pi / 2m) (core.a_m_constant).
+    Mode alpha reads the columns <= alpha of p and v, which have one depth, so a consistent pair holds
+    it to rounding.  Each residual is divided by its terms' magnitudes, sum |V| / |den| for |a_alpha|.
+    """
+    k = np.array([0.37, 0.9 + 0.2j, 1.7])
+    n_max, m = v.n_max, v.order.m
+    modes = np.arange(1, n_max + 1)
+
+    def both(x):  # each expression is formed once over the terms and once over their moduli
+        return np.stack([x, np.abs(x)])
+
+    den = 1j * modes[:, None] + k[:, None, None] * (1 - roots_of_unity(v.order)[1:])  # [k, n, j]
+    a = np.ones((2, k.size, n_max + 1), dtype=complex)  # [., k, s], a_0 = 1
+    a[:, :, 1:] = np.einsum("xjna,xknj->xka", both(v.table), 1 / both(den))
+    # (ik - s)^gamma over s < N, and the lower-triangular Toeplitz table sq[gamma, alpha - s], alpha > s
+    rate = (1j * k[:, None] - np.arange(n_max))[:, None, :] ** np.arange(2 * m - 1)[:, None]
+    lag = np.tril(series_q(p)[:, np.subtract.outer(np.arange(n_max), np.arange(n_max))])
+    q = (k[:, None] + 1j * modes) ** (2 * m) - k[:, None] ** (2 * m)
+    total = both(q) * a[:, :, 1:] + np.einsum("xgas,xkgs->xka", both(lag), both(rate) * a[:, :, None, :-1])
+    res, scale = np.abs(total[0]), total[1].real
+    return float(np.divide(res, scale, out=np.zeros_like(res), where=scale > 0).max())
 
 
 def _kernel_terms(v: VTable):
@@ -185,31 +203,25 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: flo
     return complex(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class JumpCheck:
-    """Residue of the series at a pole against its regular-solution multiple."""
-
-    lhs: complex
-    rhs: complex
-    gap: float
-
-
-def jump_relation_check(v: VTable, s: SpectralData, t: float, n: int, j: int) -> JumpCheck:
-    """Compare the (n, j) pole residue of the series with S_nj times the shifted branch.
-
-    The right side is evaluated at depth N - n, the part of the series the
-    truncated table determines; at that depth the identity is exact for a
-    consistent pair.
+def jump_residual(v: VTable, s: SpectralData) -> float:
+    """Worst scaled residual of the jump relation over every entry V[j, n, n + beta], n + beta <= N,
+    against inverse.jump_factors' right side: the coefficients of e^{(c_nj - alpha) t} in the series'
+    residue at the pole (n, j) and in S_nj times its shifted branch, equal to rounding on a consistent
+    pair.  Each gap is divided by its terms' magnitudes, |V[j, n, n + beta]| and the right side's.
     """
-    _check_nj(v.order, n, j)
-    if n > v.n_max:
-        raise TruncationError(f"pole index n={n} beyond table depth {v.n_max}", needed_depth=n)
-    w = roots_of_unity(v.order)
-    c = n / (1 - w[j])
-    lhs = v.table[j - 1, n - 1, n - 1:] @ np.exp((c - np.arange(n, v.n_max + 1)) * t)
-    k_nj_wj = (-1j * c) * w[j]
-    rhs = s.table[n - 1, j - 1] * eval_f(v, t, k_nj_wj, depth=v.n_max - n)
-    return JumpCheck(complex(lhs), complex(rhs), float(abs(lhs - rhs)))
+    n_max, jc = v.n_max, v.order.j_count
+    lead, inv_den = jump_factors(s)
+    cols = v.table.transpose(2, 1, 0).reshape(n_max, -1)[:-1]  # [beta - 1, r l] = V[l, r, beta]
+    rhs = np.concatenate([s.table.reshape(1, -1), lead * (cols @ inv_den)]).reshape(n_max, n_max, jc)
+    terms = np.concatenate([np.abs(s.table).reshape(1, -1),
+                            np.abs(lead) * (np.abs(cols) @ np.abs(inv_den))]).reshape(n_max, n_max, jc)
+    # lhs[beta, n, j] = V[j, n, n + beta], inside the table where n + beta <= N
+    beta, n = np.indices((n_max, n_max))
+    inside = beta + n < n_max
+    lhs = v.table.transpose(1, 2, 0)[n, np.minimum(n + beta, n_max - 1)]
+    gap = np.abs(lhs - rhs)[inside]
+    scale = (np.abs(lhs) + terms)[inside]
+    return float(np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0).max())
 
 
 def shift_spectral(s: SpectralData, a: complex) -> SpectralData:

@@ -60,20 +60,16 @@ def roots_of_unity(order: Order) -> np.ndarray:
 
 def pole(order: Order, n: int, j: int) -> complex:
     """Pole location -n / (1 - omega_j) in the periodic spectral variable."""
-    _check_nj(order, n, j)
+    if n < 1:
+        raise InputError(f"mode index n must be >= 1, got {n}")
+    if not 1 <= j <= order.j_count:
+        raise InputError(f"root index j={j} outside 1..{order.j_count} (j=0 is excluded: 1 - omega_0 = 0)")
     return -n / (1 - order.root(j))
 
 
 def k_pole(order: Order, n: int, j: int) -> complex:
     """Pole location -i n / (1 - omega_j) in the half-line spectral variable."""
     return 1j * pole(order, n, j)
-
-
-def _check_nj(order: Order, n: int, j: int) -> None:
-    if n < 1:
-        raise InputError(f"mode index n must be >= 1, got {n}")
-    if not 1 <= j <= order.j_count:
-        raise InputError(f"root index j={j} outside 1..{order.j_count} (j=0 is excluded: 1 - omega_0 = 0)")
 
 
 def _frozen_array(values, shape, what: str) -> np.ndarray:

@@ -27,13 +27,20 @@ from .errors import InputError
 from .kernel import diagonal_kernel
 
 
+def jump_factors(s: SpectralData) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, inv_den) of the jump relation V[j, n, n + beta] = lead[n j] sum_{r, l} V[l, r, beta]
+    inv_den[r l, n j], beta >= 1: lead = i (1 - w_j) S_nj and inv_den = 1 / den[r, l, n, j]
+    (core.cauchy_denominators), flat over (n, j) and (r, l).  At beta = 0 it reads V[j, n, n] = S_nj.
+    """
+    order, n_max = s.order, s.n_max
+    inv_den = (1 / cauchy_denominators(order, n_max)).transpose(2, 3, 0, 1).reshape(n_max * order.j_count, -1)
+    return (1j * (1 - roots_of_unity(order)[1:]) * s.table).reshape(-1), inv_den
+
+
 def v_from_s(s: SpectralData) -> VTable:
     """Fill the triangular V table from spectral data, one diagonal offset at a time."""
-    order, n_max = s.order, s.n_max
-    jc = order.j_count
-    # inv_den[r*l, n*j] = 1 / (n w_j (1 - w_l) - r (1 - w_j))
-    inv_den = (1 / cauchy_denominators(order, n_max)).transpose(2, 3, 0, 1).reshape(n_max * jc, -1)
-    lead = (1j * (1 - roots_of_unity(order)[1:]) * s.table).reshape(-1)
+    order, n_max, jc = s.order, s.n_max, s.order.j_count
+    lead, inv_den = jump_factors(s)
     cols = np.zeros((n_max, n_max, jc), dtype=complex)
     flat = cols.reshape(n_max * n_max, jc)
     flat[::n_max + 1] = s.table

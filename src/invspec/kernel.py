@@ -26,7 +26,7 @@ residues of the later columns at k_nj solve the relation at k':
 
     Res a_{n+beta}(k_nj) = Res a_n(k_nj) a_beta(k'),   V[j, n, n + beta] = S_nj a_beta(w_j k_nj),
 
-the jump relation of analytic.jump_relation_check.  a_beta is regular at
+the jump relation that analytic.jump_residual checks.  a_beta is regular at
 k', since Re ik' = -n/2 < 0 < Re c.  The forward map is given sq and runs
 the value recurrence at the poles n >= alpha, which gives S_alpha, and at
 the mirror points n <= N - alpha, the entries V[j, n, n + alpha].  The

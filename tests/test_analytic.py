@@ -5,10 +5,10 @@ import pytest
 
 from conftest import random_potential
 from invspec import (Order, PotentialCoefficients, SpectralData, VTable, eval_f,
-                     forward_map, jump_relation_check, k_pole, marchenko_residual, ode_residual,
-                     q0_from_kernel, q_from_p, roots_of_unity, shift_spectral)
+                     forward_map, jump_residual, k_pole, marchenko_residual, ode_mode_residual,
+                     ode_residual, q0_from_kernel, q_from_p, roots_of_unity, shift_spectral)
 from invspec import analytic
-from invspec.errors import InputError, PoleProximityError, TruncationError
+from invspec.errors import InputError, PoleProximityError
 
 
 # The kernel, transformation operator and transition function in closed form,
@@ -242,28 +242,29 @@ def test_jump_relation_consistent_and_broken(rng):
     for m in (1, 2):
         p = random_potential(Order(m), 6, rng)
         v, s = forward_map(p)
-        for n in (1, 2, 3):
-            for j in range(1, 2 * m):
-                for t in (0.0, 0.9):
-                    chk = jump_relation_check(v, s, t, n, j)
-                    scale = max(abs(chk.lhs), abs(chk.rhs))
-                    assert chk.gap <= 1e-9 * scale
-    # zeroing a diagonal entry removes the residue's leading term
+        assert jump_residual(v, s) <= 1e-14
+    # zeroing a diagonal entry removes the residue's leading term: the beta = 0 entry
+    # reads |S_11| against the gap |S_11|, and every later entry of the row goes too
     broken = np.array(v.table)
     broken[0, 0, 0] = 0.0
-    v_bad = VTable(Order(2), 6, broken)
-    chk = jump_relation_check(v_bad, s, 0.5, 1, 1)
-    assert chk.gap == pytest.approx(abs(chk.rhs - chk.lhs))
-    assert chk.gap > 1e-6 * abs(chk.rhs)
+    assert jump_residual(VTable(Order(2), 6, broken), s) == 1.0
+    # an entry of the last row, n = N - 1, which the sampled check at n <= N / 2 never read
+    broken = np.array(v.table)
+    broken[1, 4, 5] *= 1 + 1e-6
+    assert jump_residual(VTable(Order(2), 6, broken), s) > 1e-8
 
 
-@pytest.mark.parametrize("n, j, message", [(0, 1, "got 0"), (-1, 1, "got -1"), (1, 0, "j=0"), (1, 4, "j=4")])
-def test_jump_relation_rejects_pole_indices_outside_the_table(n, j, message):
-    v, s = forward_map(random_potential(Order(2), 6, np.random.default_rng(5)))
-    with pytest.raises(InputError, match=message):
-        jump_relation_check(v, s, 0.5, n, j)
-    with pytest.raises(TruncationError):
-        jump_relation_check(v, s, 0.5, 7, 1)
+def test_ode_mode_residual_consistent_and_broken(rng):
+    for m in (1, 2):
+        p = random_potential(Order(m), 8, rng)
+        v, _ = forward_map(p)
+        assert ode_mode_residual(p, v) <= 1e-14
+        # only the last mode reads the last potential coefficients
+        coeffs = np.array(p.coeffs)
+        coeffs[0, 7] *= 1 + 1e-3
+        assert ode_mode_residual(PotentialCoefficients(Order(m), 8, coeffs), v) > 1e-9
+    # a mode whose terms are all zero reads 0, not 0 / 0
+    assert ode_mode_residual(PotentialCoefficients.zeros(Order(2), 4), VTable.zeros(Order(2), 4)) == 0.0
 
 
 def test_shift_spectral_rules(rng):
