@@ -10,14 +10,14 @@ neither numpy nor any submodule, and ``invspec.forward_map`` imports
 import importlib
 
 _EXPORTS = {
-    "core": ("Order", "PotentialCoefficients", "SpectralData", "VTable", "a_m_constant", "k_pole",
-             "pole", "roots_of_unity"),
+    "core": ("Order", "PotentialCoefficients", "SpectralData", "VTable", "a_m_constant",
+             "roots_of_unity"),
     "forward": ("forward_map", "q_from_p", "series_q"),
     "inverse": ("ContractionReport", "MomentReport", "contraction_conditions", "first_moment",
                 "inverse_map", "v_from_s"),
-    "analytic": ("eval_f", "jump_residual", "marchenko_residual", "ode_mode_residual",
-                 "ode_residual", "q0_from_kernel", "shift_spectral"),
-    "fredholm": ("DeterminantReport", "ScanReport", "det_truncated", "scan_halfplane"),
+    "analytic": ("jump_residual", "marchenko_residual", "ode_mode_residual", "q0_from_kernel",
+                 "shift_spectral"),
+    "fredholm": ("ScanReport", "scan_halfplane"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,76 +1,27 @@
 """Closed-form evaluation of the analytic objects built from the data tables.
 
-Everything here is a finite exponential sum.  Tail integrals over [t, inf)
-are done symbolically, int_t^inf c e^(a s) ds = -c e^(a t) / a with
-Re a < 0, so no quadrature error enters any of the checks.  Normalization
-conventions:
-
-* ``eval_f`` is the half-line series whose coefficients are V_na / (i n + k (1 - w_j)).
-  In the periodic variable x = i t, lam = -i k its terms carry
-  V_na / (i [n + lam (1 - w_j)]).
-* The half-line equation solved by the series carries the coefficient table
-  ``forward.series_q`` (equal to (-1)^m times the classical rescaling).
+Everything here is a finite exponential sum or a coefficient identity of the
+tables, so no quadrature error enters any of the checks.  The half-line
+solution is e^{ikt} sum_alpha a_alpha(k) e^{-alpha t}, a_0 = 1, with
+a_alpha(k) = sum_{j, n <= alpha} V[j, n, alpha] / (i n + k (1 - w_j)); in the
+periodic variable x = i t, lam = -i k its terms carry V_na / (i [n + lam (1 - w_j)]).
+The half-line equation it solves carries the coefficient table
+``forward.series_q`` (equal to (-1)^m times the classical rescaling).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import PotentialCoefficients, SpectralData, VTable, roots_of_unity
-from .errors import InputError, PoleProximityError, TruncationError
+from .errors import InputError
 from .forward import series_q
 from .inverse import jump_factors
-
-POLE_TOL = 1e-9  # eval_f refuses a point this close to a pole
-
-
-def eval_f(v: VTable, t: complex, k: complex, deriv: int = 0, depth: int | None = None) -> complex:
-    """Half-line solution series (or its t-derivative) at (t, k), truncated at depth:
-    (i k)^d e^{i k t} + sum over j and n <= alpha <= depth of
-    V[j, n, alpha] / (i n + k (1 - w_j)) * (i k - alpha)^d e^{(i k - alpha) t}.
-
-    The first denominator within POLE_TOL of zero, lowest j first and then
-    lowest n, raises PoleProximityError.
-    """
-    n_cap = v.n_max if depth is None else depth
-    if n_cap > v.n_max:
-        raise TruncationError(f"depth {n_cap} exceeds stored table depth {v.n_max}",
-                              needed_depth=n_cap)
-    modes = np.arange(1, n_cap + 1)
-    table = 1j * modes[:, None] + k * (1 - roots_of_unity(v.order)[None, 1:])
-    near = np.argwhere(np.abs(table.T) <= POLE_TOL)
-    if near.size:
-        j, n = (int(i) + 1 for i in near[0])
-        raise PoleProximityError(
-            f"evaluation point within {POLE_TOL} of the (n={n}, j={j}) pole", indices=(n, j)
-        )
-    rate = 1j * k - modes
-    factor = rate ** deriv * np.exp(rate * t)
-    head = (1j * k) ** deriv * np.exp(1j * k * t)
-    return complex(head + np.einsum("jna,nj,a->", v.table[:, :modes.size, :modes.size],
-                                    1 / table, factor))
-
-
-def ode_residual(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
-                 depth: int | None = None) -> complex:
-    """Residual of the half-line equation on the truncated series.
-
-    Uses the coefficient table the recurrences encode (forward.series_q), so a
-    correct (p, V) pair drives the residual to zero as the depth grows.
-    """
-    m = p.order.m
-    n_cap = min(v.n_max, p.n_max) if depth is None else depth
-    total = (-1) ** m * eval_f(v, t, k, 2 * m, n_cap) - k ** (2 * m) * eval_f(v, t, k, 0, n_cap)
-    q_t = series_q(p) @ np.exp(-np.arange(1, p.n_max + 1) * t)
-    for gamma, q_gamma in enumerate(q_t):
-        if q_gamma != 0:
-            total += q_gamma * eval_f(v, t, k, gamma, n_cap)
-    return complex(total)
 
 
 def ode_mode_residual(p: PotentialCoefficients, v: VTable) -> float:
     """Worst scaled residual of the half-line equation on its modes e^{(ik - alpha) t}, alpha = 1..N,
     Q_alpha(k) a_alpha + sum_{r, gamma} sq[gamma, r] (ik - alpha + r)^gamma a_{alpha-r} (kernel.py),
-    a_0 = 1 and a_alpha = sum_{j, n} V[j, n, alpha] / (i n + k (1 - w_j)) as in eval_f, at k = 0.37,
+    a_0 = 1 and a_alpha = sum_{j, n} V[j, n, alpha] / (i n + k (1 - w_j)), at k = 0.37,
     0.9 + 0.2i and 1.7.  At Im k >= 0 every |i n + k (1 - w_j)| >= n sin(pi / 2m) (core.a_m_constant).
     Mode alpha reads the columns <= alpha of p and v, which have one depth, so a consistent pair holds
     it to rounding.  Each residual is divided by its terms' magnitudes, sum |V| / |den| for |a_alpha|.
@@ -108,15 +59,6 @@ def _kernel_terms(v: VTable):
     return by_col[j, alpha, n] / (1j * (1 - w[j])), c - (alpha + 1), -c, alpha + 1, j * v.n_max + n
 
 
-def _transition_terms(s: SpectralData):
-    """Arrays (coeff, t_rate, u_rate, n) of the transition function's nonzero terms,
-    ordered by n, then j."""
-    w = roots_of_unity(s.order)[1:]
-    n, j = np.nonzero(s.table)
-    c = (n + 1) / (1 - w[j])
-    return s.table[n, j] / (1j * (1 - w[j])), c * w[j], -c, n + 1
-
-
 def q0_from_kernel(v: VTable) -> dict[int, complex]:
     """2m d/dx K(x, x) = sum over alpha of q[alpha] e^(-alpha x), as {alpha: q[alpha]} over the
     columns that hold a nonzero entry; its modes feed the trace cross-check.
@@ -136,79 +78,17 @@ def q0_from_kernel(v: VTable) -> dict[int, complex]:
     return {alpha: complex(2 * v.order.m * (total * rate[alpha])) for alpha, total in sums.items()}
 
 
-def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray, u: float | np.ndarray,
-                       projected: bool = True) -> complex | np.ndarray:
-    """Residual K(t,u) - F(t,u) - int_t^inf K(t,s') F(s',u) ds' in closed form.
+def _jump_gaps(v: VTable, s: SpectralData) -> tuple[np.ndarray, np.ndarray]:
+    """The jump gaps gap[beta, n, j] = V[j, n, n + beta] - rhs[beta, n, j] over the entries inside the
+    table, n + beta <= N, zero outside it, and the sum of the magnitudes of each gap's terms.
 
-    With ``projected`` the product integral keeps only the exponential modes
-    the truncated tables resolve (combined column index <= N); on a consistent
-    table pair that projection vanishes identically.  The raw residual keeps
-    the truncation tail of order |S| * |V_tail|.
-
-    ``t`` and ``u`` broadcast: scalars give a complex, arrays a complex array
-    of their broadcast shape.  The term tables are built once for all points,
-    and each point's value is the same expression a scalar call evaluates.
-
-    The product integral sums over every (kernel term a, transition term b)
-    pair, but a kernel term's u-rate kb depends only on its pole, so it is
-    summed pole by pole: with x_a = kc_a e^{(ka_a + kb_a) t} and y_b = fc_b
-    e^{fg_b t + fh_b u} it is -sum_a x_a P[pole_a, cut_a - 1], where P[g, i]
-    is the sum of C[g, b] y_b over the transition terms b <= i, C[g, b] = 1 /
-    (kb_g + fg_b) over the (2m - 1) N poles.  The transition terms are ordered
-    by n', so those with alpha_a + n' <= N are the first cut_a of them
-    (``projected=False`` reads all of them): one cumulative sum per point.
-    A call holds one table of (2m - 1) N rows by the transition terms, in
-    which each point forms C y and its prefix sums, not one entry per pair.
-    Each rate kb_g + fg_b has real part -(n + n') / 2 <= -1
-    (core.a_m_constant), so every tail integral converges.
+    rhs is the jump relation's right side (inverse.jump_factors): S_nj at beta = 0, and one step of
+    v_from_s's formula, i (1 - w_j) S_nj sum_{r, l} V[l, r, beta] / (n w_j (1 - w_l) - r (1 - w_j)),
+    at beta >= 1.  The two tables must have one order and one depth.
     """
-    t_pts, u_pts = np.broadcast_arrays(t, u)
-    below = np.flatnonzero(u_pts < t_pts)
-    if below.size:
-        i = below[0]
-        raise InputError(f"residual requires u >= t, got t={t_pts.flat[i]}, u={u_pts.flat[i]}")
-    kc, ka, kb, kcol, kpole = _kernel_terms(v)
-    fc, fg, fh, frow = _transition_terms(s)
-    pairs = bool(kc.size and fc.size)
-    if pairs:
-        # int_t^inf e^{a s} ds = -e^{a t}/a, so the pair (a, b) contributes
-        # -x_a y_b / (kb_a + fg_b): one reciprocal per (pole, transition term)
-        _, first, group = np.unique(kpole, return_index=True, return_inverse=True)
-        kb_pole = kb[first]
-        if projected:
-            cut = np.searchsorted(frow, np.maximum(min(v.n_max, s.n_max) - kcol, 0), side="right")
-        else:
-            cut = np.full(kcol.shape, fc.size)
-        # a kernel term that keeps no transition term (n' >= 1, so every alpha >= N) adds nothing
-        kept = np.flatnonzero(cut)
-        group, last = group[kept], cut[kept] - 1
-        x_coeff, x_rate = kc[kept], ka[kept] + kb[kept]
-        prefix = np.empty((first.size, fc.size), dtype=complex)
-    out = np.empty(t_pts.shape, dtype=complex)
-    for i, (ti, ui) in enumerate(zip(t_pts.ravel().tolist(), u_pts.ravel().tolist())):
-        val = 0j
-        if kc.size:
-            val += np.sum(kc * np.exp(ka * ti + kb * ui))
-        if fc.size:
-            f_term = fc * np.exp(fg * ti + fh * ui)
-            val -= np.sum(f_term)
-        if pairs:
-            # the reciprocals are formed anew at each point, in the one working table
-            np.add.outer(kb_pole, fg, out=prefix)
-            np.reciprocal(prefix, out=prefix)
-            prefix *= f_term
-            np.cumsum(prefix, axis=1, out=prefix)
-            val += (x_coeff * np.exp(x_rate * ti)) @ prefix[group, last]
-        out.flat[i] = val
-    return complex(out) if out.ndim == 0 else out
-
-
-def jump_residual(v: VTable, s: SpectralData) -> float:
-    """Worst scaled residual of the jump relation over every entry V[j, n, n + beta], n + beta <= N,
-    against inverse.jump_factors' right side: the coefficients of e^{(c_nj - alpha) t} in the series'
-    residue at the pole (n, j) and in S_nj times its shifted branch, equal to rounding on a consistent
-    pair.  Each gap is divided by its terms' magnitudes, |V[j, n, n + beta]| and the right side's.
-    """
+    if v.order != s.order or v.n_max != s.n_max:
+        raise InputError(f"V table (m={v.order.m}, N={v.n_max}) and spectral data "
+                         f"(m={s.order.m}, N={s.n_max}) differ in order or depth")
     n_max, jc = v.n_max, v.order.j_count
     lead, inv_den = jump_factors(s)
     cols = v.table.transpose(2, 1, 0).reshape(n_max, -1)[:-1]  # [beta - 1, r l] = V[l, r, beta]
@@ -217,10 +97,67 @@ def jump_residual(v: VTable, s: SpectralData) -> float:
                             np.abs(lead) * (np.abs(cols) @ np.abs(inv_den))]).reshape(n_max, n_max, jc)
     # lhs[beta, n, j] = V[j, n, n + beta], inside the table where n + beta <= N
     beta, n = np.indices((n_max, n_max))
-    inside = beta + n < n_max
+    inside = (beta + n < n_max)[..., None]
     lhs = v.table.transpose(1, 2, 0)[n, np.minimum(n + beta, n_max - 1)]
-    gap = np.abs(lhs - rhs)[inside]
-    scale = (np.abs(lhs) + terms)[inside]
+    return np.where(inside, lhs - rhs, 0), np.where(inside, np.abs(lhs) + terms, 0)
+
+
+def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray,
+                       u: float | np.ndarray) -> complex | np.ndarray:
+    """Residual K(t,u) - F(t,u) - int_t^inf K(t,s') F(s',u) ds' of the Marchenko equation, its product
+    integral projected onto the modes the truncated tables resolve, as the series of the jump gaps:
+
+        R(t, u) = sum over n + beta <= N of gap[beta, n, j] / (i (1 - w_j)) e^{(c_nj - n - beta) t - c_nj u},
+
+    c_nj = n / (1 - w_j) and gap as in _jump_gaps.  ``t`` and ``u`` broadcast: scalars give a
+    complex, arrays a complex array of their broadcast shape, each point the same sum a scalar call
+    forms.  A point with u < t raises InputError.
+
+    The derivation.  The kernel and the transition function are
+
+        K(t, u) = sum_{j, n <= alpha} V[j, n, alpha] / (i (1 - w_j)) e^{(c_nj - alpha) t - c_nj u},
+        F(t, u) = sum_{n, j} S_nj / (i (1 - w_j)) e^{(c_nj - n) t - c_nj u},
+
+    with c_nj - n = c_nj w_j.  Kernel term (l, r, beta) and F's term (n, j) give the product integral
+
+        int_t^inf e^{(c_rl - beta) t - c_rl s'} e^{(c_nj - n) s' - c_nj u} ds'
+            = -e^{(c_nj - n - beta) t - c_nj u} / (c_nj w_j - c_rl),
+
+    which converges, as Re(c_nj w_j - c_rl) = -(n + r) / 2 (core.a_m_constant); the projection keeps
+    the pairs with n + beta <= N.  So every term of R lies on a mode e^{(c_nj - n - beta) t - c_nj
+    u}, n + beta <= N: K puts V[j, n, n + beta] / (i (1 - w_j)) there, -F puts -S_nj / (i (1 - w_j))
+    at beta = 0, and minus the product integral puts, at beta >= 1,
+
+        S_nj / (i (1 - w_j)) sum_{r, l} V[l, r, beta] / (i (1 - w_l) (c_nj w_j - c_rl)).
+
+    Now c_nj w_j - c_rl = den / ((1 - w_j)(1 - w_l)), den = n w_j (1 - w_l) - r (1 - w_j) the Cauchy
+    denominator of inverse.jump_factors, so the product's share is -i (1 - w_j) S_nj sum V[l, r, beta]
+    / den divided by i (1 - w_j): minus the jump relation's right side, in the same normalisation as
+    K's and F's terms.  The coefficient of each mode is therefore gap[beta, n, j] / (i (1 - w_j)).
+    """
+    t_pts, u_pts = np.broadcast_arrays(t, u)
+    below = np.flatnonzero(u_pts < t_pts)
+    if below.size:
+        i = below[0]
+        raise InputError(f"residual requires u >= t, got t={t_pts.flat[i]}, u={u_pts.flat[i]}")
+    gap, _ = _jump_gaps(v, s)
+    beta, n, j = np.nonzero(gap)
+    w = roots_of_unity(v.order)[1 + j]
+    c = (n + 1) / (1 - w)
+    coeff = gap[beta, n, j] / (1j * (1 - w))
+    modes = np.exp(np.multiply.outer(t_pts, c - (n + 1 + beta)) + np.multiply.outer(u_pts, -c))
+    out = np.sum(coeff * modes, axis=-1)
+    return complex(out) if out.ndim == 0 else out
+
+
+def jump_residual(v: VTable, s: SpectralData) -> float:
+    """Worst scaled jump gap (_jump_gaps) over every entry V[j, n, n + beta], n + beta <= N: the
+    coefficients of e^{(c_nj - alpha) t} in the series' residue at the pole (n, j) and in S_nj times
+    its shifted branch, equal to rounding on a consistent pair.  Each gap is divided by its terms'
+    magnitudes, |V[j, n, n + beta]| and the right side's.
+    """
+    gap, scale = _jump_gaps(v, s)
+    gap = np.abs(gap)
     return float(np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0).max())
 
 

@@ -206,6 +206,9 @@ def cmd_det(args) -> int:
     problem = load_problem(args.input)
     if not isinstance(problem, SpectralData):
         raise InputError("det expects a spectral-mode problem file")
+    for flag, steps in (("--re-steps", args.re_steps), ("--im-steps", args.im_steps)):
+        if steps < 2:
+            raise InputError(f"{flag} must be at least 2, got {steps}")
     re_grid = np.linspace(0.0, 2 * np.pi, args.re_steps)
     im_grid = np.linspace(0.0, args.im_max, args.im_steps)
     report = fredholm.scan_halfplane(problem, re_grid, im_grid, tol=args.tol,

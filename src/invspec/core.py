@@ -1,4 +1,4 @@
-"""Root-of-unity lattice, pole locations, and the shared data tables.
+"""Root-of-unity lattice, the shared data tables, and the Cauchy denominators.
 
 Index conventions used throughout the package: the operator order parameter
 ``m`` gives 2m-1 nontrivial branch indices j = 1..2m-1 and coefficient orders
@@ -53,23 +53,9 @@ def roots_of_unity(order: Order) -> np.ndarray:
     """All 2m-th roots exp(i j pi / m), j = 0..2m-1, in index order.
 
     Index 0 is the trivial root 1; pole and spectral indexing run over
-    j = 1..2m-1 only.
+    j = 1..2m-1 only, the poles sitting at k_nj = -i n / (1 - w_j).
     """
     return np.array(_roots(order.m))
-
-
-def pole(order: Order, n: int, j: int) -> complex:
-    """Pole location -n / (1 - omega_j) in the periodic spectral variable."""
-    if n < 1:
-        raise InputError(f"mode index n must be >= 1, got {n}")
-    if not 1 <= j <= order.j_count:
-        raise InputError(f"root index j={j} outside 1..{order.j_count} (j=0 is excluded: 1 - omega_0 = 0)")
-    return -n / (1 - order.root(j))
-
-
-def k_pole(order: Order, n: int, j: int) -> complex:
-    """Pole location -i n / (1 - omega_j) in the half-line spectral variable."""
-    return 1j * pole(order, n, j)
 
 
 def _frozen_array(values, shape, what: str) -> np.ndarray:

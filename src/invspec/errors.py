@@ -25,18 +25,6 @@ class ResonantIndexError(DegenerateDenominatorError):
     """A recurrence left factor vanished at an index triple (n, alpha, j)."""
 
 
-class PoleProximityError(DegenerateDenominatorError):
-    """A series evaluation point is too close to a pole (n, j)."""
-
-
-class TruncationError(InvspecError):
-    """A recurrence requested an entry beyond the stored truncation depth."""
-
-    def __init__(self, message: str, needed_depth: int = -1):
-        super().__init__(message)
-        self.needed_depth = needed_depth
-
-
 class NonFiniteResultError(InvspecError):
     """A computed result overflowed to a non-finite value."""
 

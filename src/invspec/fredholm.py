@@ -70,41 +70,6 @@ def _determinants(s: SpectralData, n_max: int | None):
 
 
 @dataclass(frozen=True)
-class DeterminantReport:
-    """Determinant values D_n for the truncations n in ns, the last one final, with a convergence verdict."""
-
-    z: complex
-    ns: tuple
-    values: tuple
-    converged: bool
-    final: complex
-    convention: str = CONVENTION
-
-
-def det_truncated(s: SpectralData, z: complex, n_min: int = 4, n_max: int | None = None,
-                  dense_trace: bool = False) -> DeterminantReport:
-    """The scan's determinant det(E - F_N(z)) at one point z, Im z >= 0 enforced.
-
-    N = min(n_max, data depth).  The value is exact once every data block is
-    in; when n_max cuts the data short, the report also holds D_{N-1} and
-    converged says whether the consecutive gap is below DET_TOL.  dense_trace
-    reports every D_n from n = n_min up.
-    """
-    if complex(z).imag < -1e-12:
-        raise InputError(f"determinant domain is the closed upper half plane; got Im z = {complex(z).imag}")
-    if n_min < 0:
-        raise InputError(f"n_min must be >= 0, got {n_min}")
-    n_cap, dets = _determinants(s, n_max)
-    truncated = n_cap < s.n_max
-    lo = n_cap - 1 if truncated else n_cap
-    ns = tuple(range(min(lo, n_min) if dense_trace else lo, n_cap + 1))
-    zs = np.array([complex(z)])
-    values = tuple(complex(dets(zs, n)[0]) for n in ns)
-    converged = not truncated or abs(values[-1] - values[-2]) < DET_TOL * (1.0 + abs(values[-1]))
-    return DeterminantReport(complex(z), ns, values, converged, values[-1])
-
-
-@dataclass(frozen=True)
 class ScanReport:
     """Half-plane scan verdict: modulus floor, winding count, and flagged points.
 

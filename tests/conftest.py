@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from invspec import Order, PotentialCoefficients, SpectralData, analytic, kernel
+from invspec import Order, PotentialCoefficients, SpectralData, kernel
 
 # the module each guard constant lives in
-_CONSTANT_HOMES = {"LEFT_FACTOR_RTOL": kernel, "POLE_TOL": analytic}
+_CONSTANT_HOMES = {"LEFT_FACTOR_RTOL": kernel}
 
 
 def random_potential(order: Order, n_max: int, rng, scale: float = 0.05) -> PotentialCoefficients:

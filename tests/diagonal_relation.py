@@ -21,8 +21,13 @@ from math import comb
 
 import numpy as np
 
-from invspec import Order, k_pole, roots_of_unity
+from invspec import Order, roots_of_unity
 from invspec.errors import InputError
+
+
+def k_pole(order: Order, n: int, j: int) -> complex:
+    """The pole k_nj = i lambda_nj of the half-line variable, lambda_nj = -n / (1 - w_j), j = 1..2m-1."""
+    return 1j * (-n / (1 - order.root(j)))
 
 
 def divide_by_linear(p, root):

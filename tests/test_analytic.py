@@ -3,16 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_potential
-from invspec import (Order, PotentialCoefficients, SpectralData, VTable, eval_f,
-                     forward_map, jump_residual, k_pole, marchenko_residual, ode_mode_residual,
-                     ode_residual, q0_from_kernel, q_from_p, roots_of_unity, shift_spectral)
+from conftest import random_potential, random_spectral
+from diagonal_relation import k_pole
+from invspec import (Order, PotentialCoefficients, SpectralData, VTable, forward_map, jump_residual,
+                     marchenko_residual, ode_mode_residual, q0_from_kernel, q_from_p, roots_of_unity,
+                     shift_spectral, v_from_s)
 from invspec import analytic
-from invspec.errors import InputError, PoleProximityError
+from invspec.cli import build_parser
+from invspec.errors import InputError
+from series_oracle import (NearPoleError, eval_f, ode_residual, product_marchenko, product_modes,
+                           transition_terms)
 
 
 # The kernel, transformation operator and transition function in closed form,
-# over the term tables marchenko_residual reads: oracles for the identities below.
+# over the kernel's term tables: oracles for the identities below.
 
 def kernel_K(v: VTable, t: float, u: float) -> complex:
     """Transformation kernel K(t, u) for u >= t >= 0."""
@@ -43,7 +47,7 @@ def transform_lhs(v: VTable, t: float, k: complex) -> complex:
 
 def transition(s: SpectralData, t: float, u: float) -> complex:
     """Transition function of the data, evaluated through its (t, u) term structure."""
-    fc, fg, fh, _ = analytic._transition_terms(s)
+    fc, fg, fh, _ = transition_terms(s)
     if fc.size == 0:
         return 0j
     return complex(np.sum(fc * np.exp(fg * t + fh * u)))
@@ -131,7 +135,7 @@ def test_eval_phi_lambda_zero_is_regular(rng):
 def test_eval_phi_pole_guard(rng):
     p = random_potential(Order(1), 4, rng)
     v, _ = forward_map(p)
-    with pytest.raises(PoleProximityError) as info:
+    with pytest.raises(NearPoleError) as info:
         eval_f(v, -0.3j, 1j * (-0.5 + 1e-12))  # lambda_11 = -1/2 at m = 1, at k = i lambda
     assert info.value.indices == (1, 1)
 
@@ -234,7 +238,7 @@ def test_marchenko_raw_residual_shrinks_with_depth(rng):
     for n_max in (4, 6, 8):
         p = random_potential(order, n_max, np.random.default_rng(5))
         v, s = forward_map(p)
-        raws.append(abs(marchenko_residual(v, s, 0.0, 0.0, projected=False)))
+        raws.append(abs(product_marchenko(v, s, 0.0, 0.0, projected=False)[0]))
     assert raws[2] < raws[1] < raws[0]
 
 
@@ -349,7 +353,7 @@ def scalar_eval_f(v, t, k, deriv=0, depth=None, pole_tol=1e-9):
             for n in range(1, alpha + 1):
                 den = 1j * n + k * (1 - w[j])
                 if abs(den) <= pole_tol:
-                    raise PoleProximityError("pole", indices=(n, j))
+                    raise NearPoleError("pole", (n, j))
                 val += v.table[j - 1, n - 1, alpha - 1] / den * rate ** deriv * np.exp(rate * t)
     return complex(val)
 
@@ -364,7 +368,7 @@ def scalar_eval_phi(v, x, lam, deriv=0, depth=None, pole_tol=1e-9):
             for n in range(1, alpha + 1):
                 den = n + lam * (1 - w[j])
                 if abs(den) <= pole_tol:
-                    raise PoleProximityError("pole", indices=(n, j))
+                    raise NearPoleError("pole", (n, j))
                 val += v.table[j - 1, n - 1, alpha - 1] / (1j * den) * rate ** deriv * np.exp(rate * x)
     return complex(val)
 
@@ -404,22 +408,21 @@ def test_series_match_scalar_loops(rng):
     (k_pole(Order(2), 3, 2), 2.0, (1, 1)),  # also poles of every other j
     (-0.5 - 1.5j, 1.6, (2, 2)),  # catches (n=1, j=3) too: j orders before n
 ])
-def test_pole_guard_reports_the_scalar_loops_first_pole(rng, guard_constants, k, pole_tol, first):
+def test_pole_guard_reports_the_scalar_loops_first_pole(rng, k, pole_tol, first):
     # phi(i t, -i k) is eval_f(t, k), with the same distances to the poles
     v, _ = forward_map(random_potential(Order(2), 6, rng))
-    guard_constants(POLE_TOL=pole_tol)
     for scalar, args in [(scalar_eval_f, (0.4, k)), (scalar_eval_phi, (0.4j, -1j * k))]:
         for depth in (None, 3, 1):
             try:
                 want = scalar(v, *args, depth=depth, pole_tol=pole_tol)
-            except PoleProximityError as exc:
-                with pytest.raises(PoleProximityError) as got:
-                    eval_f(v, 0.4, k, depth=depth)
+            except NearPoleError as exc:
+                with pytest.raises(NearPoleError) as got:
+                    eval_f(v, 0.4, k, depth=depth, pole_tol=pole_tol)
                 assert got.value.indices == exc.indices
             else:
-                assert eval_f(v, 0.4, k, depth=depth) == pytest.approx(want, rel=1e-13)
-    with pytest.raises(PoleProximityError) as full:
-        eval_f(v, 0.4, k)
+                assert eval_f(v, 0.4, k, depth=depth, pole_tol=pole_tol) == pytest.approx(want, rel=1e-13)
+    with pytest.raises(NearPoleError) as full:
+        eval_f(v, 0.4, k, pole_tol=pole_tol)
     assert full.value.indices == first
 
 
@@ -434,26 +437,6 @@ def test_marchenko_bilinear_form_matches_pairwise_sum(m, n_max):
             assert abs(marchenko_residual(v, data, t, u) - want) <= 1e-13 * scale
 
 
-def one_point_marchenko(v, s, t, u, projected=True):
-    """The residual at one point as the term-pair table evaluated it, and the sum
-    of the magnitudes of its terms."""
-    kc, ka, kb, kcol, _ = analytic._kernel_terms(v)
-    fc, fg, fh, frow = analytic._transition_terms(s)
-    k_term = kc * np.exp(ka * t + kb * u)
-    f_term = fc * np.exp(fg * t + fh * u)
-    val = np.sum(k_term) - np.sum(f_term)
-    scale = np.abs(k_term).sum() + np.abs(f_term).sum()
-    if kc.size and fc.size:
-        pair = np.add.outer(kb, fg)
-        np.reciprocal(pair, out=pair)
-        if projected:
-            pair *= np.add.outer(kcol, frow) <= min(v.n_max, s.n_max)
-        x = kc * np.exp((ka + kb) * t)
-        val += x @ pair @ f_term
-        scale += np.abs(x) @ np.abs(pair) @ np.abs(f_term)
-    return complex(val), float(scale)
-
-
 @pytest.mark.parametrize("m, n_max", [(1, 8), (2, 16), (2, 24), (3, 12)])
 def test_marchenko_point_arrays_match_scalar_calls_bitwise(m, n_max):
     p = random_potential(Order(m), n_max, np.random.default_rng(23))
@@ -463,16 +446,13 @@ def test_marchenko_point_arrays_match_scalar_calls_bitwise(m, n_max):
     t_idx, u_idx = np.triu_indices(grid.size)
     t, u = grid[t_idx], grid[u_idx]
     for data in (s, bumped):
-        for projected in (True, False):
-            got = marchenko_residual(v, data, t, u, projected=projected)
-            assert got.shape == (15,)
-            # the pole-grouped sum rounds differently from the pair table (measured
-            # gap <= 0.04 eps times the magnitude of the terms)
-            for value, ti, ui in zip(got, t, u):
-                want, scale = one_point_marchenko(v, data, ti, ui, projected)
-                assert abs(value - want) <= 4 * np.finfo(float).eps * scale
-            assert np.array_equal(got, [marchenko_residual(v, data, ti, ui, projected=projected)
-                                        for ti, ui in zip(t, u)])
+        got = marchenko_residual(v, data, t, u)
+        assert got.shape == (15,)
+        # the gap series against the product form's own rounding
+        for value, ti, ui in zip(got, t, u):
+            want, scale = product_marchenko(v, data, ti, ui)
+            assert abs(value - want) <= 4 * np.finfo(float).eps * scale
+        assert np.array_equal(got, [marchenko_residual(v, data, ti, ui) for ti, ui in zip(t, u)])
     scalar = marchenko_residual(v, s, 0.4, 1.1)
     assert type(scalar) is complex
     # t and u broadcast: a column of t against a row of u
@@ -481,11 +461,51 @@ def test_marchenko_point_arrays_match_scalar_calls_bitwise(m, n_max):
     assert cols[1, 2] == marchenko_residual(v, s, 0.5, 3.0)
 
 
+@pytest.mark.parametrize("m, n_max", [(1, 8), (2, 10), (3, 10)])
+def test_marchenko_residual_is_the_jump_gap_series(m, n_max):
+    # every V entry perturbed by 1e-3 relative, so that no gap is at rounding
+    rng = np.random.default_rng(31)
+    v, s = forward_map(random_potential(Order(m), n_max, rng))
+    noise = rng.normal(size=v.table.shape) + 1j * rng.normal(size=v.table.shape)
+    v = VTable(Order(m), n_max, np.triu(v.table * (1 + 1e-3 * noise)))
+    # entry by entry: the product form's coefficient of each mode (measured <= 2.7e-12 relative)
+    gap, _ = analytic._jump_gaps(v, s)
+    want, scale = product_modes(v, s)
+    inside = scale > 0
+    assert inside.sum() == n_max * (n_max + 1) // 2 * (2 * m - 1)
+    assert not gap[~inside].any()
+    got = (gap / (1j * (1 - roots_of_unity(Order(m))[1:])))[inside]
+    assert (np.abs(got - want[inside]) <= 1e-11 * np.abs(want[inside])).all()
+    # and the values at verify's 15 points (measured <= 4.4e-13 relative)
+    grid = np.linspace(0.0, 3.0, 5)
+    t_idx, u_idx = np.triu_indices(grid.size)
+    for value, t, u in zip(marchenko_residual(v, s, grid[t_idx], grid[u_idx]), grid[t_idx], grid[u_idx]):
+        want_value, _ = product_marchenko(v, s, t, u)
+        assert abs(value - want_value) <= 1e-11 * abs(want_value)
+
+
+def test_marchenko_reads_the_jump_gaps_more_weakly_than_the_jump_check():
+    # V = v_from_s(S) for random S has every gap at rounding; a 1e-6 relative change to
+    # V[1, 2, 24], an entry of size 8.2e-9, reads 5.8e-15 in the Marchenko residual and
+    # 2.0e-7 in the jump check: the Marchenko check passes it at its default tolerance
+    order, n_max = Order(2), 24
+    s = random_spectral(order, n_max, np.random.default_rng(0), scale=1.0)
+    table = np.array(v_from_s(s).table)
+    table[0, 1, 23] *= 1 + 1e-6
+    v = VTable(order, n_max, table)
+    grid = np.linspace(0.0, 3.0, 5)
+    t_idx, u_idx = np.triu_indices(grid.size)
+    march = np.abs(marchenko_residual(v, s, grid[t_idx], grid[u_idx])).max()
+    defaults = build_parser().parse_args(["verify", "--input", "unused.json"])
+    assert march <= defaults.marchenko_tol
+    assert jump_residual(v, s) > defaults.jump_tol
+
+
 @pytest.mark.parametrize("m, n_max, limit_mb", [(2, 64, 4.0), (3, 32, 2.0)])
 def test_marchenko_memory_grows_with_poles_not_term_pairs(m, n_max, limit_mb):
     # a table of every (kernel term, transition term) pair peaks at 30.3 MB at
-    # (2, 64) and 10.7 MB at (3, 32) here; grouping by pole (1.9 and 1.0 MB)
-    # leaves O(((2m - 1) N)^2) entries
+    # (2, 64) and 10.7 MB at (3, 32) here; the gap table and its Cauchy factors
+    # (1.8 and 0.9 MB) hold O(((2m - 1) N)^2) entries
     v, s = forward_map(random_potential(Order(m), n_max, np.random.default_rng(29)))
     tracemalloc.start()
     try:
@@ -495,6 +515,15 @@ def test_marchenko_memory_grows_with_poles_not_term_pairs(m, n_max, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb * 1e6
+
+
+def test_gap_checks_refuse_tables_of_different_order_or_depth():
+    v, s = forward_map(random_potential(Order(2), 6, np.random.default_rng(3)))
+    for other in (SpectralData(Order(2), 5, s.table[:5]), SpectralData.zeros(Order(1), 6)):
+        with pytest.raises(InputError, match="differ in order or depth"):
+            marchenko_residual(v, other, 0.0, 1.0)
+        with pytest.raises(InputError, match="differ in order or depth"):
+            jump_residual(v, other)
 
 
 def test_marchenko_point_arrays_refuse_u_below_t():

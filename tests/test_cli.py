@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import random_potential
-from invspec import Order, PotentialCoefficients, SpectralData, VTable, det_truncated, forward_map
+from invspec import Order, PotentialCoefficients, SpectralData, VTable, forward_map, fredholm
 from invspec.cli import exit_code_for, load_problem
 from invspec import errors
 from invspec.errors import (ConvergenceError, DegenerateDenominatorError, InputError, InvspecError,
-                            NonFiniteResultError, PoleProximityError, ResonantIndexError,
-                            TruncationError, VerificationError)
+                            NonFiniteResultError, ResonantIndexError, VerificationError)
 
 
 def run_cli(*args, cwd=None):
@@ -162,9 +161,22 @@ def test_det_csv_holds_the_scanned_values(tmp_path):
     at_argmin = [row for row in rows
                  if (row[0], row[1]) == (verdict["argmin"]["re"], verdict["argmin"]["im"])]
     assert [row[4] for row in at_argmin] == [verdict["min_modulus"]]
-    s = load_problem(str(inp))
+    _, dets = fredholm._determinants(load_problem(str(inp)), None)
     for x, y, d_re, d_im, _ in rows:
-        assert complex(d_re, d_im) == det_truncated(s, complex(x, y)).final
+        assert complex(d_re, d_im) == dets(np.array([complex(x, y)]))[0]
+
+
+@pytest.mark.parametrize("flag, steps", [("--re-steps", "-3"), ("--im-steps", "-2"),
+                                         ("--re-steps", "1"), ("--im-steps", "0")])
+def test_det_step_counts_below_two_exit_1_and_write_nothing(tmp_path, flag, steps):
+    # a negative count once reached numpy.linspace and left with its traceback
+    write_problem(tmp_path / "s.json", "spectral", 1, 2, [{"j": 1, "n": 1, "re": 0.3, "im": 0.0}])
+    result = run_cli("det", "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "g.csv"),
+                     "--report", str(tmp_path / "verdict.json"), flag, steps)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {flag} must be at least 2, got {steps}\n"
+    assert result.stdout == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
 
 
 @pytest.mark.parametrize("n_max, code", [("0", 1), ("-1", 1), ("1", 3)])
@@ -561,8 +573,7 @@ def test_usage_errors_exit_1_and_write_nothing(tmp_path, args, message):
     assert run_cli("det", "--help").returncode == 0
 
 
-EXIT_CODES = {InvspecError: 1, InputError: 1, TruncationError: 1,
-              DegenerateDenominatorError: 2, ResonantIndexError: 2, PoleProximityError: 2,
+EXIT_CODES = {InvspecError: 1, InputError: 1, DegenerateDenominatorError: 2, ResonantIndexError: 2,
               NonFiniteResultError: 2, ConvergenceError: 3, VerificationError: 4}
 ERROR_CLASSES = [obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)]
 

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_potential
+from diagonal_relation import k_pole
 from invspec import (Order, PotentialCoefficients, SpectralData, VTable, a_m_constant, analytic,
-                     forward_map, k_pole, pole, roots_of_unity)
+                     forward_map, roots_of_unity)
 from invspec.core import cauchy_denominators
 from invspec.errors import InputError
+from invspec.kernel import diagonal_kernel
+from series_oracle import transition_terms
 
 
 def test_roots_small_orders():
@@ -22,35 +25,33 @@ def test_roots_are_2m_th_roots_of_unity(m):
     assert len(set(np.round(w, 12))) == 2 * m
 
 
+def pole(m: int, n: int, j: int) -> complex:
+    """lambda_nj = -n / (1 - w_j) in the periodic spectral variable, read off the kernel's c = n / (1 - w_j)."""
+    return complex(-diagonal_kernel(m, 31).c[n - 1, j - 1])
+
+
 def test_pole_values():
-    assert pole(Order(1), 3, 1) == pytest.approx(-1.5)
-    assert pole(Order(2), 1, 2) == pytest.approx(-0.5)
+    assert pole(1, 3, 1) == pytest.approx(-1.5)
+    assert pole(2, 1, 2) == pytest.approx(-0.5)
     # hand algebra: -1/(1-i) = -(1+i)/2
-    assert pole(Order(2), 1, 1) == pytest.approx(-1 / (1 - 1j))
-    assert pole(Order(2), 1, 1) == pytest.approx(-(1 + 1j) / 2)
-
-
-def test_pole_rejects_trivial_root():
-    with pytest.raises(InputError):
-        pole(Order(2), 1, 0)
-    with pytest.raises(InputError):
-        pole(Order(2), 1, 4)
+    assert pole(2, 1, 1) == pytest.approx(-1 / (1 - 1j))
+    assert pole(2, 1, 1) == pytest.approx(-(1 + 1j) / 2)
 
 
 def test_k_pole_is_i_times_lambda():
+    # the diagonal relation's poles k_nj, formed on their own, against the kernel's
     order = Order(2)
     for n in (1, 2, 5):
         for j in (1, 2, 3):
-            assert k_pole(order, n, j) == pytest.approx(1j * pole(order, n, j))
+            assert k_pole(order, n, j) == pytest.approx(1j * pole(2, n, j))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_pole_scales_linearly_in_n(m):
-    order = Order(m)
-    for j in range(1, order.j_count + 1):
-        base = pole(order, 1, j)
+    for j in range(1, Order(m).j_count + 1):
+        base = pole(m, 1, j)
         for c in (2, 7, 31):
-            assert abs(pole(order, c, j) - c * base) <= 1e-14 * abs(c * base)
+            assert abs(pole(m, c, j) - c * base) <= 1e-14 * abs(c * base)
 
 
 def test_a1_is_exactly_one():
@@ -77,7 +78,7 @@ def test_root_of_unity_lemma_bounds_denominators_rates_and_a_m(rng):
     for m in range(1, 7):
         v, s = forward_map(random_potential(Order(m), 8, rng))
         kb = analytic._kernel_terms(v)[2]
-        fg = analytic._transition_terms(s)[1]
+        fg = transition_terms(s)[1]
         assert np.add.outer(kb.real, fg.real).max() <= -1 + 1e-13
     # the quotient enumerated over 1 <= n, r <= 50 peaks at the closed form
     n = np.arange(1, 51)[:, None]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import (Order, SpectralData, det_truncated, forward_map, fredholm, inverse_map,
-                     roots_of_unity, scan_halfplane)
+from invspec import (Order, SpectralData, forward_map, fredholm, inverse_map, roots_of_unity,
+                     scan_halfplane)
 from invspec.errors import DegenerateDenominatorError, InputError
 
 
@@ -12,6 +12,13 @@ def f_matrix(s: SpectralData, z: complex, n_blocks: int) -> np.ndarray:
     prefactor times e^{i n z}, n the column block."""
     col = np.repeat(np.exp(1j * np.arange(1, n_blocks + 1) * z), s.order.j_count)
     return fredholm._prefactor(s, n_blocks) * col[None, :]
+
+
+def det_at(s: SpectralData, z: complex, n_max: int | None = None, blocks: int | None = None) -> complex:
+    """The scan's determinant det(E - F_blocks(z)) at one point; blocks defaults to the truncation
+    min(n_max, data depth)."""
+    n_cap, dets = fredholm._determinants(s, n_max)
+    return complex(dets(np.array([complex(z)]), n_cap if blocks is None else blocks)[0])
 
 
 def cofactor_det(a: np.ndarray) -> complex:
@@ -33,9 +40,7 @@ def closed_form_m1(value: complex, z: complex) -> complex:
 def test_zero_data_determinant_is_one():
     s = SpectralData.zeros(Order(2), 6)
     for z in (0.0, 1.0 + 2j, 5.5j):
-        report = det_truncated(s, z)
-        assert report.final == pytest.approx(1.0)
-        assert report.converged
+        assert det_at(s, z) == pytest.approx(1.0)
 
 
 def test_f_matrix_m1_entry_formula():
@@ -52,9 +57,8 @@ def test_determinants_match_the_cofactor_oracle(rng):
     for m, n_max in [(1, 5), (2, 2), (3, 1)]:
         s = random_spectral(Order(m), n_max, rng, scale=2.0)
         for z in (0.3, 1.1 + 0.2j, 2.5 + 0.05j):
-            report = det_truncated(s, z, n_min=1, dense_trace=True)
-            assert report.ns == tuple(range(1, n_max + 1))
-            for n, value in zip(report.ns, report.values):
+            for n in range(1, n_max + 1):
+                value = det_at(s, z, blocks=n)
                 side = n * (2 * m - 1)
                 expected = cofactor_det(np.eye(side) - f_matrix(s, z, n))
                 assert abs(value - expected) <= 1e-12 * abs(expected)
@@ -64,39 +68,35 @@ def test_rank_one_closed_form_and_truncation_stability():
     value = 0.4 - 0.2j
     s = rank_one_m1(value)
     for z in (0.0, 1.2 + 0.5j, 4.0 + 3j):
-        report = det_truncated(s, z)
-        assert abs(report.final - closed_form_m1(value, z)) <= 1e-12
-        assert report.converged
-        assert len(set(np.round(report.values, 14))) == 1
+        assert abs(det_at(s, z) - closed_form_m1(value, z)) <= 1e-12
+        # blocks past the data depth are zero: a larger cap changes nothing
+        assert det_at(s, z, n_max=8) == det_at(s, z)
 
 
 def test_determinant_approaches_one_high_in_the_plane():
     s = rank_one_m1(1.0)
-    report = det_truncated(s, 30j)
-    assert abs(report.final - 1.0) < 1e-8
+    assert abs(det_at(s, 30j) - 1.0) < 1e-8
 
 
 def test_determinant_rejects_lower_half_plane():
-    with pytest.raises(InputError):
-        det_truncated(rank_one_m1(0.1), -1j)
+    with pytest.raises(InputError, match="closed upper half plane"):
+        scan_halfplane(rank_one_m1(0.1), [0.0, 1.0], [-1.0, 0.0])
 
 
 def test_determinant_periodicity(rng):
     s = random_spectral(Order(2), 5, rng)
     for z in (0.3 + 0.2j, 1.7 + 1j):
-        d1 = det_truncated(s, z).final
-        d2 = det_truncated(s, z + 2 * np.pi).final
+        d1 = det_at(s, z)
+        d2 = det_at(s, z + 2 * np.pi)
         assert abs(d1 - d2) <= 1e-10
 
 
 def test_truncation_trace_decreases_for_geometric_data():
     table = (0.5 * 2.0 ** -np.arange(1, 33))[:, None].astype(complex)
     s = SpectralData(Order(1), 32, table)
-    report = det_truncated(s, 0.4 + 0.1j, n_max=32, dense_trace=True)
-    gaps = np.abs(np.diff(report.values))
+    gaps = np.abs(np.diff([det_at(s, 0.4 + 0.1j, blocks=n) for n in range(4, 33)]))
     assert gaps[-1] <= 1e-10
     assert gaps[-1] < gaps[0]
-    assert report.converged
 
 
 def test_scan_zero_data():
@@ -135,7 +135,7 @@ def test_scan_flags_forced_truncation():
 def test_solve_mirrors_vanishing_determinant():
     # rank-one data with D(0) = 0: 1 + i s/2 = 0 at s = 2i
     s = rank_one_m1(2j)
-    assert abs(det_truncated(s, 0.0).final) < 1e-14
+    assert abs(det_at(s, 0.0)) < 1e-14
 
 
 def depth_four_m1() -> SpectralData:
@@ -150,16 +150,9 @@ def depth_four_m1() -> SpectralData:
 def test_block_cap_below_one_is_rejected(n_max):
     s = depth_four_m1()
     with pytest.raises(InputError, match="n_max must be >= 1"):
-        det_truncated(s, 0.5j, n_max=n_max)
+        fredholm._determinants(s, n_max)
     with pytest.raises(InputError, match="n_max must be >= 1"):
         scan_halfplane(s, np.linspace(0, 2 * np.pi, 5), np.linspace(0, 2, 3), n_max=n_max)
-
-
-def test_negative_n_min_is_rejected():
-    s = depth_four_m1()
-    with pytest.raises(InputError, match="n_min must be >= 0"):
-        det_truncated(s, 0.1j, n_min=-1, dense_trace=True)
-    assert det_truncated(s, 0.1j, n_min=0, dense_trace=True).ns == (0, 1, 2, 3, 4)
 
 
 def test_one_block_is_checked_against_the_empty_determinant():
@@ -170,26 +163,23 @@ def test_one_block_is_checked_against_the_empty_determinant():
     assert list(report.flagged) == flagged
     assert len(flagged) == values.size
     z = 0.5 + 0.2j
-    rep = det_truncated(s, z, n_max=1)
-    assert rep.ns == (0, 1)
-    assert rep.values[0] == 1
-    assert not rep.converged
-    assert abs(rep.final - closed_form_m1(s.entry(1, 1), z)) <= 1e-15
+    assert det_at(s, z, n_max=1, blocks=0) == 1
+    assert abs(det_at(s, z, n_max=1) - closed_form_m1(s.entry(1, 1), z)) <= 1e-15
 
 
 def test_report_holds_the_previous_truncation_only_when_n_max_cuts_the_data():
+    # the scan compares D_N with D_{N-1} only where n_max cuts the data short
     s = random_spectral(Order(2), 6, np.random.default_rng(3), scale=0.3)
-    z = 0.7 + 0.3j
+    re_grid, im_grid = [0.7, 1.0], [0.3, 1.0]
     for n_max in (None, 6, 9):
-        rep = det_truncated(s, z, n_max=n_max)
-        assert (rep.ns, rep.converged, len(rep.values)) == ((6,), True, 1)
-    rep = det_truncated(s, z, n_max=4)
-    assert rep.ns == (3, 4)
-    assert rep.converged == (abs(rep.values[1] - rep.values[0]) < 1e-10 * (1 + abs(rep.final)))
-    assert rep.final == scan_halfplane(s, [0.7, 1.0], [0.3, 1.0], n_max=4).values[0, 0]
-    dense = det_truncated(s, z, n_max=4, dense_trace=True)
-    assert dense.ns == (3, 4) and dense.values == rep.values
-    assert det_truncated(s, z, n_min=2, dense_trace=True).ns == (2, 3, 4, 5, 6)
+        assert fredholm._determinants(s, n_max)[0] == 6
+        assert scan_halfplane(s, re_grid, im_grid, n_max=n_max, det_tol=1e-300).flagged == ()
+    assert fredholm._determinants(s, 4)[0] == 4
+    report = scan_halfplane(s, re_grid, im_grid, n_max=4)
+    z = 0.7 + 0.3j
+    d4, d3 = det_at(s, z, n_max=4), det_at(s, z, n_max=4, blocks=3)
+    assert d4 == report.values[0, 0]
+    assert (z in report.flagged) == (abs(d4 - d3) >= 1e-10 * (1 + abs(d4)))
 
 
 def test_scan_consistency_with_round_trip_data(rng):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyadd, polymul, polyval
 
-from invspec import Order, k_pole, roots_of_unity
-from diagonal_relation import binomial_power, d_a_table, d_b_table, divide_by_linear
+from invspec import Order, roots_of_unity
+from diagonal_relation import binomial_power, d_a_table, d_b_table, divide_by_linear, k_pole
 
 
 def d_a(order, n, alpha, j):
