@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PotentialCoefficients, SpectralData, VTable, roots_of_unity
+from .core import PotentialCoefficients, SpectralData, VTable, jump_factors, roots_of_unity
 from .errors import InputError
 from .forward import series_q
-from .inverse import jump_factors
 
 
 def ode_mode_residual(p: PotentialCoefficients, v: VTable) -> float:
@@ -45,44 +44,25 @@ def ode_mode_residual(p: PotentialCoefficients, v: VTable) -> float:
     return float(np.divide(res, scale, out=np.zeros_like(res), where=scale > 0).max())
 
 
-def _kernel_terms(v: VTable):
-    """Arrays (coeff, t_rate, u_rate, alpha, pole) of the kernel's nonzero exponential terms,
-    ordered by j, then alpha, then n.
-
-    A term's u-rate -n / (1 - w_j) depends only on its pole (n, j), whose flat
-    index (j - 1) * N + n - 1 is ``pole``.
-    """
-    w = roots_of_unity(v.order)[1:]
-    by_col = v.table.transpose(0, 2, 1)  # [j, alpha, n]
-    j, alpha, n = np.nonzero(by_col)
-    c = (n + 1) / (1 - w[j])
-    return by_col[j, alpha, n] / (1j * (1 - w[j])), c - (alpha + 1), -c, alpha + 1, j * v.n_max + n
-
-
 def q0_from_kernel(v: VTable) -> dict[int, complex]:
     """2m d/dx K(x, x) = sum over alpha of q[alpha] e^(-alpha x), as {alpha: q[alpha]} over the
-    columns that hold a nonzero entry; its modes feed the trace cross-check.
+    columns that hold a nonzero entry, in ascending alpha; its modes feed the trace cross-check.
 
-    A column's terms share the rate -alpha up to rounding.  They are summed in
-    ascending order of their rates, and the sum is multiplied by the first of them.
+    A kernel term V[j, n, alpha] / (i (1 - w_j)) e^{(c_nj - alpha) t - c_nj u} (marchenko_residual)
+    has the rate -alpha on the diagonal t = u exactly, so q[alpha] = -2m alpha sum_{j, n}
+    V[j, n, alpha] / (i (1 - w_j)).
     """
-    kc, ka, kb, kcol, _ = _kernel_terms(v)
-    rates = ka + kb
-    sums, rate = {}, {}
-    for i in np.lexsort((rates.imag, rates.real)).tolist():
-        alpha = int(kcol[i])
-        if alpha in sums:
-            sums[alpha] += kc[i]
-        else:
-            sums[alpha], rate[alpha] = kc[i], rates[i]
-    return {alpha: complex(2 * v.order.m * (total * rate[alpha])) for alpha, total in sums.items()}
+    alpha = np.arange(1, v.n_max + 1)
+    weight = 1j * (1 - roots_of_unity(v.order)[1:])
+    q = -2 * v.order.m * alpha * (v.table / weight[:, None, None]).sum(axis=(0, 1))
+    return {int(a): complex(q[a - 1]) for a in alpha[v.table.any(axis=(0, 1))]}
 
 
 def _jump_gaps(v: VTable, s: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     """The jump gaps gap[beta, n, j] = V[j, n, n + beta] - rhs[beta, n, j] over the entries inside the
     table, n + beta <= N, zero outside it, and the sum of the magnitudes of each gap's terms.
 
-    rhs is the jump relation's right side (inverse.jump_factors): S_nj at beta = 0, and one step of
+    rhs is the jump relation's right side (core.jump_factors): S_nj at beta = 0, and one step of
     v_from_s's formula, i (1 - w_j) S_nj sum_{r, l} V[l, r, beta] / (n w_j (1 - w_l) - r (1 - w_j)),
     at beta >= 1.  The two tables must have one order and one depth.
     """
@@ -131,7 +111,7 @@ def marchenko_residual(v: VTable, s: SpectralData, t: float | np.ndarray,
         S_nj / (i (1 - w_j)) sum_{r, l} V[l, r, beta] / (i (1 - w_l) (c_nj w_j - c_rl)).
 
     Now c_nj w_j - c_rl = den / ((1 - w_j)(1 - w_l)), den = n w_j (1 - w_l) - r (1 - w_j) the Cauchy
-    denominator of inverse.jump_factors, so the product's share is -i (1 - w_j) S_nj sum V[l, r, beta]
+    denominator of core.jump_factors, so the product's share is -i (1 - w_j) S_nj sum V[l, r, beta]
     / den divided by i (1 - w_j): minus the jump relation's right side, in the same normalisation as
     K's and F's terms.  The coefficient of each mode is therefore gap[beta, n, j] / (i (1 - w_j)).
     """

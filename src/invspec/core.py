@@ -1,4 +1,4 @@
-"""Root-of-unity lattice, the shared data tables, and the Cauchy denominators.
+"""Root-of-unity lattice, the shared data tables, the Cauchy denominators and the jump factors.
 
 Index conventions used throughout the package: the operator order parameter
 ``m`` gives 2m-1 nontrivial branch indices j = 1..2m-1 and coefficient orders
@@ -42,12 +42,6 @@ class Order:
         """Number of coefficient orders gamma = 0..2m-2."""
         return 2 * self.m - 1
 
-    def root(self, j: int) -> complex:
-        """exp(i j pi / m) for j = 0..2m-1; j = 0 is the trivial root 1."""
-        if not 0 <= j <= 2 * self.m - 1:
-            raise InputError(f"root index {j} outside 0..{2 * self.m - 1}")
-        return complex(_roots(self.m)[j])
-
 
 def roots_of_unity(order: Order) -> np.ndarray:
     """All 2m-th roots exp(i j pi / m), j = 0..2m-1, in index order.
@@ -80,13 +74,6 @@ class PotentialCoefficients:
         arr = _frozen_array(self.coeffs, (self.order.gamma_count, self.n_max), "potential coefficient table")
         object.__setattr__(self, "coeffs", arr)
 
-    @classmethod
-    def zeros(cls, order: Order, n_max: int) -> "PotentialCoefficients":
-        return cls(order, n_max, np.zeros((order.gamma_count, n_max), dtype=complex))
-
-    def entry(self, gamma: int, n: int) -> complex:
-        return complex(self.coeffs[gamma, n - 1])
-
     def weighted_norm(self) -> float:
         """sum over gamma, n of n^gamma |p_{gamma n}|."""
         n = np.arange(1, self.n_max + 1, dtype=float)
@@ -97,14 +84,6 @@ class PotentialCoefficients:
         """Coefficient-wise translation p_{gamma n} -> p_{gamma n} e^{i n a}."""
         phase = np.exp(1j * a * np.arange(1, self.n_max + 1))
         return PotentialCoefficients(self.order, self.n_max, self.coeffs * phase[None, :])
-
-    def scaled(self, c: complex) -> "PotentialCoefficients":
-        return PotentialCoefficients(self.order, self.n_max, c * self.coeffs)
-
-    def truncated(self, depth: int) -> "PotentialCoefficients":
-        if depth > self.n_max:
-            raise InputError(f"cannot extend truncation {self.n_max} to {depth}")
-        return PotentialCoefficients(self.order, depth, self.coeffs[:, :depth])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +100,6 @@ class SpectralData:
         arr = _frozen_array(self.table, (self.n_max, self.order.j_count), "spectral data table")
         object.__setattr__(self, "table", arr)
 
-    @classmethod
-    def zeros(cls, order: Order, n_max: int) -> "SpectralData":
-        return cls(order, n_max, np.zeros((n_max, order.j_count), dtype=complex))
-
-    def entry(self, n: int, j: int) -> complex:
-        return complex(self.table[n - 1, j - 1])
-
     def s_tilde(self) -> np.ndarray:
         """Weighted row sums S~_n = sum_j n^(2m-2) |S_nj|, n = 1..N."""
         n = np.arange(1, self.n_max + 1, dtype=float)
@@ -136,9 +108,6 @@ class SpectralData:
     def shifted(self, a: complex) -> "SpectralData":
         phase = np.exp(1j * a * np.arange(1, self.n_max + 1))
         return SpectralData(self.order, self.n_max, self.table * phase[:, None])
-
-    def scaled(self, c: complex) -> "SpectralData":
-        return SpectralData(self.order, self.n_max, c * self.table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,25 +144,9 @@ class VTable:
             object.__setattr__(v, name, value)
         return v
 
-    @classmethod
-    def zeros(cls, order: Order, n_max: int) -> "VTable":
-        return cls(order, n_max, np.zeros((order.j_count, n_max, n_max), dtype=complex))
-
-    def entry(self, j: int, n: int, alpha: int) -> complex:
-        if n > alpha:
-            raise InputError(f"V entry requested below the triangle: n={n} > alpha={alpha}")
-        return complex(self.table[j - 1, n - 1, alpha - 1])
-
     def diagonal(self) -> SpectralData:
         """Diagonal slice V_nn^(j) packaged as spectral data."""
         return SpectralData(self.order, self.n_max, np.diagonal(self.table, axis1=1, axis2=2).T)
-
-    def truncated(self, depth: int) -> "VTable":
-        if depth > self.n_max:
-            raise InputError(f"cannot extend truncation {self.n_max} to {depth}")
-        if depth < 1:
-            raise InputError("truncation depth must be >= 1")
-        return VTable(self.order, depth, self.table[:, :depth, :depth])
 
 
 def a_m_constant(order: Order) -> float:
@@ -227,3 +180,14 @@ def cauchy_denominators(order: Order, n_max: int) -> np.ndarray:
     modes = np.arange(1, n_max + 1)
     return (modes[:, None, None, None] * w[None, :, None, None] * (1 - w)[None, None, None, :]
             - modes[None, None, :, None] * (1 - w)[None, :, None, None])
+
+
+def jump_factors(s: SpectralData) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, inv_den) of the jump relation V[j, n, n + beta] = lead[n j] sum_{r, l} V[l, r, beta]
+    inv_den[r l, n j], beta >= 1: lead = i (1 - w_j) S_nj and inv_den = 1 / den[r, l, n, j]
+    (cauchy_denominators), flat over (n, j) and (r, l).  At beta = 0 it reads V[j, n, n] = S_nj.
+    The same two factors give the data operator of the Fredholm determinant (fredholm.py).
+    """
+    order, n_max = s.order, s.n_max
+    inv_den = (1 / cauchy_denominators(order, n_max)).transpose(2, 3, 0, 1).reshape(n_max * order.j_count, -1)
+    return (1j * (1 - roots_of_unity(order)[1:]) * s.table).reshape(-1), inv_den

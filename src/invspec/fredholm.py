@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpectralData, cauchy_denominators, roots_of_unity
+from .core import SpectralData, jump_factors
 from .errors import DegenerateDenominatorError, InputError, NonFiniteResultError
 
 CONVENTION = "det(E-F)"
@@ -21,42 +21,31 @@ STACK_BYTES = 256 * 1024
 DET_TOL = 1e-10  # D_N has converged when |D_N - D_{N-1}| < DET_TOL (1 + |D_N|)
 
 
-def _prefactor(s: SpectralData, n_blocks: int) -> np.ndarray:
-    """z-independent part i (1 - w_l) S_nj / (r w_l (1 - w_j) - n (1 - w_l)).
-
-    Blocks n > s.n_max carry no data and stay zero.  No denominator comes near
-    zero (core.cauchy_denominators).
-    """
-    jc = s.order.j_count
-    w = roots_of_unity(s.order)[1:]
-    cols = min(n_blocks, s.n_max)
-    den = cauchy_denominators(s.order, n_blocks)[:, :, :cols]
-    out = np.zeros((n_blocks, jc, n_blocks, jc), dtype=complex)
-    out[:, :, :cols] = (1j * (1 - w))[None, :, None, None] * s.table[:cols] / den
-    return out.reshape(n_blocks * jc, n_blocks * jc)
-
-
 def _determinants(s: SpectralData, n_max: int | None):
     """The truncation N = min(n_max, data depth, HARD_BLOCK_CAP) and the function
     dets(zs, blocks=N): det(E - F_blocks(z)) at each point of the 1-d array zs.
 
-    Blocks beyond the data depth are identically zero, so D_N is exact once
-    every data block is in.  Determinants are taken in stacks of at most
-    STACK_BYTES of matrices; the empty determinant D_0 is 1.  A determinant
-    that overflows raises NonFiniteResultError.
+    The data operator F(z)[(r, l), (n, j)] = i (1 - w_l) S_nj e^{i n z} / den[r, l, n, j]
+    (core.cauchy_denominators) is D J(z) D^-1, D = diag(1 - w_l), where J(z) carries
+    i (1 - w_j) in place of i (1 - w_l): the jump relation's factors (core.jump_factors)
+    times the column weights e^{i n z}, which commute with D.  So det(E - F) = det(E - J),
+    and the determinant is taken of J.  Data blocks past N enter no determinant.
+    Determinants are taken in stacks of at most STACK_BYTES of matrices; the empty
+    determinant D_0 is 1.  A determinant that overflows raises NonFiniteResultError.
     """
     if n_max is not None and n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
     jc = s.order.j_count
     n_cap = min(n_max or HARD_BLOCK_CAP, s.n_max, HARD_BLOCK_CAP)
-    pre = _prefactor(s, n_cap)
+    lead, inv_den = jump_factors(SpectralData(s.order, n_cap, s.table[:n_cap]))
+    op = inv_den.T * lead  # J[(r, l), (n, j)]
     block_n = np.repeat(np.arange(1, n_cap + 1), jc)
 
     def dets(zs: np.ndarray, blocks: int = n_cap) -> np.ndarray:
         if blocks == 0:
             return np.ones(zs.size, dtype=complex)
         side = blocks * jc
-        eye, sub, weight = np.eye(side), pre[:side, :side], 1j * block_n[:side]
+        eye, sub, weight = np.eye(side), op[:side, :side], 1j * block_n[:side]
         per = max(1, STACK_BYTES // (16 * side * side))
         out = np.empty(zs.size, dtype=complex)
         for lo in range(0, zs.size, per):
@@ -121,6 +110,8 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
         raise InputError("scan grids need at least two points per axis")
     if im_grid.min() < 0:
         raise InputError("scan stays in the closed upper half plane")
+    if im_grid.max() <= 0:
+        raise InputError("scan needs a rectangle of positive height: the largest im value must be > 0")
     n_cap, dets = _determinants(s, n_max)
     zs = (re_grid[None, :] + 1j * im_grid[:, None]).ravel()
     values = dets(zs).reshape(im_grid.size, re_grid.size)

@@ -22,19 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PotentialCoefficients, SpectralData, VTable, cauchy_denominators, roots_of_unity
+from .core import PotentialCoefficients, SpectralData, VTable, jump_factors
 from .errors import InputError
 from .kernel import diagonal_kernel
-
-
-def jump_factors(s: SpectralData) -> tuple[np.ndarray, np.ndarray]:
-    """(lead, inv_den) of the jump relation V[j, n, n + beta] = lead[n j] sum_{r, l} V[l, r, beta]
-    inv_den[r l, n j], beta >= 1: lead = i (1 - w_j) S_nj and inv_den = 1 / den[r, l, n, j]
-    (core.cauchy_denominators), flat over (n, j) and (r, l).  At beta = 0 it reads V[j, n, n] = S_nj.
-    """
-    order, n_max = s.order, s.n_max
-    inv_den = (1 / cauchy_denominators(order, n_max)).transpose(2, 3, 0, 1).reshape(n_max * order.j_count, -1)
-    return (1j * (1 - roots_of_unity(order)[1:]) * s.table).reshape(-1), inv_den
 
 
 def v_from_s(s: SpectralData) -> VTable:
@@ -74,7 +64,6 @@ class MomentReport:
     """Partial sum of n * S~_n with a geometric tail-decay estimate."""
 
     total: float
-    terms: tuple
     tail_decay_exponent: float | None
 
 
@@ -89,7 +78,7 @@ def first_moment(s: SpectralData) -> MomentReport:
         # between two positive ones widens the step, it is not skipped
         drop = np.sum(np.diff(np.log(tail[modes])))
         exponent = float(-(drop / (modes[-1] - modes[0])))
-    return MomentReport(float(terms.sum()), tuple(float(t) for t in terms), exponent)
+    return MomentReport(float(terms.sum()), exponent)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from invspec.errors import InputError
 
 def k_pole(order: Order, n: int, j: int) -> complex:
     """The pole k_nj = i lambda_nj of the half-line variable, lambda_nj = -n / (1 - w_j), j = 1..2m-1."""
-    return 1j * (-n / (1 - order.root(j)))
+    return 1j * (-n / (1 - roots_of_unity(order)[j]))
 
 
 def divide_by_linear(p, root):

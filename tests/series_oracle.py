@@ -9,10 +9,14 @@
   them, and ``product_modes`` collects the same terms onto their modes: the
   product form ``analytic.marchenko_residual`` replaced by the series of the
   jump gaps.
+* ``kernel_terms`` lists the kernel's exponential terms, and ``kernel_term_q0``
+  sums them column by column in ascending order of their rounded rates and
+  multiplies by the first: the route ``analytic.q0_from_kernel`` replaced by
+  the exact rate -alpha.
 """
 import numpy as np
 
-from invspec import PotentialCoefficients, SpectralData, VTable, analytic, roots_of_unity, series_q
+from invspec import PotentialCoefficients, SpectralData, VTable, roots_of_unity, series_q
 
 
 class NearPoleError(ValueError):
@@ -60,6 +64,35 @@ def ode_residual(p: PotentialCoefficients, v: VTable, t: complex, k: complex,
     return complex(total)
 
 
+def kernel_terms(v: VTable):
+    """Arrays (coeff, t_rate, u_rate, alpha, pole) of the kernel's nonzero exponential terms,
+    V[j, n, alpha] / (i (1 - w_j)) e^{(c_nj - alpha) t - c_nj u}, ordered by j, then alpha, then n.
+
+    A term's u-rate -n / (1 - w_j) depends only on its pole (n, j), whose flat
+    index (j - 1) * N + n - 1 is ``pole``.
+    """
+    w = roots_of_unity(v.order)[1:]
+    by_col = v.table.transpose(0, 2, 1)  # [j, alpha, n]
+    j, alpha, n = np.nonzero(by_col)
+    c = (n + 1) / (1 - w[j])
+    return by_col[j, alpha, n] / (1j * (1 - w[j])), c - (alpha + 1), -c, alpha + 1, j * v.n_max + n
+
+
+def kernel_term_q0(v: VTable) -> dict[int, complex]:
+    """2m d/dx K(x, x) as {alpha: q[alpha]}, summed over the kernel terms: a column's terms in
+    ascending order of their rates (c_nj - alpha) + (-c_nj), -alpha up to rounding, times the first."""
+    kc, ka, kb, kcol, _ = kernel_terms(v)
+    rates = ka + kb
+    sums, rate = {}, {}
+    for i in np.lexsort((rates.imag, rates.real)).tolist():
+        alpha = int(kcol[i])
+        if alpha in sums:
+            sums[alpha] += kc[i]
+        else:
+            sums[alpha], rate[alpha] = kc[i], rates[i]
+    return {alpha: complex(2 * v.order.m * (total * rate[alpha])) for alpha, total in sums.items()}
+
+
 def transition_terms(s: SpectralData):
     """Arrays (coeff, t_rate, u_rate, n) of the transition function's nonzero terms,
     S_nj / (i (1 - w_j)) e^{c_nj w_j t - c_nj u}, ordered by n, then j."""
@@ -76,7 +109,7 @@ def product_marchenko(v: VTable, s: SpectralData, t: float, u: float, projected:
     With ``projected`` the product integral keeps the pairs whose combined column index is at most
     the depth; without it, it keeps the truncation tail of order |S| |V_tail|.
     """
-    kc, ka, kb, kcol, _ = analytic._kernel_terms(v)
+    kc, ka, kb, kcol, _ = kernel_terms(v)
     fc, fg, fh, frow = transition_terms(s)
     k_term = kc * np.exp(ka * t + kb * u)
     f_term = fc * np.exp(fg * t + fh * u)
@@ -103,7 +136,7 @@ def product_modes(v: VTable, s: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     beta = alpha at the pole (n', l).
     """
     n_max, jc = v.n_max, v.order.j_count
-    kc, _, kb, kcol, kpole = analytic._kernel_terms(v)
+    kc, _, kb, kcol, kpole = kernel_terms(v)
     fc, fg, _, frow = transition_terms(s)
     fn, fj = np.nonzero(s.table)
     coeff = np.zeros((n_max, n_max, jc), dtype=complex)

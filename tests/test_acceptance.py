@@ -144,7 +144,7 @@ def test_criterion_8_hand_anchors():
     coeffs = np.zeros((1, 3), dtype=complex)
     coeffs[0, 0] = eps
     _, s = forward_map(PotentialCoefficients(Order(1), 3, coeffs))
-    anchor = abs(s.entry(1, 1) - 1j * eps)
+    anchor = abs(s.table[0, 0] - 1j * eps)
 
     a1 = a_m_constant(Order(1))
 

@@ -11,8 +11,8 @@ from invspec import (Order, PotentialCoefficients, SpectralData, VTable, forward
 from invspec import analytic
 from invspec.cli import build_parser
 from invspec.errors import InputError
-from series_oracle import (NearPoleError, eval_f, ode_residual, product_marchenko, product_modes,
-                           transition_terms)
+from series_oracle import (NearPoleError, eval_f, kernel_term_q0, kernel_terms, ode_residual,
+                           product_marchenko, product_modes, transition_terms)
 
 
 # The kernel, transformation operator and transition function in closed form,
@@ -22,7 +22,7 @@ def kernel_K(v: VTable, t: float, u: float) -> complex:
     """Transformation kernel K(t, u) for u >= t >= 0."""
     if u < t:
         raise InputError(f"kernel requires u >= t, got t={t}, u={u}")
-    kc, ka, kb, *_ = analytic._kernel_terms(v)
+    kc, ka, kb, *_ = kernel_terms(v)
     if kc.size == 0:
         return 0j
     return complex(np.sum(kc * np.exp(ka * t + kb * u)))
@@ -34,7 +34,7 @@ def transform_lhs(v: VTable, t: float, k: complex) -> complex:
     Converges for Im k > -1/2 where every u-rate keeps a negative real part;
     this is an independent route to the same value as eval_f.
     """
-    kc, ka, kb, *_ = analytic._kernel_terms(v)
+    kc, ka, kb, *_ = kernel_terms(v)
     val = np.exp(1j * k * t)
     if kc.size == 0:
         return complex(val)
@@ -55,7 +55,7 @@ def transition(s: SpectralData, t: float, u: float) -> complex:
 
 def kernel_diagonal(v: VTable, x: float) -> complex:
     """K(x, x), summed term by term."""
-    kc, ka, kb, *_ = analytic._kernel_terms(v)
+    kc, ka, kb, *_ = kernel_terms(v)
     return complex(np.sum(kc * np.exp((ka + kb) * x)))
 
 
@@ -73,30 +73,19 @@ def test_q0_is_2m_times_the_derivative_of_the_kernel_diagonal(rng):
             assert abs(series - 2 * m * diff) <= 1e-9 * abs(series)
 
 
-def rate_merged_q0(v: VTable) -> dict:
-    """The earlier route to q0_from_kernel: K(x, x)'s terms sorted by rate and merged where a rate
-    lies within 1e-12 of its group's first, then differentiated and scaled by 2m as arrays."""
-    kc, ka, kb, *_ = analytic._kernel_terms(v)
-    rates = ka + kb
-    at = np.lexsort((rates.imag, rates.real))
-    merged_r, merged_c = [], []
-    for r, c in zip(rates[at], kc[at]):
-        if merged_r and abs(r - merged_r[-1]) <= 1e-12:
-            merged_c[-1] += c
-        else:
-            merged_r.append(r)
-            merged_c.append(c)
-    coeffs = 2 * v.order.m * (np.array(merged_c, dtype=complex) * np.array(merged_r, dtype=complex) ** 1)
-    return {round(-r.real): complex(c) for r, c in zip(merged_r, coeffs)}
-
-
-def test_q0_equals_the_rate_merged_sum_exactly():
+def test_q0_matches_the_kernel_term_oracle():
+    # every kernel term's diagonal rate is -alpha up to rounding, and the closed form, which
+    # multiplies by -alpha exactly, matches the oracle's rate-sorted term sum mode by mode
     rng = np.random.default_rng(45)
-    for m, n_max in [(1, 64), (2, 32), (3, 12), (4, 16), (6, 10)]:
+    for m, n_max in [(1, 64), (2, 32), (3, 12), (4, 16), (6, 10), (6, 24)]:
         for scale in (0.05, 0.5):
             v, _ = forward_map(random_potential(Order(m), n_max, rng, scale=scale))
-            got, want = q0_from_kernel(v), rate_merged_q0(v)
-            assert list(got) == list(want) and all(got[alpha] == want[alpha] for alpha in want)
+            _, ka, kb, kcol, _ = kernel_terms(v)
+            assert np.abs(ka + kb + kcol).max() <= 1e-12 * n_max
+            got, want = q0_from_kernel(v), kernel_term_q0(v)
+            assert sorted(got) == sorted(want)
+            top = max(map(abs, want.values()))
+            assert all(abs(got[alpha] - want[alpha]) <= 1e-15 * top for alpha in want)
 
 
 def test_q0_merges_the_terms_of_each_column():
@@ -117,7 +106,7 @@ def test_q0_merges_the_terms_of_each_column():
 
 
 def test_eval_series_free_case():
-    v = VTable.zeros(Order(2), 3)
+    v = VTable(Order(2), 3, np.zeros((3, 3, 3)))
     t, k = 0.9, 0.7 - 0.2j
     assert eval_f(v, t, k) == pytest.approx(np.exp(1j * k * t))
     assert eval_f(v, t, k, deriv=2) == pytest.approx((1j * k) ** 2 * np.exp(1j * k * t))
@@ -160,11 +149,11 @@ def test_f_asymptotics_large_t(rng):
 
 def test_kernel_zero_and_single_entry():
     order = Order(1)
-    assert kernel_K(VTable.zeros(order, 2), 0.5, 1.0) == 0
+    assert kernel_K(VTable(order, 2, np.zeros((1, 2, 2))), 0.5, 1.0) == 0
     arr = np.zeros((1, 2, 2), dtype=complex)
     arr[0, 0, 1] = 3.0  # V_{12}
     v = VTable(order, 2, arr)
-    w1 = order.root(1)
+    w1 = roots_of_unity(order)[1]
     c = 1 / (1 - w1)
     t, u = 0.4, 0.9
     expected = 3.0 / (1j * (1 - w1)) * np.exp((-2 + c) * t - c * u)
@@ -201,14 +190,15 @@ def test_transition_m2_single_entry_rate():
     table = np.zeros((1, 3), dtype=complex)
     table[0, 0] = 1.0
     s = SpectralData(order, 1, table)
-    w1 = order.root(1)
+    w1 = roots_of_unity(order)[1]
     expected = 1.0 / (1j * (1 - w1)) * np.exp((1 / (1 - w1)) * (0.5 * w1 - 1.2))
     assert transition(s, 0.5, 1.2) == pytest.approx(expected)
 
 
 def test_marchenko_residual_zero_tables():
     order = Order(2)
-    assert marchenko_residual(VTable.zeros(order, 3), SpectralData.zeros(order, 3), 0.1, 0.4) == 0
+    v, s = VTable(order, 3, np.zeros((3, 3, 3))), SpectralData(order, 3, np.zeros((3, 3)))
+    assert marchenko_residual(v, s, 0.1, 0.4) == 0
 
 
 def test_marchenko_residual_consistent_pairs(rng):
@@ -268,7 +258,8 @@ def test_ode_mode_residual_consistent_and_broken(rng):
         coeffs[0, 7] *= 1 + 1e-3
         assert ode_mode_residual(PotentialCoefficients(Order(m), 8, coeffs), v) > 1e-9
     # a mode whose terms are all zero reads 0, not 0 / 0
-    assert ode_mode_residual(PotentialCoefficients.zeros(Order(2), 4), VTable.zeros(Order(2), 4)) == 0.0
+    assert ode_mode_residual(PotentialCoefficients(Order(2), 4, np.zeros((3, 4))),
+                             VTable(Order(2), 4, np.zeros((3, 4, 4)))) == 0.0
 
 
 def test_shift_spectral_rules(rng):
@@ -277,7 +268,7 @@ def test_shift_spectral_rules(rng):
     assert np.abs(shift_spectral(s, 2 * np.pi).table - s.table).max() < 1e-14
     damped = shift_spectral(s, 1j)
     for n in (1, 2, 3):
-        assert damped.entry(n, 1) == pytest.approx(np.exp(-n) * s.entry(n, 1))
+        assert damped.table[n - 1, 0] == pytest.approx(np.exp(-n) * s.table[n - 1, 0])
     both = shift_spectral(shift_spectral(s, 0.3 + 0.1j), 0.4)
     once = shift_spectral(s, 0.7 + 0.1j)
     assert np.abs(both.table - once.table).max() < 1e-15
@@ -286,7 +277,7 @@ def test_shift_spectral_rules(rng):
 
 
 def test_q0_trace_zero_table():
-    modes = q0_from_kernel(VTable.zeros(Order(1), 3))
+    modes = q0_from_kernel(VTable(Order(1), 3, np.zeros((1, 3, 3))))
     assert modes == {}
 
 
@@ -303,7 +294,7 @@ def test_q0_leading_modes_stable_in_depth(rng):
     order = Order(2)
     p = random_potential(order, 8, rng)
     v8, _ = forward_map(p)
-    v5, _ = forward_map(p.truncated(5))
+    v5, _ = forward_map(PotentialCoefficients(order, 5, p.coeffs[:, :5]))
     m8 = q0_from_kernel(v8)
     m5 = q0_from_kernel(v5)
     for n in (1, 2, 3):
@@ -519,7 +510,7 @@ def test_marchenko_memory_grows_with_poles_not_term_pairs(m, n_max, limit_mb):
 
 def test_gap_checks_refuse_tables_of_different_order_or_depth():
     v, s = forward_map(random_potential(Order(2), 6, np.random.default_rng(3)))
-    for other in (SpectralData(Order(2), 5, s.table[:5]), SpectralData.zeros(Order(1), 6)):
+    for other in (SpectralData(Order(2), 5, s.table[:5]), SpectralData(Order(1), 6, np.zeros((6, 1)))):
         with pytest.raises(InputError, match="differ in order or depth"):
             marchenko_residual(v, other, 0.0, 1.0)
         with pytest.raises(InputError, match="differ in order or depth"):

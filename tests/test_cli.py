@@ -179,6 +179,18 @@ def test_det_step_counts_below_two_exit_1_and_write_nothing(tmp_path, flag, step
     assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
 
 
+def test_det_zero_height_exits_1_and_writes_nothing(tmp_path):
+    # criterion 7's planted zero; a zero-height rectangle once reported it zero-free with winding 0
+    write_problem(tmp_path / "s.json", "spectral", 1, 1, [{"j": 1, "n": 1, "re": 0.0, "im": -2 * np.e}])
+    result = run_cli("det", "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "g.csv"),
+                     "--report", str(tmp_path / "verdict.json"), "--im-max", "0")
+    assert result.returncode == 1
+    assert result.stderr == ("error: scan needs a rectangle of positive height: "
+                             "the largest im value must be > 0\n")
+    assert result.stdout == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
+
+
 @pytest.mark.parametrize("n_max, code", [("0", 1), ("-1", 1), ("1", 3)])
 def test_det_block_cap_exit_codes(tmp_path, n_max, code):
     # depth-4 data: n_max below 1 is malformed input; one block is checked

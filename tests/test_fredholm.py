@@ -4,14 +4,32 @@ import pytest
 from conftest import random_potential, random_spectral
 from invspec import (Order, SpectralData, forward_map, fredholm, inverse_map, roots_of_unity,
                      scan_halfplane)
+from invspec.core import cauchy_denominators
 from invspec.errors import DegenerateDenominatorError, InputError
 
 
+def prefactor(s: SpectralData, n_blocks: int) -> np.ndarray:
+    """The z-independent part of the data operator F in its own form,
+    i (1 - w_l) S_nj / (r w_l (1 - w_j) - n (1 - w_l)), rows (r, l) and columns (n, j).
+
+    Blocks n > s.n_max carry no data and stay zero.  The scan takes its
+    determinant of the similar operator J, which carries i (1 - w_j) in place
+    of i (1 - w_l); this form is the oracle it is checked against.
+    """
+    jc = s.order.j_count
+    w = roots_of_unity(s.order)[1:]
+    cols = min(n_blocks, s.n_max)
+    den = cauchy_denominators(s.order, n_blocks)[:, :, :cols]
+    out = np.zeros((n_blocks, jc, n_blocks, jc), dtype=complex)
+    out[:, :, :cols] = (1j * (1 - w))[None, :, None, None] * s.table[:cols] / den
+    return out.reshape(n_blocks * jc, n_blocks * jc)
+
+
 def f_matrix(s: SpectralData, z: complex, n_blocks: int) -> np.ndarray:
-    """The operator matrix F(z) at truncation n_blocks: the scan's z-independent
+    """The operator matrix F(z) at truncation n_blocks: the z-independent
     prefactor times e^{i n z}, n the column block."""
     col = np.repeat(np.exp(1j * np.arange(1, n_blocks + 1) * z), s.order.j_count)
-    return fredholm._prefactor(s, n_blocks) * col[None, :]
+    return prefactor(s, n_blocks) * col[None, :]
 
 
 def det_at(s: SpectralData, z: complex, n_max: int | None = None, blocks: int | None = None) -> complex:
@@ -38,7 +56,7 @@ def closed_form_m1(value: complex, z: complex) -> complex:
 
 
 def test_zero_data_determinant_is_one():
-    s = SpectralData.zeros(Order(2), 6)
+    s = SpectralData(Order(2), 6, np.zeros((6, 3)))
     for z in (0.0, 1.0 + 2j, 5.5j):
         assert det_at(s, z) == pytest.approx(1.0)
 
@@ -49,7 +67,7 @@ def test_f_matrix_m1_entry_formula():
     f = f_matrix(s, z, 2)
     for r in (1, 2):
         for n in (1, 2):
-            expected = -1j * s.entry(n, 1) * np.exp(1j * n * z) / (n + r)
+            expected = -1j * s.table[n - 1, 0] * np.exp(1j * n * z) / (n + r)
             assert f[r - 1, n - 1] == pytest.approx(expected)
 
 
@@ -83,6 +101,14 @@ def test_determinant_rejects_lower_half_plane():
         scan_halfplane(rank_one_m1(0.1), [0.0, 1.0], [-1.0, 0.0])
 
 
+@pytest.mark.parametrize("im_grid", [[0.0, 0.0, 0.0], [0.0, -0.0]])
+def test_scan_refuses_a_rectangle_of_zero_height(im_grid):
+    # criterion 7's planted zero: a zero-height rectangle would wind 0 around it
+    s = rank_one_m1(-2 * np.e * 1j)
+    with pytest.raises(InputError, match="positive height"):
+        scan_halfplane(s, np.linspace(0, 2 * np.pi, 33), im_grid)
+
+
 def test_determinant_periodicity(rng):
     s = random_spectral(Order(2), 5, rng)
     for z in (0.3 + 0.2j, 1.7 + 1j):
@@ -100,7 +126,7 @@ def test_truncation_trace_decreases_for_geometric_data():
 
 
 def test_scan_zero_data():
-    s = SpectralData.zeros(Order(1), 4)
+    s = SpectralData(Order(1), 4, np.zeros((4, 1)))
     report = scan_halfplane(s, np.linspace(0, 2 * np.pi, 9), np.linspace(0, 5, 6))
     assert report.min_modulus == pytest.approx(1.0)
     assert report.zero_free
@@ -164,7 +190,7 @@ def test_one_block_is_checked_against_the_empty_determinant():
     assert len(flagged) == values.size
     z = 0.5 + 0.2j
     assert det_at(s, z, n_max=1, blocks=0) == 1
-    assert abs(det_at(s, z, n_max=1) - closed_form_m1(s.entry(1, 1), z)) <= 1e-15
+    assert abs(det_at(s, z, n_max=1) - closed_form_m1(s.table[0, 0], z)) <= 1e-15
 
 
 def test_report_holds_the_previous_truncation_only_when_n_max_cuts_the_data():
@@ -275,11 +301,23 @@ def loop_prefactor(s, n_blocks, w):
 def test_prefactor_matches_scalar_loop(m, n_max, n_blocks):
     s = random_spectral(Order(m), n_max, np.random.default_rng(m + n_blocks))
     want = loop_prefactor(s, n_blocks, roots_of_unity(Order(m)))
-    got = fredholm._prefactor(s, n_blocks)
+    got = prefactor(s, n_blocks)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     # blocks past the data depth stay zero
     assert not got[:, n_max * (2 * m - 1):].any()
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 8), (2, 8), (2, 16), (2, 24), (3, 12), (2, 64)])
+def test_determinants_match_the_prefactor_oracle(m, n_max):
+    # det(E - J) against det(E - F) from the operator's own form, F = D J D^-1, on verify's grid
+    _, s = forward_map(random_potential(Order(m), n_max, np.random.default_rng(m * n_max)))
+    re_grid, im_grid = np.linspace(0, 2 * np.pi, 17), np.linspace(0, 10.0, 11)
+    zs = (re_grid[None, :] + 1j * im_grid[:, None]).ravel()
+    _, dets = fredholm._determinants(s, None)
+    side = n_max * (2 * m - 1)
+    want = np.array([np.linalg.det(np.eye(side) - f_matrix(s, z, n_max)) for z in zs])
+    assert np.all(np.abs(dets(zs) - want) <= 1e-14 * np.abs(want))
 
 
 def log_det_series(s: SpectralData) -> np.ndarray:

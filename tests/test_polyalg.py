@@ -100,7 +100,7 @@ def test_d_b_nu_one_constant():
         for j in range(1, order.j_count + 1):
             coeffs = d_b(order, 2, 5, 1, j)
             assert coeffs.shape == (1,)
-            assert coeffs[0] == pytest.approx(1 / (1 - order.root(j)))
+            assert coeffs[0] == pytest.approx(1 / (1 - roots_of_unity(order)[j]))
     assert d_b(Order(1), 1, 3, 1, 1)[0] == pytest.approx(0.5)
 
 

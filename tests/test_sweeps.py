@@ -22,8 +22,8 @@ import pytest
 
 from conftest import kernel_weight, random_potential, random_spectral
 from diagonal_relation import p_from_v, relation_tables, term_magnitudes
-from invspec import (Order, VTable, forward, forward_map, inverse_map, kernel, roots_of_unity, series_q,
-                     v_from_s)
+from invspec import (Order, PotentialCoefficients, VTable, forward, forward_map, inverse_map, kernel,
+                     roots_of_unity, series_q, v_from_s)
 from invspec.errors import ResonantIndexError
 from invspec.kernel import Workspace, diagonal_kernel
 
@@ -480,7 +480,7 @@ def test_returned_tables_share_no_memory_with_the_workspaces():
     v, s = forward_map(p)
     results = [v.table, s.table, v_from_s(s).table, inverse_map(s).coeffs]
     kept = [a.copy() for a in results]
-    q = p.scaled(3.0)
+    q = PotentialCoefficients(p.order, p.n_max, 3.0 * p.coeffs)
     _, t = forward_map(q)
     inverse_map(t)
     assert all(np.array_equal(a, b) for a, b in zip(results, kept))
