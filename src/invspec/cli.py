@@ -180,7 +180,7 @@ def cmd_inverse(args) -> int:
     p = inverse.inverse_map(problem)
     a_m = a_m_constant(problem.order)
     moment = inverse.first_moment(problem)
-    contraction = inverse.contraction_conditions(problem, a_m)
+    contraction = inverse.contraction_conditions(problem)
     outputs = [(_json_text(_problem_doc(p)), args.output)]
     if args.report:
         outputs.append((_json_text({

@@ -11,18 +11,7 @@ class InputError(InvspecError):
 
 
 class DegenerateDenominatorError(InvspecError):
-    """A structurally nonzero denominator fell below tolerance.
-
-    ``indices`` names the offending index tuple so callers can report it.
-    """
-
-    def __init__(self, message: str, indices: tuple = ()):
-        super().__init__(message)
-        self.indices = indices
-
-
-class ResonantIndexError(DegenerateDenominatorError):
-    """A recurrence left factor vanished at an index triple (n, alpha, j)."""
+    """The Fredholm determinant vanished on the boundary of the half-plane scan."""
 
 
 class NonFiniteResultError(InvspecError):

@@ -17,11 +17,10 @@ mirrors n <= N - alpha, one contiguous slice; and one multiply by the
 column's weights, which gives its weighted row.  V is assembled once, after
 the sweep, from G's gamma = 0 rows.
 
-The one guard, the resonance guard, bounds the mirror divisors |Q_beta(w_j
-k_nj)| = |L[n + beta, n, j]| from below.  It depends only on (m, N), never
-on p, so the kernel settles it when it is built: a forward map on a kernel
-that refuses no column runs no guard, and on one that does, raises the
-refused column's error before the sweep starts.
+The map has no guard: at the mirrors it divides by Q_beta(w_j k_nj) =
+Q_{n+beta}(k_nj), whose modulus the lemma of kernel.py bounds below by beta
+((n + beta) sin(pi / 2m))^{2m-1}, and at the poles n = alpha by Q'_alpha,
+bounded the same way with |1 - w_j| in place of beta.
 
 The maps are deterministic on one machine, BLAS build and BLAS thread count,
 and agree to rounding across BLAS builds and thread counts (OpenBLAS splits
@@ -31,19 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel
 from .core import PotentialCoefficients, SpectralData, VTable
-from .errors import ResonantIndexError
-from .kernel import DiagonalKernel, diagonal_kernel
-
-
-def _check_column(kern: DiagonalKernel, alpha: int) -> None:
-    """Raise the resonance error at column alpha, at its first resonant left factor in n, then j, if any."""
-    resonant = kern.abs_left(alpha) <= kernel.LEFT_FACTOR_RTOL * kern.left_scale[alpha - 1]
-    if resonant.any():
-        n, j = (int(i) + 1 for i in np.argwhere(resonant)[0])
-        raise ResonantIndexError(f"resonant left factor at (n={n}, alpha={alpha}, j={j})",
-                                 indices=(n, alpha, j))
+from .kernel import diagonal_kernel
 
 
 def forward_map(p: PotentialCoefficients) -> tuple[VTable, SpectralData]:
@@ -51,8 +39,6 @@ def forward_map(p: PotentialCoefficients) -> tuple[VTable, SpectralData]:
     order = p.order
     n_max = p.n_max
     kern = diagonal_kernel(order.m, n_max)
-    if kern.forward_refusal is not None:
-        _check_column(kern, kern.forward_refusal)
     size, jc = order.gamma_count, order.j_count
     with kern.workspace() as ws:
         np.copyto(ws.lag_rows, series_q(p)[:, ::-1].T)

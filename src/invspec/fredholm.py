@@ -108,6 +108,8 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
     im_grid = np.asarray(im_grid, dtype=float)
     if re_grid.size < 2 or im_grid.size < 2:
         raise InputError("scan grids need at least two points per axis")
+    if re_grid.max() <= re_grid.min():
+        raise InputError("scan needs a rectangle of positive width: the re values must not all be equal")
     if im_grid.min() < 0:
         raise InputError("scan stays in the closed upper half plane")
     if im_grid.max() <= 0:

@@ -8,8 +8,8 @@ calls over the views the kernel planned for it in a pooled workspace: the
 earlier columns' share d, one matvec; the solution x0 and its refinement,
 two stacked products with the kernel's solve tables; and the column's
 weighted values at the later poles, one matvec and one multiply.  The map
-divides only at poles n >= alpha, where |Q_alpha| stays far from zero
-(kernel.py), so it has no guard.
+divides only at poles n >= alpha, where |Q_alpha| is bounded away from zero
+in closed form (kernel.py), so it has no guard.
 
 v_from_s is the Cauchy closed form of the V table: V_nn^(j) = S_nj seeds
 each column, and an entry at column n + beta is a weighted sum over the full
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PotentialCoefficients, SpectralData, VTable, jump_factors
-from .errors import InputError
+from .core import PotentialCoefficients, SpectralData, VTable, a_m_constant, jump_factors
 from .kernel import diagonal_kernel
 
 
@@ -90,10 +89,10 @@ class ContractionReport:
     contraction: bool
 
 
-def contraction_conditions(s: SpectralData, a_m: float) -> ContractionReport:
-    """Evaluate the two solvability sums; contraction holds when the second is < 1."""
-    if a_m <= 0:
-        raise InputError(f"a_m must be positive, got {a_m}")
+def contraction_conditions(s: SpectralData) -> ContractionReport:
+    """Evaluate the two solvability sums, the second with a_m = a_m_constant(s.order);
+    contraction holds when the second is < 1."""
+    a_m = a_m_constant(s.order)
     st = s.s_tilde()
     n = np.arange(1, s.n_max + 1, dtype=float)
     cond_i = float((n * st).sum())

@@ -50,13 +50,28 @@ multiply.  The points a forward column reads, poles n >= alpha and mirrors
 n <= N - alpha, are one contiguous slice of G's columns, and weights[alpha
 - 1] holds exactly those; the inverse reads its poles n > alpha.
 
-A kernel tabulates, once per (m, N), everything the sweeps read.  Its one
-guard is the resonance guard: a left factor L[alpha, n, j] = (alpha -
-c_nj)^2m - c_nj^2m = (-1)^m Q_alpha(k_nj) near zero at some n < alpha.  The
-forward map divides by these numbers at the mirror points, Q_beta(w_j k_nj)
-= Q_{n+beta}(k_nj); they depend only on (m, N) and LEFT_FACTOR_RTOL, so the
-build settles the guard.  The inverse map never divides at n < alpha, and at n
-> alpha |Q| stays well away from zero.  Table axes are 0-based: index i
+A kernel tabulates, once per (m, N), everything the sweeps read.  Every Q
+it divides by is bounded away from zero in closed form, so neither map has a
+guard: the inverse divides by Q_alpha(k_nj) at its poles n > alpha, and the
+forward map by Q_beta(w_j k_nj) = Q_{n+beta}(k_nj) at the mirror points.
+The lemma: at k_nj each factor of Q_alpha is i (alpha - z_l),
+z_l = n (1 - w_l) / (1 - w_j), and 1 - e^{i theta} = 2 sin(theta / 2) e^{i
+(theta / 2 - pi / 2)} gives, with theta_l = l pi / m,
+
+    |z_l| = n sin(theta_l / 2) / sin(theta_j / 2),   arg z_l = (l - j) pi / 2m.
+
+So z_l is on the positive real axis only at l = j, where the factor is i
+(alpha - n), and z_0 = 0, where it is i alpha.  Every other z_l is at an
+angle of at least pi / 2m from that axis, so |alpha - z_l| >= sin(pi / 2m)
+max(alpha, |z_l|), and
+
+    |Q_alpha(k_nj)| >= |alpha - n| (alpha sin(pi / 2m))^{2m-1} > 0,   n != alpha,
+
+with equality at m = 1.  The same distances bound each factor's relative
+rounding by about 2 eps / sin(pi / 2m), and the l = j factor's absolute
+rounding by a few n eps.  At n = alpha that factor vanishes, and the kernel
+takes its derivative 1 - w_j in its place: |Q'_alpha(k_alpha j)| >= |1 - w_j|
+(alpha sin(pi / 2m))^{2m-1}.  Table axes are 0-based: index i
 stands for the mode i + 1 of n, alpha or s, and for the root w_{i+1} of j;
 a pole (n, j) is the flat index (n - 1)(2m - 1) + j - 1.
 
@@ -76,9 +91,6 @@ import numpy as np
 
 from .core import Order, roots_of_unity
 
-# the forward sweep refuses a column with a left factor |L| <= LEFT_FACTOR_RTOL times its scale
-LEFT_FACTOR_RTOL = 1e-12
-
 
 class DiagonalKernel:
     """Read-only tables of the pole recurrence at order m and depth N.
@@ -97,15 +109,6 @@ class DiagonalKernel:
     x0) to the refined solution, and its first 2 (2m - 1) columns map (t, d)
     to the first, x0.  in_table[n - 1, beta] marks the entries V[j, n, n +
     beta] inside the table, n + beta <= N.
-
-    The resonance guard reads left_floor[alpha - 1, j], the smallest |L| at n
-    < alpha, against left_scale[alpha - 1, j] = (alpha / |1 - w_j|)^2m; only
-    where it trips does abs_left recompute, as the build computed them, the
-    entries it reports.  |L[alpha, n, j]| is the modulus of the mirror
-    divisor Q_{alpha-n}(w_j k_nj).  forward_refusal is the first column alpha
-    (1-based) the forward sweep refuses, None where there is none.  A kernel
-    keeps the verdict of the constant it was built under: changing
-    LEFT_FACTOR_RTOL at run time takes diagonal_kernel.cache_clear().
     """
 
     def __init__(self, m: int, n_max: int):
@@ -117,15 +120,9 @@ class DiagonalKernel:
         roots = roots_of_unity(order)
         self.w = roots[1:]
         self.c = modes[:, None] / (1 - self.w)
-        self.left_scale = (modes[:, None] / np.abs(1 - self.w)) ** (2 * m)
-        self.left_floor = np.full((n_max, jc), np.inf)
-        for k in range(1, n_max):
-            self.left_floor[k] = np.abs(self._left(k)).min(axis=0)
-        resonant = (self.left_floor <= LEFT_FACTOR_RTOL * self.left_scale).any(axis=-1)
-        self.forward_refusal = int(np.argmax(resonant)) + 1 if resonant.any() else None
-
         # the factors i alpha + k_nj (1 - w_l) of Q_alpha(k_nj) as [alpha, n, j, l], where
-        # the vanishing l = j factor at n = alpha becomes its derivative 1 - w_j
+        # the vanishing l = j factor at n = alpha becomes its derivative 1 - w_j; at n !=
+        # alpha, |Q| >= |alpha - n| (alpha sin(pi / 2m))^(2m-1) (the lemma above)
         k = -1j * self.c
         factors = 1j * modes[:, None, None, None] + k[None, :, :, None] * (1 - roots)
         at, j = np.arange(n_max)[:, None], np.arange(jc)
@@ -161,15 +158,6 @@ class DiagonalKernel:
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
         self.pool: list[Workspace] = []
-
-    def _left(self, k: int) -> np.ndarray:
-        """The left factors L[alpha, n, j] of column alpha = k + 1 at n <= k, as [n, j]."""
-        c, two_m = self.c[:k], 2 * self.order.m
-        return (k + 1 - c) ** two_m - c ** two_m
-
-    def abs_left(self, alpha: int) -> np.ndarray:
-        """|L[alpha, n, j]| at n < alpha, as [n, j], as the build computed it."""
-        return np.abs(self._left(alpha - 1))
 
     @contextmanager
     def workspace(self):

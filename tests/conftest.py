@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from invspec import Order, PotentialCoefficients, SpectralData, kernel
-
-# the module each guard constant lives in
-_CONSTANT_HOMES = {"LEFT_FACTOR_RTOL": kernel}
+from invspec import Order, PotentialCoefficients, SpectralData
 
 
 def random_potential(order: Order, n_max: int, rng, scale: float = 0.05) -> PotentialCoefficients:
@@ -42,23 +39,3 @@ def kernel_weight(kern, alpha: int, n: int, j: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-@pytest.fixture
-def guard_constants(monkeypatch):
-    """guard_constants(NAME=value, ...) sets guard constants for one test.
-
-    A cached kernel keeps the verdict of the constants it was built under, so
-    the kernel cache is cleared before the test, at every change and after
-    the test, once the constants are restored.
-    """
-    kernel.diagonal_kernel.cache_clear()
-
-    def set_constants(**values):
-        for name, value in values.items():
-            monkeypatch.setattr(_CONSTANT_HOMES[name], name, value)
-        kernel.diagonal_kernel.cache_clear()
-
-    yield set_constants
-    monkeypatch.undo()
-    kernel.diagonal_kernel.cache_clear()

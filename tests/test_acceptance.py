@@ -174,15 +174,14 @@ def test_criterion_10_contraction_reports():
     def single(value):
         return SpectralData(Order(1), 1, np.array([[value]], dtype=complex))
 
-    a1 = a_m_constant(Order(1))
-    half = contraction_conditions(single(1.0), a1)
+    half = contraction_conditions(single(1.0))
     exact = (half.condition_ii_p == pytest.approx(0.5, abs=1e-15)
              and half.condition_i == pytest.approx(1.0, abs=1e-15)
              and half.contraction)
-    big = contraction_conditions(single(3.0), a1)
+    big = contraction_conditions(single(3.0))
     exact = exact and big.condition_ii_p == pytest.approx(1.5, abs=1e-15) and not big.contraction
-    under = contraction_conditions(single(2.0 - 1e-12), a1).contraction
-    over = contraction_conditions(single(2.0 + 1e-12), a1).contraction
+    under = contraction_conditions(single(2.0 - 1e-12)).contraction
+    over = contraction_conditions(single(2.0 + 1e-12)).contraction
     flips = under and not over
     report(10, exact and flips,
            f"hand sums exact (p = 0.5 / 1.5), contraction verdict flips at |S_11| = 2")

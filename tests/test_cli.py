@@ -14,7 +14,7 @@ from invspec import Order, PotentialCoefficients, SpectralData, VTable, forward_
 from invspec.cli import exit_code_for, load_problem
 from invspec import errors
 from invspec.errors import (ConvergenceError, DegenerateDenominatorError, InputError, InvspecError,
-                            NonFiniteResultError, ResonantIndexError, VerificationError)
+                            NonFiniteResultError, VerificationError)
 
 
 def run_cli(*args, cwd=None):
@@ -515,6 +515,20 @@ def test_non_finite_results_exit_2_and_write_nothing(tmp_path, command, mode, ou
     assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
 
 
+def test_forward_maps_every_order_until_its_tables_overflow(tmp_path, capsys):
+    # the recurrence's divisors are bounded in closed form (kernel.py), so forward maps m = 16;
+    # at m = 100 the kernel's tables overflow, and forward exits 2 and writes nothing
+    from invspec import cli
+
+    for m, n_max, code in [(16, 6, 0), (100, 4, 2)]:
+        write_problem(tmp_path / "in.json", "potential", m, n_max, [potential_entry(0, 1, 0.02 - 0.01j)])
+        out = tmp_path / f"s{m}.json"
+        assert cli.main(["forward", "--input", str(tmp_path / "in.json"), "--output", str(out)]) == code
+        assert out.exists() == (code == 0)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: result is not finite")
+
+
 def test_verify_refuses_a_non_finite_forward_map_before_any_check(tmp_path, monkeypatch, capsys):
     from invspec import analytic, cli, fredholm, inverse
 
@@ -585,8 +599,8 @@ def test_usage_errors_exit_1_and_write_nothing(tmp_path, args, message):
     assert run_cli("det", "--help").returncode == 0
 
 
-EXIT_CODES = {InvspecError: 1, InputError: 1, DegenerateDenominatorError: 2, ResonantIndexError: 2,
-              NonFiniteResultError: 2, ConvergenceError: 3, VerificationError: 4}
+EXIT_CODES = {InvspecError: 1, InputError: 1, DegenerateDenominatorError: 2, NonFiniteResultError: 2,
+              ConvergenceError: 3, VerificationError: 4}
 ERROR_CLASSES = [obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)]
 
 

@@ -30,7 +30,6 @@ def test_left_factor_m1_closed_form():
     kern = diagonal_kernel(1, 7)
     for n in (1, 2, 3):
         for alpha in (4, 7):
-            assert kern.abs_left(alpha)[n - 1, 0] == pytest.approx(alpha * (alpha - n))
             assert 1 / kernel_weight(kern, alpha, n, 1)[0] == pytest.approx(alpha * (alpha - n))
 
 
@@ -151,9 +150,9 @@ def closed_form_v(m: int, n_max: int, eps: complex) -> np.ndarray:
     return v
 
 
-@pytest.mark.parametrize("m, n_max", [(1, 16), (2, 16), (3, 12), (4, 12), (6, 10)])
+@pytest.mark.parametrize("m, n_max", [(1, 16), (2, 16), (3, 12), (4, 12), (6, 10), (12, 8), (16, 6), (20, 4)])
 def test_single_mode_matches_the_closed_form_entrywise(m, n_max):
-    # measured at most 2.8e-13, at (6, 10); the d-coefficient sweeps this map replaced
+    # measured at most 3.2e-13, at (12, 8); the d-coefficient sweeps this map replaced
     # were off by 8.6e-10 at (1, 16) and by a factor 1e72 at (6, 10)
     coeffs = np.zeros((2 * m - 1, n_max), dtype=complex)
     coeffs[0, 0] = 0.3 - 0.2j

@@ -109,6 +109,13 @@ def test_scan_refuses_a_rectangle_of_zero_height(im_grid):
         scan_halfplane(s, np.linspace(0, 2 * np.pi, 33), im_grid)
 
 
+def test_scan_refuses_a_rectangle_of_zero_width():
+    # criterion 7's planted zero: a zero-width rectangle would wind 0 around it
+    s = rank_one_m1(-2 * np.e * 1j)
+    with pytest.raises(InputError, match="positive width"):
+        scan_halfplane(s, [2.0, 2.0, 2.0], np.linspace(0, 10, 21))
+
+
 def test_determinant_periodicity(rng):
     s = random_spectral(Order(2), 5, rng)
     for z in (0.3 + 0.2j, 1.7 + 1j):

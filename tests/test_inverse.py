@@ -148,21 +148,21 @@ def test_first_moment_tail_exponent_is_the_mean_log_decrement_without_zero_terms
 
 
 def test_contraction_verdicts():
-    zero = contraction_conditions(SpectralData(Order(1), 3, np.zeros((3, 1))), a_m=1.0)
+    zero = contraction_conditions(SpectralData(Order(1), 3, np.zeros((3, 1))))
     assert zero.condition_ii_p == 0.0 and zero.contraction
 
-    small = contraction_conditions(single_entry_spectral(1, 1.0), a_m=1.0)
+    small = contraction_conditions(single_entry_spectral(1, 1.0))
     assert small.condition_ii_p == pytest.approx(0.5)
     assert small.contraction
 
-    big = contraction_conditions(single_entry_spectral(1, 3.0), a_m=1.0)
+    big = contraction_conditions(single_entry_spectral(1, 3.0))
     assert big.condition_ii_p == pytest.approx(1.5)
     assert not big.contraction
 
 
 def test_contraction_threshold_flip():
-    under = contraction_conditions(single_entry_spectral(1, 2.0 - 1e-9), a_m=1.0)
-    over = contraction_conditions(single_entry_spectral(1, 2.0 + 1e-9), a_m=1.0)
+    under = contraction_conditions(single_entry_spectral(1, 2.0 - 1e-9))
+    over = contraction_conditions(single_entry_spectral(1, 2.0 + 1e-9))
     assert under.contraction and not over.contraction
 
 

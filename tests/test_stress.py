@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from conftest import kernel_weight, random_potential
-from invspec import (Order, PotentialCoefficients, a_m_constant, contraction_conditions, forward_map,
-                     inverse_map, roots_of_unity, v_from_s)
+from invspec import (Order, PotentialCoefficients, contraction_conditions, forward_map, inverse_map,
+                     roots_of_unity, v_from_s)
 from invspec.kernel import diagonal_kernel
 
 SIZES = [(m, n) for m in (1, 2, 3, 4) for n in (16, 32)] + [(2, 64), (3, 64)]
@@ -26,7 +26,7 @@ def test_round_trip_at_contraction_sum_66():
     order = Order(2)
     p = random_potential(order, 24, np.random.default_rng(20240811), scale=10.85)
     _, s = forward_map(p)
-    contraction = contraction_conditions(s, a_m_constant(order)).condition_ii_p
+    contraction = contraction_conditions(s).condition_ii_p
     assert 60 < contraction < 70
     assert relative(inverse_map(s).coeffs, p.coeffs) <= 3e-14
 

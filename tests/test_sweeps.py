@@ -7,12 +7,10 @@ residue recurrence the forward map ran before its mirror sweep, checked entry
 by entry; the sweeps that slice the kernel's tables anew at every column,
 checked bit for bit; the kernel's tables built entry by entry on separate (n,
 j) axes, against which its packed point axis is checked bit for bit; and the
-column order in which a sweep over the full table of left factors meets the
-resonance guard.  The last tests check that the pooled
-workspaces carry nothing from one call to the next and are never shared:
-between calls, across threads, or with a returned table.
+kernel's closed-form lower bound on every divisor of the sweeps.  The last
+tests check that the pooled workspaces carry nothing from one call to the next
+and are never shared: between calls, across threads, or with a returned table.
 """
-import copy
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -22,9 +20,7 @@ import pytest
 
 from conftest import kernel_weight, random_potential, random_spectral
 from diagonal_relation import p_from_v, relation_tables, term_magnitudes
-from invspec import (Order, PotentialCoefficients, VTable, forward, forward_map, inverse_map, kernel,
-                     roots_of_unity, series_q, v_from_s)
-from invspec.errors import ResonantIndexError
+from invspec import Order, PotentialCoefficients, VTable, forward_map, inverse_map, roots_of_unity, series_q, v_from_s
 from invspec.kernel import Workspace, diagonal_kernel
 
 SIZES = [(1, 64), (2, 64), (3, 32), (4, 32)]
@@ -80,134 +76,11 @@ def test_order_one_has_no_convolution(n_max):
     assert relative(inverse_map(s).coeffs, want) <= 1e-14
 
 
-def sweep_guards(order: Order, n_max: int, left_tol: float) -> None:
-    """The resonance guard in the order a column sweep meets it, column by column, over the full table."""
-    left = old_left(order, n_max)
-    scale = (np.arange(1, n_max + 1)[:, None] / np.abs(1 - roots_of_unity(order)[1:])) ** (2 * order.m)
-    for alpha in range(1, n_max + 1):
-        small = np.abs(left[:alpha - 1, alpha - 1]) <= left_tol * scale[alpha - 1]
-        if small.any():
-            n, j = np.argwhere(small)[0] + 1
-            raise ResonantIndexError(f"resonant left factor at (n={n}, alpha={alpha}, j={j})",
-                                     indices=(int(n), alpha, int(j)))
-
-
-def raised(fn) -> tuple:
-    try:
-        fn()
-    except ResonantIndexError as exc:
-        return type(exc), str(exc), exc.indices
-    return None, "", None
-
-
-@pytest.mark.parametrize("m, n_max, left_tol, cond_limit, rtol", [
-    (1, 16, 0.5, 1e12, 1e-9),
-    (1, 16, 0.5, 1e12, 1e-16),
-    (2, 10, 0.5, 5.0, 1e-9),
-    (2, 10, 1.0, 5.0, 1e-9),
-    (2, 10, 1.0, 1e12, 1e-16),
-    (2, 8, 1e-12, 5.0, 1e-16),
-    (3, 8, 1e-12, 30.0, -1.0),
-    (3, 8, 1e-12, 50.0, 1e-16),
-    (3, 6, 0.5, 50.0, 1e-16),
-    (4, 8, 0.3, 1e6, 1e-13),
-    (4, 8, 1e-12, 1e12, 1e-9),
-    # past the acceptance sizes, where the kernel keeps only the guard's floors
-    (3, 32, 0.3, 1e12, 1e-9),
-    (3, 32, 1e-12, 50.0, 1e-9),
-    (3, 32, 1e-12, 1e12, 1e-15),
-    (3, 32, 1e-12, 1e12, 1e-16),
-    (4, 32, 0.07, 1e12, 1e-9),
-    (4, 32, 1e-12, 1e6, 1e-9),
-    (4, 32, 1e-12, 1e12, 3e-14),
-])
-def test_guards_raise_where_the_column_sweep_meets_them(guard_constants, monkeypatch, m, n_max, left_tol,
-                                                        cond_limit, rtol):
-    # cond_limit and rtol are the pivot-ratio and remainder tolerances the
-    # deleted pivot and remainder guards read, under which several of these
-    # cases were refused, (3, 8) at 30.0 and -1.0 among them; set where those
-    # guards read them, they change nothing, and the resonance guard alone
-    # raises, where the column sweep meets it
-    guard_constants(LEFT_FACTOR_RTOL=left_tol)
-    p = random_potential(Order(m), n_max, np.random.default_rng(3))
-    want = raised(lambda: sweep_guards(Order(m), n_max, left_tol))
-    got = raised(lambda: forward_map(p))
-    assert got == want
-    monkeypatch.setattr(kernel, "COND_LIMIT", cond_limit, raising=False)
-    monkeypatch.setattr(kernel, "REMAINDER_RTOL", rtol, raising=False)
-    diagonal_kernel.cache_clear()
-    assert raised(lambda: forward_map(p)) == got
-
-
-def column_resonance_hits(guard_constants, left_tol: float, factor: float) -> list:
-    """Check the one-column resonance guard of an m = 3 kernel whose j = 2m - 1 scale is multiplied
-    by factor against the full table of left factors; the resonant entries of each column, n then j."""
-    m, n_max = 3, 8
-    guard_constants(LEFT_FACTOR_RTOL=left_tol)
-    real = diagonal_kernel(m, n_max)
-    left = np.abs(old_left(Order(m), n_max))
-    kern = copy.copy(real)
-    kern.left_scale = real.left_scale * np.where(np.arange(2 * m - 1) == 2 * m - 2, factor, 1.0)
-    columns = []
-    for alpha in range(2, n_max + 1):
-        hits = [(n, alpha, j) for n in range(1, alpha) for j in range(1, 2 * m)
-                if left[n - 1, alpha - 1, j - 1] <= left_tol * kern.left_scale[alpha - 1, j - 1]]
-        got = raised(lambda: forward._check_column(kern, alpha))
-        assert got[0] is (ResonantIndexError if hits else None)
-        assert got[2] == (hits[0] if hits else None)
-        columns.append(hits)
-    return columns
-
-
-@pytest.mark.parametrize("left_tol", [0.5, 3.0])
-def test_single_entry_resonance_guard_matches_the_full_table(guard_constants, left_tol):
-    # at 0.5 only the roots j = 1, 2m - 1 resonate, at 3.0 the middle ones too
-    columns = column_resonance_hits(guard_constants, left_tol, 1.0)
-    tripped = sum(len(hits) for hits in columns)
-    assert 0 < tripped < 8 * 7 // 2 * 5
-
-
-def test_resonance_guard_reports_the_first_entry_of_its_column_in_n_then_j_order(guard_constants):
-    # j = 1 resonates first at every n of the real kernel, so both orders agree
-    # there; doubling the scale of j = 2m - 1 makes it resonate at smaller n
-    columns = column_resonance_hits(guard_constants, 0.5, 2.0)
-    # a column whose first hit in j-then-n order is another entry
-    assert any(hits and hits[0] != min(hits, key=lambda hit: (hit[2], hit[0])) for hits in columns)
-
-
-def test_guards_at_different_columns_raise_the_earlier_column(guard_constants):
-    p = random_potential(Order(2), 10, np.random.default_rng(3))
-    guard_constants(LEFT_FACTOR_RTOL=0.5)
-    with pytest.raises(ResonantIndexError) as info:
-        forward_map(p)
-    assert info.value.indices == (9, 10, 1)
-    # at 1.0 column 10 resonates too, and column 4 first
-    guard_constants(LEFT_FACTOR_RTOL=1.0)
-    assert raised(lambda: forward._check_column(diagonal_kernel(2, 10), 10))[2] is not None
-    with pytest.raises(ResonantIndexError) as info:
-        forward_map(p)
-    assert info.value.indices == (3, 4, 1)
-
-
 def test_the_default_kernel_maps_cleanly_after_a_patched_test():
-    # the tests above build refusing kernels at (2, 10); the fixture drops them
+    # a kernel holds only the tables its sweeps read, fixed by (m, N): a round trip on it is clean
     p = random_potential(Order(2), 10, np.random.default_rng(3))
     _, s = forward_map(p)
-    assert diagonal_kernel(2, 10).forward_refusal is None
     assert relative(inverse_map(s).coeffs, p.coeffs) <= 1e-12
-
-
-def test_a_clean_kernel_maps_without_the_diagnosis(monkeypatch):
-    p = random_potential(Order(2), 10, np.random.default_rng(3))
-    v, s = forward_map(p)
-
-    def unreachable(*args):
-        raise AssertionError("a clean kernel ran the guard diagnosis")
-
-    monkeypatch.setattr(forward, "_check_column", unreachable)
-    again = forward_map(p)
-    assert np.array_equal(again[0].table, v.table) and np.array_equal(again[1].table, s.table)
-    inverse_map(s)
 
 
 def exact_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,10 +123,10 @@ def test_response_table_solves_the_diagonal_relation(m, n_max):
 
 
 def padded_forward_tables(kern) -> tuple:
-    """pn_w as [alpha, gamma, n, j], g0 as [gamma, n, j], t_scale and the full |L| as [alpha, n, j],
-    entry by entry: each Q_alpha(k_nj) the product of its 2m factors in l order, the l = j factor
-    at n = alpha replaced by its derivative 1 - w_j.  pn_w[alpha] at n < alpha is the weight the
-    residue recurrence applies to the residue at k_nj, and the mirror sweep at w_j k_nj."""
+    """pn_w as [alpha, gamma, n, j], g0 as [gamma, n, j] and t_scale as [alpha, n, j], entry by
+    entry: each Q_alpha(k_nj) the product of its 2m factors in l order, the l = j factor at n =
+    alpha replaced by its derivative 1 - w_j.  pn_w[alpha] at n < alpha is the weight the residue
+    recurrence applies to the residue at k_nj, and the mirror sweep at w_j k_nj."""
     order, n_max = kern.order, kern.n_max
     size = jc = order.j_count
     roots = roots_of_unity(order)
@@ -270,8 +143,7 @@ def padded_forward_tables(kern) -> tuple:
     gamma = np.arange(size)[:, None, None]
     pn_w = np.stack([(c - alpha) ** gamma * (-1 / q[alpha - 1]) for alpha in modes])
     t_scale = np.stack([-q[alpha - 1, alpha - 1] / (1 - w) for alpha in modes])
-    left = np.stack([(alpha - c) ** (2 * order.m) - c ** (2 * order.m) for alpha in modes])
-    return pn_w, c ** gamma, t_scale, np.abs(left)
+    return pn_w, c ** gamma, t_scale
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -286,7 +158,7 @@ def test_packed_forward_tables_equal_the_padded_tables_bitwise(m, n_max):
     # keeps of each column's weights only the points it reads: the poles n >= alpha, then the
     # mirrors n <= N - alpha, whose weights are pn_w[n + alpha] at the pole n
     kern = diagonal_kernel(m, n_max)
-    pn_w, g0, t_scale, abs_left = padded_forward_tables(kern)
+    pn_w, g0, t_scale = padded_forward_tables(kern)
     size = jc = 2 * m - 1
     modes = np.arange(1, n_max + 1)[:, None]
     mirror_g0 = (modes / (1 - roots_of_unity(Order(m))[1:]) - modes) ** np.arange(size)[:, None, None]
@@ -296,31 +168,48 @@ def test_packed_forward_tables_equal_the_padded_tables_bitwise(m, n_max):
         points = [pn_w[k, :, n] for n in range(k, n_max)]
         points += [pn_w[n + k + 1, :, n] for n in range(n_max - 1 - k)]
         assert same_bits(kern.weights[k], np.stack(points, axis=1).reshape(size, -1))
-        assert same_bits(kern.abs_left(k + 1), abs_left[k, :k])
-        assert same_bits(kern.left_floor[k], abs_left[k, :k].min(axis=0, initial=np.inf))
         assert same_bits(kern.solve[k, :, jc:2 * jc], -kern.solve[k, :, :jc])
     # one table holds every column's weights, N^2 (2m - 1)^2 entries
     assert all(block.base is kern.weights[0].base for block in kern.weights)
     assert kern.weights[0].base.size == n_max ** 2 * jc * size
-    for table in (kern.g0, kern.t_scale, kern.solve, kern.left_floor, *kern.weights):
+    for table in (kern.g0, kern.t_scale, kern.solve, *kern.weights):
         assert not table.flags.writeable
 
 
 def test_mirror_divisors_are_the_guarded_left_factors():
+    # every divisor of the sweeps, 1 / |weight| at gamma = 0, meets the kernel's lemma: |Q_alpha(k_nj)|
+    # >= |alpha - n| (alpha sin(pi / 2m))^(2m-1) at n != alpha, with equality at m = 1, and |Q'_alpha|
+    # >= |1 - w_j| (alpha sin(pi / 2m))^(2m-1) at n = alpha
+    for m in range(1, 17):
+        n_max = 16 if m <= 4 else 8
+        kern = diagonal_kernel(m, n_max)
+        one_minus_w = 1 - roots_of_unity(Order(m))[1:]
+        ratios = []
+        for alpha in range(1, n_max + 1):
+            floor = (alpha * np.sin(np.pi / (2 * m))) ** (2 * m - 1)
+            for n in range(1, n_max + 1):
+                for j in range(1, 2 * m):
+                    divisor = 1 / abs(kernel_weight(kern, alpha, n, j)[0])
+                    lead = abs(alpha - n) if n != alpha else abs(one_minus_w[j - 1])
+                    ratios.append(divisor / (lead * floor))
+        assert min(ratios) >= 1 - 1e-14
+        if m == 1:
+            assert min(ratios) <= 1 + 1e-14
     # at w_j k_nj the forward map divides by Q_beta(w_j k_nj) = Q_{n+beta}(k_nj), whose modulus
-    # is |L[n + beta, n, j]|: the numbers the resonance guard bounds.  Q_beta(w_j k_nj) is
-    # evaluated here at the mirror point itself, as a product of its own factors (both measured
-    # within 2.8e-14 of |L|, at (6, 12))
+    # is the left factor |L[n + beta, n, j]| = |(n + beta - c_nj)^2m - c_nj^2m|.  Q_beta(w_j k_nj)
+    # is evaluated here at the mirror point itself, as a product of its own factors (both measured
+    # within 2.8e-14 of |L|, at (6, 12)); past m = 8 the difference form of L cancels
     for m, n_max in [(1, 16), (2, 24), (3, 16), (6, 12), (8, 10)]:
         kern = diagonal_kernel(m, n_max)
         roots = roots_of_unity(Order(m))
+        lefts = np.abs(old_left(Order(m), n_max))
         for beta in range(1, n_max):
             for n in range(1, n_max - beta + 1):
                 for j in range(1, 2 * m):
                     divisor = 1 / abs(kernel_weight(kern, n + beta, n, j)[0])
                     mirror = roots[j] * (-1j * n / (1 - roots[j]))
                     direct = abs(np.prod(1j * beta + mirror * (1 - roots)))
-                    left = kern.abs_left(n + beta)[n - 1, j - 1]
+                    left = lefts[n - 1, n + beta - 1, j - 1]
                     assert abs(divisor - left) <= 1e-13 * left
                     assert abs(direct - left) <= 1e-13 * left
 
