@@ -209,6 +209,8 @@ def cmd_det(args) -> int:
     for flag, steps in (("--re-steps", args.re_steps), ("--im-steps", args.im_steps)):
         if steps < 2:
             raise InputError(f"{flag} must be at least 2, got {steps}")
+    if args.im_max <= 0:
+        raise InputError(f"--im-max must be > 0, got {args.im_max}")
     re_grid = np.linspace(0.0, 2 * np.pi, args.re_steps)
     im_grid = np.linspace(0.0, args.im_max, args.im_steps)
     report = fredholm.scan_halfplane(problem, re_grid, im_grid, tol=args.tol,
@@ -279,9 +281,8 @@ def _verify_checks(p: PotentialCoefficients, args) -> list[dict]:
     checks.append({"name": "ode_residual", "value": ode,
                    "threshold": args.ode_tol, "pass": bool(ode <= args.ode_tol)})
 
-    scan = fredholm.scan_halfplane(s, np.linspace(0, 2 * np.pi, 17), np.linspace(0, 10.0, 11),
-                                   tol=args.tol)
-    det_ok = scan.zero_free and scan.min_modulus >= args.det_floor
+    scan = fredholm.scan_halfplane(s, np.linspace(0, 2 * np.pi, 17), [0.0])
+    det_ok = scan.winding == 0 and scan.min_modulus >= args.det_floor
     checks.append({"name": "determinant_zero_free", "value": float(scan.min_modulus),
                    "threshold": args.det_floor, "pass": bool(det_ok),
                    "winding": int(scan.winding)})
@@ -343,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--input", required=True)
     ver.add_argument("--output", default="-")
     ver.add_argument("--report", default=None)
-    ver.add_argument("--tol", type=finite, default=1e-6, help="determinant modulus floor for zero_free")
     ver.add_argument("--round-tol", type=finite, default=1e-8)
     ver.add_argument("--marchenko-tol", type=finite, default=1e-9)
     ver.add_argument("--jump-tol", type=finite, default=1e-9)

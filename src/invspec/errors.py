@@ -11,7 +11,7 @@ class InputError(InvspecError):
 
 
 class DegenerateDenominatorError(InvspecError):
-    """The Fredholm determinant vanished on the boundary of the half-plane scan."""
+    """The Fredholm determinant vanished on the real axis, where the scan counts its zeros."""
 
 
 class NonFiniteResultError(InvspecError):

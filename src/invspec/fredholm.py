@@ -1,9 +1,19 @@
-"""Truncated Fredholm determinant of the data operator and its half-plane scan.
+"""Truncated Fredholm determinant of the data operator and its zero count.
 
 The determinant convention is det(E - F) throughout, matching the linear
 system the operator drives; reports carry the convention string so downstream
 consumers see it.  Flat indexing packs block index a and sub index b as
 (a - 1) * (2m - 1) + (b - 1): rows are (r, l), columns are (n, j).
+
+The zeros of D(z) = det(E - F(z)) in the upper half plane are counted on the real
+axis alone (Delves & Lyness, Math. Comp. 21 (1967)).  The lemma: column block n of F
+carries e^{inz} for an integer n, so D(z) = P(e^{iz}), P a polynomial with P(0) =
+det E = 1.  The strip 0 <= Re z < 2pi, Im z > 0 maps one-to-one onto 0 < |q| < 1,
+where P has no zero at q = 0, so the winding of D(x), x in [0, 2pi], counts every
+zero of D in the upper half plane, modulo 2pi.  A rectangle [0, 2pi] x [0, H] miscounts:
+its side edges cancel by periodicity, and its top edge subtracts the zeros above it.
+When the count is 0, |P| takes its minimum over the closed disk on |q| = 1 (the
+minimum modulus principle), so the modulus floor lives on the real axis too.
 """
 from __future__ import annotations
 
@@ -60,7 +70,7 @@ def _determinants(s: SpectralData, n_max: int | None):
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Half-plane scan verdict: modulus floor, winding count, and flagged points.
+    """Scan verdict: the grid's modulus floor and flagged points, and the real axis's zero count.
 
     ``values[iy, ix]`` is the determinant at grid point re_grid[ix] + i im_grid[iy].
     """
@@ -74,46 +84,36 @@ class ScanReport:
     convention: str = CONVENTION
 
 
-def _boundary(grid: np.ndarray) -> np.ndarray:
-    """Counter-clockwise walk around the rectangle of a [iy, ix] grid, closing on its first point."""
-    return np.concatenate([grid[0, :], grid[1:, -1], grid[-1, ::-1][1:], grid[::-1, 0][1:]])
+def _winding(dets, row, re_grid) -> int:
+    """Winding number of the determinant along the real axis, in order of re, closed around the period.
 
-
-def _winding(dets, values, re_grid, im_grid) -> int:
-    """Winding number of the determinant along the grid rectangle boundary.
-
-    ``values`` holds the determinant on the grid, so the boundary costs
-    nothing unless it runs near a zero; ``dets`` evaluates it at other points.
+    ``row`` holds the determinant at re_grid on Im z = 0, so the walk costs nothing
+    unless it runs near a zero; ``dets`` evaluates it at other points.
     """
-    vals = _boundary(values)
+    order = np.argsort(re_grid)
+    path, vals = re_grid[order], row[order]
     if np.abs(vals).min() < 0.3:
-        # refine when the boundary runs near a zero; phase steps must stay < pi
-        path = _boundary(re_grid[None, :] + 1j * im_grid[:, None])
-        step = np.roll(path, -1) - path
+        # refine when the axis runs near a zero; phase steps must stay < pi
+        step = np.diff(path, append=path[0] + 2 * np.pi)
         vals = dets((path[:, None] + step[:, None] * np.linspace(0.0, 1.0, 9)[:-1]).ravel())
     if np.abs(vals).min() < 1e-13:
-        raise DegenerateDenominatorError("determinant vanishes on the scan boundary")
+        raise DegenerateDenominatorError("determinant vanishes on the real axis")
     total = np.angle(np.roll(vals, -1) / vals).sum()
     return int(round(total / (2 * np.pi)))
 
 
 def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
                    n_max: int | None = None, det_tol: float = DET_TOL) -> ScanReport:
-    """Evaluate the determinant over a [0, 2pi] x [0, H] grid and count enclosed zeros.
-
-    The verdict combines a modulus floor with a boundary winding number: the
-    grid minimum alone can straddle a zero, the winding number cannot.
+    """Evaluate the determinant over a one-period re_grid x im_grid grid, im_grid holding 0,
+    and count its zeros in the upper half plane by the winding along the real axis (the
+    module's lemma).  The grid gives the modulus floor, its argmin and the truncation check.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
-    if re_grid.size < 2 or im_grid.size < 2:
-        raise InputError("scan grids need at least two points per axis")
-    if re_grid.max() <= re_grid.min():
-        raise InputError("scan needs a rectangle of positive width: the re values must not all be equal")
-    if im_grid.min() < 0:
-        raise InputError("scan stays in the closed upper half plane")
-    if im_grid.max() <= 0:
-        raise InputError("scan needs a rectangle of positive height: the largest im value must be > 0")
+    if re_grid.size < 2 or not abs(np.ptp(re_grid) - 2 * np.pi) <= 1e-12:
+        raise InputError("scan needs re values that span one period: max - min must be 2pi")
+    if not (im_grid == 0).any() or not im_grid.min() >= 0:
+        raise InputError("scan needs im values in the closed upper half plane, one of them 0")
     n_cap, dets = _determinants(s, n_max)
     zs = (re_grid[None, :] + 1j * im_grid[:, None]).ravel()
     values = dets(zs).reshape(im_grid.size, re_grid.size)
@@ -126,7 +126,7 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
     modulus = np.abs(values)
     iy, ix = np.unravel_index(np.argmin(modulus), modulus.shape)
     min_mod = float(modulus[iy, ix])
-    winding = _winding(dets, values, re_grid, im_grid)
+    winding = _winding(dets, values[np.argmax(im_grid == 0)], re_grid)
     zero_free = bool(min_mod > tol and winding == 0)
     values.setflags(write=False)
     return ScanReport(min_mod, complex(re_grid[ix], im_grid[iy]), zero_free, winding, flagged, values)

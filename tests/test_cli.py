@@ -131,6 +131,19 @@ def test_det_planted_zero_winding(tmp_path):
     assert verdict["zero_free"] is False
 
 
+def test_det_counts_a_zero_on_the_imaginary_axis(tmp_path):
+    # S_11 = 4i: D = 1 - 2 e^{iz} vanishes at z = i ln 2, on the Re z = 0 edge of det's grid; the
+    # real-axis winding counts it, where the rectangle walk reported zero_free with winding 0
+    inp = tmp_path / "s.json"
+    verdict_out = tmp_path / "verdict.json"
+    write_problem(inp, "spectral", 1, 1, [{"j": 1, "n": 1, "re": 0.0, "im": 4.0}])
+    result = run_cli("det", "--input", str(inp), "--output", str(tmp_path / "g.csv"),
+                     "--report", str(verdict_out))
+    assert result.returncode == 0, result.stderr
+    verdict = json.loads(verdict_out.read_text())
+    assert (verdict["zero_free"], verdict["winding"]) == (False, 1)
+
+
 def test_det_exit_3_when_truncation_forced(tmp_path):
     inp = tmp_path / "s.json"
     entries = [{"j": 1, "n": n, "re": 0.8 ** n, "im": 0.0} for n in range(1, 21)]
@@ -180,13 +193,12 @@ def test_det_step_counts_below_two_exit_1_and_write_nothing(tmp_path, flag, step
 
 
 def test_det_zero_height_exits_1_and_writes_nothing(tmp_path):
-    # criterion 7's planted zero; a zero-height rectangle once reported it zero-free with winding 0
+    # criterion 7's planted zero; det's grid is [0, 2pi] x [0, im-max], refused before it is scanned
     write_problem(tmp_path / "s.json", "spectral", 1, 1, [{"j": 1, "n": 1, "re": 0.0, "im": -2 * np.e}])
     result = run_cli("det", "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "g.csv"),
                      "--report", str(tmp_path / "verdict.json"), "--im-max", "0")
     assert result.returncode == 1
-    assert result.stderr == ("error: scan needs a rectangle of positive height: "
-                             "the largest im value must be > 0\n")
+    assert result.stderr == "error: --im-max must be > 0, got 0.0\n"
     assert result.stdout == ""
     assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
 
@@ -356,6 +368,28 @@ def test_verify_exit_4_on_impossible_threshold(tmp_path):
                      "--round-tol", "1e-30", "--marchenko-tol", "1e-30")
     assert result.returncode == 4
     assert "round_trip" in result.stderr
+
+
+def test_verify_counts_a_zero_above_the_old_scan_window(monkeypatch):
+    # S_11 = 2i e^12 puts the determinant's zero at z = 12i, above the Im z = 10 top of the grid
+    # verify once scanned, where it counted 0; the real axis counts it, so the check fails
+    p = PotentialCoefficients(Order(1), 1, np.array([[0.01]], dtype=complex))
+    v, _ = forward_map(p)
+    s = SpectralData(Order(1), 1, np.array([[2j * np.exp(12)]]))
+    check = verify_on_tables(monkeypatch, p, (v, s))["determinant_zero_free"]
+    assert (check["pass"], check["winding"]) == (False, 1)
+    assert check["value"] >= 0.5  # above --det-floor: the count alone fails it
+
+
+def test_verify_tol_is_a_usage_error_and_writes_nothing(tmp_path):
+    # verify's --tol floored the same min |D| as --det-floor, 1e-6 under its default; it is gone
+    write_problem(tmp_path / "p.json", "potential", 1, 2, [potential_entry(0, 1, 0.05 + 0j)])
+    result = run_cli("verify", "--input", str(tmp_path / "p.json"),
+                     "--report", str(tmp_path / "card.json"), "--tol", "1e-3")
+    assert result.returncode == 1
+    assert "unrecognized arguments: --tol 1e-3" in result.stderr
+    assert result.stdout == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["p.json"]
 
 
 def test_malformed_json_exit_1(tmp_path):

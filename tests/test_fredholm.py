@@ -98,22 +98,63 @@ def test_determinant_approaches_one_high_in_the_plane():
 
 def test_determinant_rejects_lower_half_plane():
     with pytest.raises(InputError, match="closed upper half plane"):
-        scan_halfplane(rank_one_m1(0.1), [0.0, 1.0], [-1.0, 0.0])
+        scan_halfplane(rank_one_m1(0.1), np.linspace(0, 2 * np.pi, 5), [-1.0, 0.0])
+    # and a grid without the real axis, which carries the count
+    with pytest.raises(InputError, match="closed upper half plane, one of them 0"):
+        scan_halfplane(rank_one_m1(0.1), np.linspace(0, 2 * np.pi, 5), [0.5, 1.0])
 
 
 @pytest.mark.parametrize("im_grid", [[0.0, 0.0, 0.0], [0.0, -0.0]])
 def test_scan_refuses_a_rectangle_of_zero_height(im_grid):
-    # criterion 7's planted zero: a zero-height rectangle would wind 0 around it
+    # criterion 7's planted zero at pi + i: a zero-height grid is the real axis, which counts it
+    # (the rectangle walk wound 0 around it, and so refused such a grid)
     s = rank_one_m1(-2 * np.e * 1j)
-    with pytest.raises(InputError, match="positive height"):
-        scan_halfplane(s, np.linspace(0, 2 * np.pi, 33), im_grid)
+    report = scan_halfplane(s, np.linspace(0, 2 * np.pi, 33), im_grid)
+    assert (report.winding, report.zero_free) == (1, False)
 
 
 def test_scan_refuses_a_rectangle_of_zero_width():
-    # criterion 7's planted zero: a zero-width rectangle would wind 0 around it
+    # the count is the winding over one period of the real axis: a re_grid that spans less, or
+    # more, walks no closed loop
     s = rank_one_m1(-2 * np.e * 1j)
-    with pytest.raises(InputError, match="positive width"):
-        scan_halfplane(s, [2.0, 2.0, 2.0], np.linspace(0, 10, 21))
+    for re_grid in ([2.0, 2.0, 2.0], [0.0, 1.0], [1.0], [], np.linspace(0, 2 * np.pi, 17)[:-1],
+                    np.linspace(0, 4 * np.pi, 33), [0.0, np.nan, 2 * np.pi]):
+        with pytest.raises(InputError, match="span one period"):
+            scan_halfplane(s, re_grid, np.linspace(0, 10, 21))
+
+
+@pytest.mark.parametrize("re_steps, im_steps", [(17, 11), (33, 21), (257, 161), (17, 1)])
+def test_a_zero_on_the_imaginary_axis_is_counted(re_steps, im_steps):
+    # S_11 = 4i at (1, 4): D = 1 - 2 e^{iz} vanishes at z = i ln 2, on the rectangle's Re z = 0
+    # edge, where the rectangle walk counted 0 on every grid; 17 x 1 is verify's grid
+    table = np.zeros((4, 1), dtype=complex)
+    table[0, 0] = 4j
+    s = SpectralData(Order(1), 4, table)
+    assert abs(det_at(s, 1j * np.log(2))) <= 1e-15
+    report = scan_halfplane(s, np.linspace(0, 2 * np.pi, re_steps), np.linspace(0, 10, im_steps))
+    assert (report.winding, report.zero_free) == (1, False)
+
+
+def test_a_zero_above_the_grid_is_counted():
+    # S_11 = 2i e^12: D = 1 - e^{12} e^{iz} vanishes at z = 12i, above the grid's top at Im z = 10,
+    # whose edge subtracted it from the rectangle's count
+    s = rank_one_m1(2j * np.exp(12))
+    assert abs(closed_form_m1(s.table[0, 0], 12j)) <= 1e-12
+    report = scan_halfplane(s, np.linspace(0, 2 * np.pi, 17), np.linspace(0, 10, 11))
+    assert (report.winding, report.zero_free) == (1, False)
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 8), (2, 16), (3, 12)])
+def test_the_real_axis_holds_the_minimum_modulus_of_zero_free_data(m, n_max):
+    # with no zero in the upper half plane, |D| takes its smallest value over the closed half
+    # plane on the real axis (the minimum modulus principle): verify's one row floors the grid
+    _, s = forward_map(random_potential(Order(m), n_max, np.random.default_rng(m * n_max)))
+    re_grid = np.linspace(0, 2 * np.pi, 17)
+    axis = scan_halfplane(s, re_grid, [0.0])
+    grid = scan_halfplane(s, re_grid, np.linspace(0, 10.0, 11))
+    assert axis.winding == grid.winding == 0
+    assert axis.min_modulus == grid.min_modulus
+    assert axis.argmin == grid.argmin
 
 
 def test_determinant_periodicity(rng):
@@ -150,11 +191,14 @@ def test_scan_small_rank_one_zero_free():
 
 
 def test_scan_planted_zero_has_winding_one():
-    # data chosen so 1 + i S e^{iz}/2 vanishes at z = pi + i, inside the window
+    # data chosen so 1 + i S e^{iz}/2 vanishes at z = pi + i, inside det's window; verify's one
+    # row on the real axis counts it too
     s = rank_one_m1(-2 * np.e * 1j)
-    report = scan_halfplane(s, np.linspace(0, 2 * np.pi, 33), np.linspace(0, 10, 21))
-    assert report.winding == 1
-    assert not report.zero_free
+    for re_steps, im_grid in ((33, np.linspace(0, 10, 21)), (17, [0.0])):
+        report = scan_halfplane(s, np.linspace(0, 2 * np.pi, re_steps), im_grid)
+        assert report.values.shape == (len(im_grid), re_steps)
+        assert report.winding == 1
+        assert not report.zero_free
 
 
 def test_scan_flags_forced_truncation():
@@ -203,7 +247,7 @@ def test_one_block_is_checked_against_the_empty_determinant():
 def test_report_holds_the_previous_truncation_only_when_n_max_cuts_the_data():
     # the scan compares D_N with D_{N-1} only where n_max cuts the data short
     s = random_spectral(Order(2), 6, np.random.default_rng(3), scale=0.3)
-    re_grid, im_grid = [0.7, 1.0], [0.3, 1.0]
+    re_grid, im_grid = [0.0, 0.7, 1.0, 2 * np.pi], [0.0, 0.3, 1.0]
     for n_max in (None, 6, 9):
         assert fredholm._determinants(s, n_max)[0] == 6
         assert scan_halfplane(s, re_grid, im_grid, n_max=n_max, det_tol=1e-300).flagged == ()
@@ -211,7 +255,7 @@ def test_report_holds_the_previous_truncation_only_when_n_max_cuts_the_data():
     report = scan_halfplane(s, re_grid, im_grid, n_max=4)
     z = 0.7 + 0.3j
     d4, d3 = det_at(s, z, n_max=4), det_at(s, z, n_max=4, blocks=3)
-    assert d4 == report.values[0, 0]
+    assert d4 == report.values[1, 1]
     assert (z in report.flagged) == (abs(d4 - d3) >= 1e-10 * (1 + abs(d4)))
 
 
@@ -225,7 +269,7 @@ def test_scan_consistency_with_round_trip_data(rng):
 
 
 def scalar_scan(s, re_grid, im_grid, tol=1e-6, n_max=None, det_tol=1e-10):
-    """Point-by-point reference scan: one np.linalg.det per grid and boundary point."""
+    """Point-by-point reference scan: one np.linalg.det per grid and real-axis point."""
     jc = s.order.j_count
     n_cap = min(n_max or s.n_max, s.n_max)
     pre = f_matrix(s, 0.0, n_cap)
@@ -242,16 +286,15 @@ def scalar_scan(s, re_grid, im_grid, tol=1e-6, n_max=None, det_tol=1e-10):
                if n_cap < s.n_max
                and abs(det_at(complex(x, y)) - det_at(complex(x, y), n_cap - 1))
                >= det_tol * (1 + abs(det_at(complex(x, y))))]
-    re0, re1, im0, im1 = re_grid[0], re_grid[-1], im_grid[0], im_grid[-1]
-    path = [complex(x, im0) for x in re_grid] + [complex(re1, y) for y in im_grid[1:]]
-    path += [complex(x, im1) for x in re_grid[::-1][1:]] + [complex(re0, y) for y in im_grid[::-1][1:]]
-    refined = min(abs(det_at(z)) for z in path) < 0.3
+    # the real axis in order of re, closed around the period: x_last -> x_first + 2 pi
+    path = sorted(float(x) for x in re_grid)
+    refined = min(abs(det_at(x)) for x in path) < 0.3
     if refined:
-        path = [a + (b - a) * f for a, b in zip(path, path[1:] + path[:1])
+        path = [a + (b - a) * f for a, b in zip(path, path[1:] + [path[0] + 2 * np.pi])
                 for f in np.linspace(0.0, 1.0, 9)[:-1]]
-    vals = [det_at(z) for z in path]
+    vals = [det_at(x) for x in path]
     if min(abs(d) for d in vals) < 1e-13:
-        raise DegenerateDenominatorError("determinant vanishes on the scan boundary")
+        raise DegenerateDenominatorError("determinant vanishes on the real axis")
     turns = sum(np.angle(b / a) for a, b in zip(vals, vals[1:] + vals[:1]))
     winding = int(round(turns / (2 * np.pi)))
     zero_free = np.abs(values).min() > tol and winding == 0
@@ -265,13 +308,13 @@ def test_batched_scan_matches_pointwise_determinants(fixture):
     if fixture == "zero_at_pi_plus_i":
         s = rank_one_m1(-2 * np.e * 1j)
     elif fixture == "zero_near_boundary":
-        # 1 + i S e^{iz} / 2 vanishes at z = pi + 0.05 i, 0.05 above the bottom edge
+        # 1 + i S e^{iz} / 2 vanishes at z = pi + 0.05 i, 0.05 above the real axis
         s = rank_one_m1(-2j * np.exp(0.05))
     elif fixture == "truncated":
         s = SpectralData(Order(1), 20, (0.8 ** np.arange(1, 21))[:, None].astype(complex))
         n_max = 5
     elif fixture == "zero_on_refined_boundary":
-        # a real zero at pi/16, between two grid points of the bottom edge and
+        # a real zero at pi/16, between two grid points of the real axis and
         # on its refined path: the scan must refuse to count
         s = rank_one_m1(2j * np.exp(-1j * np.pi / 16))
         with pytest.raises(DegenerateDenominatorError):
