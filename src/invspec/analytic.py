@@ -51,6 +51,24 @@ def q0_from_kernel(v: VTable) -> dict[int, complex]:
     A kernel term V[j, n, alpha] / (i (1 - w_j)) e^{(c_nj - alpha) t - c_nj u} (marchenko_residual)
     has the rate -alpha on the diagonal t = u exactly, so q[alpha] = -2m alpha sum_{j, n}
     V[j, n, alpha] / (i (1 - w_j)).
+
+    On V = v_from_s(S) that sum is the log series of the Fredholm determinant (fredholm.py):
+    with D(z) = P(q), q = e^{iz}, and log P(q) = sum_n l_n q^n,
+
+        sum_{j, n} V[j, n, alpha] / (i (1 - w_j)) = -alpha l_alpha,   q[alpha] = 2m alpha^2 l_alpha.
+
+    The derivation.  Flat over (n, j), let W = diag(q^n), N = diag(n), L = diag(i (1 - w_j) S_nj)
+    and C[(n j), (r l)] = 1 / (n w_j (1 - w_l) - r (1 - w_j)).  The determinant's operator is
+    J = C L W, so P = det(I - A) with A = W L C, by det(I - XY) = det(I - YX).  v_from_s fills
+    column alpha, v_alpha[(n j)] = V[j, n, alpha], with S_alpha j at n = alpha and with
+    (L C v_{alpha-n})[(n j)] at n < alpha, so the columns' power series is the resolvent's:
+    sum_alpha v_alpha q^alpha = (I - A)^{-1} s, s[(n j)] = S_nj q^n.  Jacobi's formula gives
+    q P'/P = -tr((I - A)^{-1} N A).  With x_nj = n w_j / (1 - w_j) and y_nj = n / (1 - w_j),
+    C[(n j), (r l)] = 1 / ((1 - w_j)(1 - w_l)(x_nj - y_rl)), so X = diag(x) and Y = diag(y)
+    displace A to rank one, X A - A Y = g h^T with g = (i S_nj q^n) and h = (1 / (1 - w_j)),
+    and x_nj - y_nj = -n gives N = Y - X.  (I - A)^{-1} commutes with A, so
+    tr((I - A)^{-1} (Y A - A Y)) = 0 and q P'/P = h^T (I - A)^{-1} g.  As 1 / (i (1 - w_j)) =
+    -i h and s = -i g, the sum's power series is -h^T (I - A)^{-1} g = -q P'/P.
     """
     alpha = np.arange(1, v.n_max + 1)
     weight = 1j * (1 - roots_of_unity(v.order)[1:])

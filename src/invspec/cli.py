@@ -231,13 +231,11 @@ def cmd_det(args) -> int:
             "winding": report.winding,
             "convention": report.convention,
             "non_converged": [_complex_json(z) for z in report.flagged],
+            "truncation_bound": report.truncation_bound,
         }), args.report))
     _write(outputs)
     if report.flagged:
-        raise ConvergenceError(
-            f"determinant not converged at {len(report.flagged)} grid points",
-            flagged=list(report.flagged),
-        )
+        raise ConvergenceError(f"determinant not converged at {len(report.flagged)} grid points")
     return 0
 
 
@@ -305,7 +303,7 @@ def cmd_verify(args) -> int:
     _write([(_json_text({"checks": checks, "all_pass": not failed, "failed": failed}),
              args.report or args.output)])
     if failed:
-        raise VerificationError(f"checks failed: {', '.join(failed)}", failed=failed)
+        raise VerificationError(f"checks failed: {', '.join(failed)}")
     return 0
 
 
@@ -337,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--im-steps", type=int, default=21)
     det.add_argument("--tol", type=finite, default=1e-6, help="modulus floor for the zero_free verdict")
     det.add_argument("--n-max", type=int, default=None, help="cap the block truncation below the data depth")
-    det.add_argument("--det-tol", type=finite, default=1e-10, help="consecutive-truncation convergence tolerance")
+    det.add_argument("--det-tol", type=finite, default=1e-10,
+                     help="tolerance on the truncation bound, relative to 1 + |D|")
     det.set_defaults(func=cmd_det)
 
     ver = sub.add_parser("verify", help="run the full consistency battery on a potential")

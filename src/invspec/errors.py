@@ -19,19 +19,8 @@ class NonFiniteResultError(InvspecError):
 
 
 class ConvergenceError(InvspecError):
-    """A truncated quantity failed its convergence criterion.
-
-    ``flagged`` lists the evaluation points that did not converge.
-    """
-
-    def __init__(self, message: str, flagged: list | None = None):
-        super().__init__(message)
-        self.flagged = flagged or []
+    """A truncated quantity failed its convergence criterion."""
 
 
 class VerificationError(InvspecError):
-    """One or more verification checks failed; carries their names."""
-
-    def __init__(self, message: str, failed: list | None = None):
-        super().__init__(message)
-        self.failed = failed or []
+    """One or more verification checks failed; the message names them."""

@@ -21,51 +21,83 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpectralData, jump_factors
+from .core import SpectralData, jump_factors, roots_of_unity
 from .errors import DegenerateDenominatorError, InputError, NonFiniteResultError
 
 CONVENTION = "det(E-F)"
 HARD_BLOCK_CAP = 256
 # largest stack of matrices handed to one determinant call
 STACK_BYTES = 256 * 1024
-DET_TOL = 1e-10  # D_N has converged when |D_N - D_{N-1}| < DET_TOL (1 + |D_N|)
+DET_TOL = 1e-10  # a cut truncation D_n0 stands for D_N where its bound is < DET_TOL (1 + |D_n0|)
 
 
 def _determinants(s: SpectralData, n_max: int | None):
-    """The truncation N = min(n_max, data depth, HARD_BLOCK_CAP) and the function
-    dets(zs, blocks=N): det(E - F_blocks(z)) at each point of the 1-d array zs.
+    """The truncation n0 = min(n_max, data depth, HARD_BLOCK_CAP) and the function
+    dets(zs): det(E - F_n0(z)) at each point of the 1-d array zs.
 
     The data operator F(z)[(r, l), (n, j)] = i (1 - w_l) S_nj e^{i n z} / den[r, l, n, j]
     (core.cauchy_denominators) is D J(z) D^-1, D = diag(1 - w_l), where J(z) carries
     i (1 - w_j) in place of i (1 - w_l): the jump relation's factors (core.jump_factors)
     times the column weights e^{i n z}, which commute with D.  So det(E - F) = det(E - J),
-    and the determinant is taken of J.  Data blocks past N enter no determinant.
-    Determinants are taken in stacks of at most STACK_BYTES of matrices; the empty
-    determinant D_0 is 1.  A determinant that overflows raises NonFiniteResultError.
+    and the determinant is taken of J.  Data blocks past n0 enter no determinant.
+    Determinants are taken in stacks of at most STACK_BYTES of matrices.  A determinant
+    that overflows raises NonFiniteResultError.
+
+    When n0 is below the data depth N, D_n0 stands for D_N, and one number bounds the
+    difference over the whole closed upper half plane.  By B. Simon, Trace Ideals and Their
+    Applications, 2nd ed. (2005), Thm 3.4, |det(I + A) - det(I + B)| <= ||A - B||_1
+    exp(1 + ||A||_1 + ||B||_1) in the trace norm.  Take A = -J_N(z) and B = -J_N(z) with its
+    tail columns, the blocks n > n0, set to zero: I - J_N(z) with those columns zeroed is
+    block lower triangular, with I - J_n0(z) and I on its diagonal, so det(I + B) = D_n0.
+    A rank-one matrix u v^T has trace norm |u| |v|, so a trace norm is at most the sum of
+    the matrix's column 2-norms, and column block n of J(z) is that of J(0) times e^{inz},
+    of modulus e^{-n Im z} <= 1.  With a, b and t the column-norm sums of J(0) over all its
+    columns, the head columns (blocks n <= n0) and the tail columns,
+
+        |D_N(z) - D_n0(z)| <= t exp(1 + a + b)   at every z with Im z >= 0
+
+    (_truncation_bound).  A point is not shown converged where this is >= det_tol (1 + |D_n0|).
     """
     if n_max is not None and n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
-    jc = s.order.j_count
     n_cap = min(n_max or HARD_BLOCK_CAP, s.n_max, HARD_BLOCK_CAP)
     lead, inv_den = jump_factors(SpectralData(s.order, n_cap, s.table[:n_cap]))
     op = inv_den.T * lead  # J[(r, l), (n, j)]
-    block_n = np.repeat(np.arange(1, n_cap + 1), jc)
+    eye, weight = np.eye(op.shape[0]), 1j * np.repeat(np.arange(1, n_cap + 1), s.order.j_count)
+    per = max(1, STACK_BYTES // (16 * op.size))
 
-    def dets(zs: np.ndarray, blocks: int = n_cap) -> np.ndarray:
-        if blocks == 0:
-            return np.ones(zs.size, dtype=complex)
-        side = blocks * jc
-        eye, sub, weight = np.eye(side), op[:side, :side], 1j * block_n[:side]
-        per = max(1, STACK_BYTES // (16 * side * side))
+    def dets(zs: np.ndarray) -> np.ndarray:
         out = np.empty(zs.size, dtype=complex)
         for lo in range(0, zs.size, per):
             col = np.exp(weight * zs[lo:lo + per, None])
-            out[lo:lo + per] = np.linalg.det(eye - sub * col[:, None, :])
+            out[lo:lo + per] = np.linalg.det(eye - op * col[:, None, :])
         if not np.isfinite(out).all():
-            raise NonFiniteResultError(f"the determinant at truncation {blocks} is not finite")
+            raise NonFiniteResultError(f"the determinant at truncation {n_cap} is not finite")
         return out
 
     return n_cap, dets
+
+
+def _truncation_bound(s: SpectralData, n_cap: int) -> float:
+    """t exp(1 + a + b), the bound on |D_N - D_n0| of _determinants, n0 = n_cap < N = s.n_max.
+
+    The column 2-norms of J(0) over all N row blocks are summed n0^2 / N column blocks at a
+    time, so no step holds more entries than the scan's own operator: data deeper than
+    HARD_BLOCK_CAP never forms its full-depth operator.  The bound is inf when it overflows.
+    """
+    depth, w = s.n_max, roots_of_unity(s.order)[1:]
+    # den[r, l, n, j] = r w_l (1 - w_j) - n (1 - w_l), as in core.cauchy_denominators
+    rows = np.arange(1, depth + 1)[:, None, None, None] * (w[:, None] * (1 - w))[:, None, :]
+    per = max(1, n_cap * n_cap // depth)
+    sq = np.empty(s.table.shape)
+    for lo in range(0, depth, per):
+        n = np.arange(lo + 1, min(lo + per, depth) + 1)
+        den = rows - (1 - w)[:, None, None] * n[:, None]
+        sq[lo:lo + per] = (np.abs(den) ** -2).sum(axis=(0, 1))
+    norms = np.abs((1 - w) * s.table) * np.sqrt(sq)
+    head, tail = float(norms[:n_cap].sum()), float(norms[n_cap:].sum())
+    with np.errstate(over="ignore"):
+        return tail * float(np.exp(1 + tail + 2 * head)) if tail else 0.0
 
 
 @dataclass(frozen=True)
@@ -73,6 +105,8 @@ class ScanReport:
     """Scan verdict: the grid's modulus floor and flagged points, and the real axis's zero count.
 
     ``values[iy, ix]`` is the determinant at grid point re_grid[ix] + i im_grid[iy].
+    ``truncation_bound`` bounds |D_N - D_n0| over the closed upper half plane when the scan
+    cuts the data (n0 < N), and is None when it does not.
     """
 
     min_modulus: float
@@ -80,6 +114,7 @@ class ScanReport:
     zero_free: bool
     winding: int
     flagged: tuple
+    truncation_bound: float | None
     values: np.ndarray = field(compare=False, repr=False)
     convention: str = CONVENTION
 
@@ -106,7 +141,9 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
                    n_max: int | None = None, det_tol: float = DET_TOL) -> ScanReport:
     """Evaluate the determinant over a one-period re_grid x im_grid grid, im_grid holding 0,
     and count its zeros in the upper half plane by the winding along the real axis (the
-    module's lemma).  The grid gives the modulus floor, its argmin and the truncation check.
+    module's lemma).  The grid gives the modulus floor and its argmin.  When n_max or
+    HARD_BLOCK_CAP cuts the data, a point is flagged where the truncation bound
+    (_determinants) is >= det_tol (1 + |D|).
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
@@ -117,16 +154,15 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
     n_cap, dets = _determinants(s, n_max)
     zs = (re_grid[None, :] + 1j * im_grid[:, None]).ravel()
     values = dets(zs).reshape(im_grid.size, re_grid.size)
-    flagged = ()
-    # the consecutive-N convergence check only matters when n_max cuts the data short
+    flagged, bound = (), None
     if n_cap < s.n_max:
-        d = values.ravel()
-        gap = np.abs(d - dets(zs, n_cap - 1))
-        flagged = tuple(complex(z) for z in zs[gap >= det_tol * (1.0 + np.abs(d))])
+        bound = _truncation_bound(s, n_cap)
+        flagged = tuple(complex(z) for z in zs[bound >= det_tol * (1.0 + np.abs(values.ravel()))])
     modulus = np.abs(values)
     iy, ix = np.unravel_index(np.argmin(modulus), modulus.shape)
     min_mod = float(modulus[iy, ix])
     winding = _winding(dets, values[np.argmax(im_grid == 0)], re_grid)
     zero_free = bool(min_mod > tol and winding == 0)
     values.setflags(write=False)
-    return ScanReport(min_mod, complex(re_grid[ix], im_grid[iy]), zero_free, winding, flagged, values)
+    return ScanReport(min_mod, complex(re_grid[ix], im_grid[iy]), zero_free, winding, flagged,
+                      bound, values)

@@ -149,10 +149,45 @@ def test_det_exit_3_when_truncation_forced(tmp_path):
     entries = [{"j": 1, "n": n, "re": 0.8 ** n, "im": 0.0} for n in range(1, 21)]
     write_problem(inp, "spectral", 1, 20, entries)
     result = run_cli("det", "--input", str(inp), "--output", str(tmp_path / "g.csv"),
+                     "--report", str(tmp_path / "verdict.json"),
                      "--re-steps", "5", "--im-steps", "3", "--im-max", "2.0",
                      "--n-max", "5", "--det-tol", "1e-12")
     assert result.returncode == 3
-    assert "not converged" in result.stderr
+    assert result.stderr == "error: determinant not converged at 15 grid points\n"
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert len(verdict["non_converged"]) == 15
+    assert verdict["truncation_bound"] > 0
+
+
+# the potential of bench/inputs.py's rng_for((1, 0), "cli_cold", 0) at (m, N) = (1, 8)
+CLI_COLD_1_8 = [
+    -0.012141279786754087 - 0.015183095349663342j, 0.0062590419525888055 - 0.006269456334999715j,
+    -0.002663193506172175 + 0.0024253807344883707j, -0.00047896679034581174 - 0.0010997330073763054j,
+    7.275890225585519e-05 - 0.0010559990029569233j, 3.552464127987838e-05 - 0.0002746359084455946j,
+    2.3732372994586737e-05 - 1.6188333981235498e-06j, 0.00012090895371557924 - 0.00012023663692371865j,
+]
+
+
+def test_det_bounds_a_cut_that_the_consecutive_gap_passed(tmp_path):
+    # |D_8 - D_7| reaches 1.34e-6 on the real axis, up to 6.7e-7 of 1 + |D_7|: a 3e-7 tolerance is
+    # missed there, yet the consecutive gap |D_7 - D_6| met it at every point, and det exited 0
+    from invspec import cli
+
+    write_problem(tmp_path / "p.json", "potential", 1, 8,
+                  [potential_entry(0, n, z) for n, z in enumerate(CLI_COLD_1_8, 1)])
+    assert cli.main(["forward", "--input", str(tmp_path / "p.json"),
+                     "--output", str(tmp_path / "s.json")]) == 0
+    code = cli.main(["det", "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "g.csv"),
+                     "--report", str(tmp_path / "verdict.json"), "--n-max", "7", "--det-tol", "3e-7"])
+    assert code == 3
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    flagged = {complex(z["re"], z["im"]) for z in verdict["non_converged"]}
+    re_grid, im_grid = np.linspace(0, 2 * np.pi, 33), np.linspace(0, 10, 21)
+    assert {complex(x, 0.0) for x in re_grid} <= flagged
+    s = load_problem(str(tmp_path / "s.json"))
+    zs = (re_grid[None, :] + 1j * im_grid[:, None]).ravel()
+    gap = np.abs(fredholm._determinants(s, None)[1](zs) - fredholm._determinants(s, 7)[1](zs))
+    assert 1.34e-6 <= gap.max() <= verdict["truncation_bound"]
 
 
 def test_det_csv_holds_the_scanned_values(tmp_path):
@@ -205,8 +240,8 @@ def test_det_zero_height_exits_1_and_writes_nothing(tmp_path):
 
 @pytest.mark.parametrize("n_max, code", [("0", 1), ("-1", 1), ("1", 3)])
 def test_det_block_cap_exit_codes(tmp_path, n_max, code):
-    # depth-4 data: n_max below 1 is malformed input; one block is checked
-    # against the empty determinant D_0 = 1 and misses it everywhere
+    # depth-4 data: n_max below 1 is malformed input; one block leaves the tail block S_31
+    # out, and its truncation bound misses the default tolerance everywhere
     inp = tmp_path / "s.json"
     write_problem(inp, "spectral", 1, 4, [{"j": 1, "n": 1, "re": 0.3, "im": 0.1},
                                           {"j": 1, "n": 3, "re": 0.1, "im": 0.0}])

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_potential, random_spectral
-from invspec import (Order, SpectralData, forward_map, fredholm, inverse_map, roots_of_unity,
-                     scan_halfplane)
+from invspec import (Order, PotentialCoefficients, SpectralData, forward_map, fredholm, inverse_map,
+                     q0_from_kernel, roots_of_unity, scan_halfplane, v_from_s)
 from invspec.core import cauchy_denominators
 from invspec.errors import DegenerateDenominatorError, InputError
 
@@ -32,11 +34,18 @@ def f_matrix(s: SpectralData, z: complex, n_blocks: int) -> np.ndarray:
     return prefactor(s, n_blocks) * col[None, :]
 
 
-def det_at(s: SpectralData, z: complex, n_max: int | None = None, blocks: int | None = None) -> complex:
-    """The scan's determinant det(E - F_blocks(z)) at one point; blocks defaults to the truncation
-    min(n_max, data depth)."""
-    n_cap, dets = fredholm._determinants(s, n_max)
-    return complex(dets(np.array([complex(z)]), n_cap if blocks is None else blocks)[0])
+def det_at(s: SpectralData, z: complex, n_max: int | None = None) -> complex:
+    """The scan's determinant det(E - F_n0(z)) at one point, n0 = min(n_max, data depth)."""
+    return complex(fredholm._determinants(s, n_max)[1](np.array([complex(z)]))[0])
+
+
+def uniform_bound(s: SpectralData, n0: int) -> float:
+    """t exp(1 + a + b) from the full-depth J(0) = D^-1 F(0) D, D = diag(1 - w_l), its column
+    2-norms taken by numpy: a over all columns, b over blocks n <= n0, t over the rest."""
+    d = np.tile(1 - roots_of_unity(s.order)[1:], s.n_max)
+    norms = np.linalg.norm(prefactor(s, s.n_max) * d[None, :] / d[:, None], axis=0)
+    head, tail = norms[:n0 * s.order.j_count].sum(), norms[n0 * s.order.j_count:].sum()
+    return float(tail * np.exp(1 + (head + tail) + head))
 
 
 def cofactor_det(a: np.ndarray) -> complex:
@@ -76,7 +85,7 @@ def test_determinants_match_the_cofactor_oracle(rng):
         s = random_spectral(Order(m), n_max, rng, scale=2.0)
         for z in (0.3, 1.1 + 0.2j, 2.5 + 0.05j):
             for n in range(1, n_max + 1):
-                value = det_at(s, z, blocks=n)
+                value = det_at(s, z, n_max=n)
                 side = n * (2 * m - 1)
                 expected = cofactor_det(np.eye(side) - f_matrix(s, z, n))
                 assert abs(value - expected) <= 1e-12 * abs(expected)
@@ -168,7 +177,7 @@ def test_determinant_periodicity(rng):
 def test_truncation_trace_decreases_for_geometric_data():
     table = (0.5 * 2.0 ** -np.arange(1, 33))[:, None].astype(complex)
     s = SpectralData(Order(1), 32, table)
-    gaps = np.abs(np.diff([det_at(s, 0.4 + 0.1j, blocks=n) for n in range(4, 33)]))
+    gaps = np.abs(np.diff([det_at(s, 0.4 + 0.1j, n_max=n) for n in range(4, 33)]))
     assert gaps[-1] <= 1e-10
     assert gaps[-1] < gaps[0]
 
@@ -204,9 +213,11 @@ def test_scan_planted_zero_has_winding_one():
 def test_scan_flags_forced_truncation():
     table = (0.8 ** np.arange(1, 21))[:, None].astype(complex)
     s = SpectralData(Order(1), 20, table)
-    report = scan_halfplane(s, np.linspace(0, 2 * np.pi, 5), np.linspace(0, 2, 3),
-                            n_max=5, det_tol=1e-12)
-    assert len(report.flagged) > 0
+    re_grid, im_grid = np.linspace(0, 2 * np.pi, 5), np.linspace(0, 2, 3)
+    report = scan_halfplane(s, re_grid, im_grid, n_max=5, det_tol=1e-12)
+    gap = np.abs(scan_halfplane(s, re_grid, im_grid).values - report.values)
+    assert report.truncation_bound >= gap.max()
+    assert len(report.flagged) == report.values.size
 
 
 def test_solve_mirrors_vanishing_determinant():
@@ -232,31 +243,39 @@ def test_block_cap_below_one_is_rejected(n_max):
         scan_halfplane(s, np.linspace(0, 2 * np.pi, 5), np.linspace(0, 2, 3), n_max=n_max)
 
 
-def test_one_block_is_checked_against_the_empty_determinant():
+def test_one_block_is_bounded_by_the_tail_columns():
+    # D_1 = 1 + i S_11 e^{iz} / 2 stands for D_4; its bound reads the tail block S_31 alone
     s = depth_four_m1()
     re_grid, im_grid = np.linspace(0, 2 * np.pi, 9), np.linspace(0, 2, 3)
     report = scan_halfplane(s, re_grid, im_grid, n_max=1)
     values, _, _, flagged, _ = scalar_scan(s, re_grid, im_grid, n_max=1)
     assert list(report.flagged) == flagged
     assert len(flagged) == values.size
+    assert report.truncation_bound == pytest.approx(uniform_bound(s, 1), rel=1e-13)
+    assert report.truncation_bound >= np.abs(scan_halfplane(s, re_grid, im_grid).values - values).max()
     z = 0.5 + 0.2j
-    assert det_at(s, z, n_max=1, blocks=0) == 1
     assert abs(det_at(s, z, n_max=1) - closed_form_m1(s.table[0, 0], z)) <= 1e-15
 
 
-def test_report_holds_the_previous_truncation_only_when_n_max_cuts_the_data():
-    # the scan compares D_N with D_{N-1} only where n_max cuts the data short
+def test_report_holds_a_truncation_bound_only_when_n_max_cuts_the_data():
     s = random_spectral(Order(2), 6, np.random.default_rng(3), scale=0.3)
     re_grid, im_grid = [0.0, 0.7, 1.0, 2 * np.pi], [0.0, 0.3, 1.0]
     for n_max in (None, 6, 9):
         assert fredholm._determinants(s, n_max)[0] == 6
-        assert scan_halfplane(s, re_grid, im_grid, n_max=n_max, det_tol=1e-300).flagged == ()
+        report = scan_halfplane(s, re_grid, im_grid, n_max=n_max, det_tol=1e-300)
+        assert (report.flagged, report.truncation_bound) == ((), None)
     assert fredholm._determinants(s, 4)[0] == 4
     report = scan_halfplane(s, re_grid, im_grid, n_max=4)
     z = 0.7 + 0.3j
-    d4, d3 = det_at(s, z, n_max=4), det_at(s, z, n_max=4, blocks=3)
+    d4, d6 = det_at(s, z, n_max=4), det_at(s, z)
     assert d4 == report.values[1, 1]
-    assert (z in report.flagged) == (abs(d4 - d3) >= 1e-10 * (1 + abs(d4)))
+    bound = report.truncation_bound
+    assert bound == pytest.approx(uniform_bound(s, 4), rel=1e-13)
+    assert bound >= abs(d6 - d4)
+    # the bound is one number; whether a point is flagged depends on its |D|
+    for det_tol in (0.5 * bound / (1 + abs(d4)), 2 * bound / (1 + abs(d4))):
+        report = scan_halfplane(s, re_grid, im_grid, n_max=4, det_tol=det_tol)
+        assert (z in report.flagged) == (bound >= det_tol * (1 + abs(d4)))
 
 
 def test_scan_consistency_with_round_trip_data(rng):
@@ -275,17 +294,13 @@ def scalar_scan(s, re_grid, im_grid, tol=1e-6, n_max=None, det_tol=1e-10):
     pre = f_matrix(s, 0.0, n_cap)
     block_n = np.repeat(np.arange(1, n_cap + 1), jc)
 
-    def det_at(z, blocks=n_cap):
-        if blocks == 0:
-            return 1.0
-        side = blocks * jc
-        return np.linalg.det(np.eye(side) - pre[:side, :side] * np.exp(1j * block_n[:side] * z))
+    def det_at(z):
+        return np.linalg.det(np.eye(n_cap * jc) - pre * np.exp(1j * block_n * z))
 
     values = np.array([[det_at(complex(x, y)) for x in re_grid] for y in im_grid])
+    bound = uniform_bound(s, n_cap)
     flagged = [complex(x, y) for y in im_grid for x in re_grid
-               if n_cap < s.n_max
-               and abs(det_at(complex(x, y)) - det_at(complex(x, y), n_cap - 1))
-               >= det_tol * (1 + abs(det_at(complex(x, y))))]
+               if n_cap < s.n_max and bound >= det_tol * (1 + abs(det_at(complex(x, y))))]
     # the real axis in order of re, closed around the period: x_last -> x_first + 2 pi
     path = sorted(float(x) for x in re_grid)
     refined = min(abs(det_at(x)) for x in path) < 0.3
@@ -304,7 +319,8 @@ def scalar_scan(s, re_grid, im_grid, tol=1e-6, n_max=None, det_tol=1e-10):
 @pytest.mark.parametrize("fixture", ["zero_at_pi_plus_i", "zero_near_boundary", "truncated",
                                      "round_trip_m2", "zero_on_refined_boundary"])
 def test_batched_scan_matches_pointwise_determinants(fixture):
-    re_grid, im_grid, n_max = np.linspace(0, 2 * np.pi, 17), np.linspace(0, 10, 11), None
+    re_grid, im_grid = np.linspace(0, 2 * np.pi, 17), np.linspace(0, 10, 11)
+    n_max, det_tol = None, 1e-10
     if fixture == "zero_at_pi_plus_i":
         s = rank_one_m1(-2 * np.e * 1j)
     elif fixture == "zero_near_boundary":
@@ -313,6 +329,11 @@ def test_batched_scan_matches_pointwise_determinants(fixture):
     elif fixture == "truncated":
         s = SpectralData(Order(1), 20, (0.8 ** np.arange(1, 21))[:, None].astype(complex))
         n_max = 5
+        # the bound is one number, so a det_tol at the widest gap of the sorted |D_5| flags the
+        # points below the gap alone
+        modulus = np.sort(np.abs(scalar_scan(s, re_grid, im_grid, n_max=n_max)[0]).ravel())
+        k = np.argmax(np.diff(modulus))
+        det_tol = uniform_bound(s, n_max) / (1 + (modulus[k] + modulus[k + 1]) / 2)
     elif fixture == "zero_on_refined_boundary":
         # a real zero at pi/16, between two grid points of the real axis and
         # on its refined path: the scan must refuse to count
@@ -324,8 +345,9 @@ def test_batched_scan_matches_pointwise_determinants(fixture):
         return
     else:
         _, s = forward_map(random_potential(Order(2), 12, np.random.default_rng(8), scale=0.5))
-    values, winding, zero_free, flagged, refined = scalar_scan(s, re_grid, im_grid, n_max=n_max)
-    report = scan_halfplane(s, re_grid, im_grid, n_max=n_max)
+    values, winding, zero_free, flagged, refined = scalar_scan(s, re_grid, im_grid, n_max=n_max,
+                                                               det_tol=det_tol)
+    report = scan_halfplane(s, re_grid, im_grid, n_max=n_max, det_tol=det_tol)
     assert np.all(np.abs(report.values - values) <= 1e-12 * np.abs(values))
     assert (report.winding, report.zero_free, list(report.flagged)) == (winding, zero_free, flagged)
     assert refined == (fixture == "zero_near_boundary")
@@ -387,28 +409,137 @@ def log_det_series(s: SpectralData) -> np.ndarray:
     return l[1:]
 
 
-@pytest.mark.parametrize("data, m, n_max", [
+LOG_SERIES_CASES = [
     ("forward", 1, 8), ("forward", 2, 8), ("forward", 3, 5),
     ("random", 1, 8), ("random", 2, 8), ("random", 3, 5),
     # S_11 = 4i puts a zero of P inside |q| < 1 (at q = 1/2 for m = 1); the recurrence is formal
     ("zero", 1, 8), ("zero", 2, 8),
-])
-def test_determinant_log_series_gives_the_top_coefficient(data, m, n_max):
-    # p_{2m-2, n} = -2m n^2 l_n: the top coefficient function of the potential is read off the
-    # Taylor series of the log of the Fredholm determinant
+]
+
+
+def log_series_case(data: str, m: int, n_max: int) -> tuple[SpectralData, PotentialCoefficients]:
+    """The spectral data of one LOG_SERIES_CASES entry and its potential: the one it was made
+    from (forward data) or the inverse map's (random data and S_11 = 4i)."""
     order = Order(m)
     rng = np.random.default_rng(m + n_max)
     if data == "forward":
         p = random_potential(order, n_max, rng)
-        _, s = forward_map(p)
+        return forward_map(p)[1], p
+    if data == "random":
+        s = random_spectral(order, n_max, rng)
     else:
-        if data == "random":
-            s = random_spectral(order, n_max, rng)
-        else:
-            table = np.zeros((n_max, order.j_count), dtype=complex)
-            table[0, 0] = 4j
-            s = SpectralData(order, n_max, table)
-        p = inverse_map(s)
+        table = np.zeros((n_max, order.j_count), dtype=complex)
+        table[0, 0] = 4j
+        s = SpectralData(order, n_max, table)
+    return s, inverse_map(s)
+
+
+@pytest.mark.parametrize("data, m, n_max", LOG_SERIES_CASES)
+def test_determinant_log_series_gives_the_top_coefficient(data, m, n_max):
+    # p_{2m-2, n} = -2m n^2 l_n: the top coefficient function of the potential is read off the
+    # Taylor series of the log of the Fredholm determinant
+    s, p = log_series_case(data, m, n_max)
     top = p.coeffs[2 * m - 2]
     n = np.arange(1, n_max + 1)
     assert np.abs(-2 * m * n ** 2 * log_det_series(s) - top).max() <= 1e-10 * np.abs(top).max()
+
+
+@pytest.mark.parametrize("data, m, n_max", LOG_SERIES_CASES)
+def test_the_v_sum_is_the_log_series_of_the_determinant(data, m, n_max):
+    # sum_{j, n} V[j, n, alpha] / (i (1 - w_j)) = -alpha l_alpha for V = v_from_s(S), derived in
+    # q0_from_kernel's docstring; the trace there reads it as q[alpha] = 2m alpha^2 l_alpha
+    s, _ = log_series_case(data, m, n_max)
+    v = v_from_s(s)
+    v_sum = (v.table / (1j * (1 - roots_of_unity(s.order)[1:]))[:, None, None]).sum(axis=(0, 1))
+    alpha = np.arange(1, n_max + 1)
+    l = log_det_series(s)
+    tol = 1e-11 * np.abs(alpha * l).max()
+    assert np.abs(v_sum + alpha * l).max() <= tol
+    modes = q0_from_kernel(v)
+    assert sorted(modes) == list(alpha)
+    assert all(abs(modes[a] - 2 * m * a ** 2 * l[a - 1]) <= 2 * m * a * tol for a in alpha)
+
+
+def sweep_cases():
+    """Forward data at the five cli_cold sizes and three potential scales, then S_11 = 4i, whose
+    determinant vanishes in the upper half plane, under a random tail, at m = 1 and 2."""
+    for m, n_max in [(1, 8), (2, 8), (2, 16), (2, 24), (3, 12)]:
+        for scale in (0.05, 0.5, 2.0):
+            rng = np.random.default_rng([m, n_max, int(100 * scale)])
+            yield forward_map(random_potential(Order(m), n_max, rng, scale=scale))[1]
+    for m in (1, 2):
+        table = random_spectral(Order(m), 8, np.random.default_rng(m), scale=0.05).table.copy()
+        table[0, 0] = 4j
+        yield SpectralData(Order(m), 8, table)
+
+
+def test_the_truncation_bound_holds_at_every_grid_point():
+    # |D_N - D_n0| <= t exp(1 + a + b) at each point of det's 33 x 21 grid, for n0 = 1, 2, 4, N/2, N-1
+    re_grid, im_grid = np.linspace(0, 2 * np.pi, 33), np.linspace(0, 10, 21)
+    cases = 0
+    for s in sweep_cases():
+        full = scan_halfplane(s, re_grid, im_grid)
+        assert full.truncation_bound is None
+        for n0 in sorted({1, 2, 4, s.n_max // 2, s.n_max - 1}):
+            report = scan_halfplane(s, re_grid, im_grid, n_max=n0)
+            assert report.truncation_bound >= np.abs(full.values - report.values).max()
+            cases += 1
+    assert cases == 77
+
+
+def counted_dets(monkeypatch) -> list:
+    """Patch np.linalg.det to record how many determinants each call takes."""
+    counts, det = [], np.linalg.det
+
+    def counting(a):
+        counts.append(a[..., 0, 0].size)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    return counts
+
+
+def test_a_cut_scan_takes_one_determinant_per_grid_point(monkeypatch):
+    re_grid, im_grid = np.linspace(0, 2 * np.pi, 33), np.linspace(0, 10, 21)
+    _, s = forward_map(random_potential(Order(2), 16, np.random.default_rng(4), scale=0.5))
+    counts = counted_dets(monkeypatch)
+    report = scan_halfplane(s, re_grid, im_grid, n_max=8)
+    assert report.truncation_bound is not None
+    # the real axis stays above 0.3, so the winding refines nothing
+    assert np.abs(report.values[0]).min() >= 0.3
+    assert sum(counts) == re_grid.size * im_grid.size
+    # near a zero the winding refines the real axis eightfold, and only that adds determinants
+    counts.clear()
+    s = SpectralData(Order(1), 2, np.array([[-2j * np.exp(0.05)], [0.01]]))
+    report = scan_halfplane(s, re_grid, im_grid, n_max=1)
+    assert report.truncation_bound is not None
+    assert sum(counts) == re_grid.size * im_grid.size + 8 * re_grid.size
+
+
+def test_a_scan_past_the_block_cap_never_forms_its_full_depth_operator():
+    # depth 2000 > HARD_BLOCK_CAP: the operator at full depth takes 2000^2 complex entries, 64 MB
+    depth = 2000
+    assert depth > fredholm.HARD_BLOCK_CAP
+    s = SpectralData(Order(1), depth, (0.05 / np.arange(1, depth + 1) ** 2)[:, None].astype(complex))
+    tracemalloc.start()
+    try:
+        report = scan_halfplane(s, np.linspace(0, 2 * np.pi, 5), [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert report.truncation_bound > 0
+    assert len(report.flagged) == 5
+
+
+def test_an_overflowing_bound_flags_every_point():
+    # column-norm sums past about 350 overflow exp(1 + a + b): the bound is inf, without a warning
+    re_grid, im_grid = np.linspace(0, 2 * np.pi, 9), [0.0, 1.0]
+    s = SpectralData(Order(1), 2, np.array([[3e5], [3e5]], dtype=complex))
+    report = scan_halfplane(s, re_grid, im_grid, n_max=1)
+    assert report.truncation_bound == np.inf
+    assert len(report.flagged) == report.values.size
+    # a zero tail cuts nothing from D_N, however large the head: the bound is 0, not 0 * inf
+    s = SpectralData(Order(1), 2, np.array([[3e5], [0.0]], dtype=complex))
+    report = scan_halfplane(s, re_grid, im_grid, n_max=1)
+    assert (report.truncation_bound, report.flagged) == (0.0, ())
