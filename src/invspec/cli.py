@@ -10,18 +10,22 @@ Complex numbers always serialize as {re, im} finite doubles, and the integer
 fields must be integral (2.0 reads as 2; 2.9 is refused, not truncated).  A
 JSON boolean or string is refused in every numeric field, though Python reads
 true as 1 and "2" as 2.
-Exit codes: 0 success, 1 malformed input (a command-line usage error
-included), 2 degenerate arithmetic (a result that is not finite included),
-3 non-convergence, 4 verification failure.  A command computes everything
-it writes before it writes any of it, so a run that fails writes no file.
+Exit codes: 0 success, 1 malformed input (a command-line usage error and an
+output path that cannot be written included), 2 degenerate arithmetic (a
+result that is not finite included), 3 non-convergence, 4 verification
+failure.  A command computes everything it writes before it writes any of it,
+and stages every file before it puts any in place, so a run that fails with
+exit code 1 or 2 writes no file.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
-import io
+import contextlib
+import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,10 +36,31 @@ from .errors import (ConvergenceError, DegenerateDenominatorError, InputError, I
 from .forward import forward_map, q_from_p
 
 SCHEMA_VERSION = "1"
+# mode -> (data type, index key, first index, the type's table read as [index, n], and back
+# into the type's own C-ordered table); both have 2m - 1 rows, gamma = 0..2m-2 and j = 1..2m-1
+LAYOUTS = {
+    "potential": (PotentialCoefficients, "gamma", 0, lambda p: p.coeffs, lambda rows: rows),
+    "spectral": (SpectralData, "j", 1, lambda s: s.table.T, lambda rows: rows.T.copy()),
+}
+# verify's checks: name -> (the argument holding its tolerance, its default)
+TOLERANCES = {
+    "round_trip": ("round_tol", 1e-8),
+    "marchenko_residual": ("marchenko_tol", 1e-9),
+    "jump_relation": ("jump_tol", 1e-9),
+    "translation_law": ("translation_tol", 1e-9),
+    "ode_residual": ("ode_tol", 1e-12),
+    "determinant_zero_free": ("det_floor", 0.5),
+    "q0_trace": ("q0_tol", 1e-7),
+}
 
 
 def _complex_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
+
+
+def _finite_or_null(x: float | None) -> float | None:
+    """x, or None where JSON cannot hold it."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _integral(value) -> int:
@@ -79,59 +104,45 @@ def load_problem(path: str):
         raise InputError(f"malformed problem file {path}: {exc}") from exc
     if n_max < 1:
         raise InputError(f"N must be >= 1, got {n_max}")
-    if mode == "potential":
-        shape, index_key, index_hi = (order.gamma_count, n_max), "gamma", order.gamma_count - 1
-    elif mode == "spectral":
-        shape, index_key, index_hi = (n_max, order.j_count), "j", order.j_count
-    else:
-        raise InputError(f"unknown mode {mode!r}")
     try:
-        table = np.zeros(shape, dtype=complex)
-    except ValueError as exc:
+        cls, key, first, _, back = LAYOUTS[mode]
+    except (KeyError, TypeError):  # a JSON list or object is no key either
+        raise InputError(f"unknown mode {mode!r}") from None
+    try:
+        rows = np.zeros((order.j_count, n_max), dtype=complex)
+    except (ValueError, MemoryError) as exc:
         raise InputError(f"malformed problem file {path}: m={doc['m']!r}, N={doc['N']!r}: {exc}") from exc
     seen = set()
     for entry in entries:
         try:
-            idx = _integral(entry[index_key])
+            idx = _integral(entry[key])
             n = _integral(entry["n"])
             value = complex(_real(entry["re"]), _real(entry["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed entry {entry!r}: {exc}") from exc
         if not cmath.isfinite(value):
             raise InputError(f"non-finite value in entry {entry!r}")
-        lo = 0 if index_key == "gamma" else 1
-        if not lo <= idx <= index_hi:
-            raise InputError(f"{index_key}={idx} outside {lo}..{index_hi}")
+        if not 0 <= idx - first < order.j_count:
+            raise InputError(f"{key}={idx} outside {first}..{first + order.j_count - 1}")
         if not 1 <= n <= n_max:
             raise InputError(f"n={n} outside 1..{n_max}")
         if (idx, n) in seen:
-            raise InputError(f"duplicate entry key ({index_key}={idx}, n={n})")
+            raise InputError(f"duplicate entry key ({key}={idx}, n={n})")
         seen.add((idx, n))
-        if mode == "potential":
-            table[idx, n - 1] = value
-        else:
-            table[n - 1, idx - 1] = value
-    if mode == "potential":
-        return PotentialCoefficients(order, n_max, table)
-    return SpectralData(order, n_max, table)
+        rows[idx - first, n - 1] = value
+    return cls(order, n_max, back(rows))
+
+
+def _doc(mode: str, obj, entries: list) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "mode": mode, "m": obj.order.m, "N": obj.n_max,
+            "entries": entries}
 
 
 def _problem_doc(obj) -> dict:
-    entries = []
-    if isinstance(obj, PotentialCoefficients):
-        mode, key = "potential", "gamma"
-        for gamma in range(obj.order.gamma_count):
-            for n in range(1, obj.n_max + 1):
-                entries.append({key: gamma, "n": n, **_complex_json(obj.coeffs[gamma, n - 1])})
-    elif isinstance(obj, SpectralData):
-        mode, key = "spectral", "j"
-        for j in range(1, obj.order.j_count + 1):
-            for n in range(1, obj.n_max + 1):
-                entries.append({key: j, "n": n, **_complex_json(obj.table[n - 1, j - 1])})
-    else:
-        raise InputError(f"cannot serialize {type(obj).__name__}")
-    return {"schema_version": SCHEMA_VERSION, "mode": mode, "m": obj.order.m,
-            "N": obj.n_max, "entries": entries}
+    mode = next(mode for mode, layout in LAYOUTS.items() if isinstance(obj, layout[0]))
+    _, key, first, read, _ = LAYOUTS[mode]
+    return _doc(mode, obj, [{key: idx + first, "n": n + 1, **_complex_json(z)}
+                            for (idx, n), z in np.ndenumerate(read(obj))])
 
 
 def _json_text(doc) -> str:
@@ -143,54 +154,60 @@ def _json_text(doc) -> str:
 
 
 def _write(outputs: list[tuple[str, str | None]]) -> None:
-    """Write each (text, path) in order; a path of None or "-" is stdout."""
-    for text, path in outputs:
-        if path is None or path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
+    """Write each (text, path); a path of None or "-" is stdout.
+
+    Every file is staged before any is written, so a run that cannot write one of them writes
+    none: a new or regular file as a temporary file beside it, renamed into place once all are
+    staged, and anything else (a device such as /dev/null) opened where it is.  An OSError
+    while staging is malformed input.
+    """
+    renames, streams = [], []  # (temporary file, target path); (text, stdout or an open device)
+    with contextlib.ExitStack() as devices:
+        try:
+            for text, path in outputs:
+                if path is None or path == "-":
+                    streams.append((text, sys.stdout))
+                elif os.path.exists(path) and not os.path.isfile(path):
+                    streams.append((text, devices.enter_context(open(path, "w", newline=""))))
+                else:
+                    target = os.path.realpath(path)
+                    tmp = f"{target}.{os.getpid()}-{len(renames)}.tmp"
+                    with open(tmp, "x", newline="") as fh:
+                        renames.append((tmp, target))
+                        fh.write(text)
+        except OSError as exc:
+            for tmp, _ in renames:
+                os.remove(tmp)
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        for tmp, target in renames:
+            os.replace(tmp, target)
+        for text, stream in streams:
+            stream.write(text)
 
 
-def cmd_forward(args) -> int:
-    problem = load_problem(args.input)
-    if not isinstance(problem, PotentialCoefficients):
-        raise InputError("forward expects a potential-mode problem file")
-    v, s = forward_map(problem)
+def cmd_forward(p: PotentialCoefficients, args) -> int:
+    v, s = forward_map(p)
     outputs = [(_json_text(_problem_doc(s)), args.output)]
     if args.emit_v:
-        entries = [
-            {"j": j, "n": n, "alpha": alpha, **_complex_json(v.table[j - 1, n - 1, alpha - 1])}
-            for j in range(1, v.order.j_count + 1)
-            for alpha in range(1, v.n_max + 1)
-            for n in range(1, alpha + 1)
-        ]
-        outputs.append((_json_text({"schema_version": SCHEMA_VERSION, "mode": "vtable",
-                                    "m": v.order.m, "N": v.n_max, "entries": entries}), args.emit_v))
+        # V's rows are the spectral rows j: its diagonal V[j, n, n] is S_nj
+        _, key, first, _, _ = LAYOUTS["spectral"]
+        entries = [{key: j + first, "n": n + 1, "alpha": alpha + 1, **_complex_json(z)}
+                   for (j, alpha, n), z in np.ndenumerate(v.table.transpose(0, 2, 1)) if n <= alpha]
+        outputs.append((_json_text(_doc("vtable", v, entries)), args.emit_v))
     _write(outputs)
     return 0
 
 
-def cmd_inverse(args) -> int:
+def cmd_inverse(s: SpectralData, args) -> int:
     from . import inverse
 
-    problem = load_problem(args.input)
-    if not isinstance(problem, SpectralData):
-        raise InputError("inverse expects a spectral-mode problem file")
-    p = inverse.inverse_map(problem)
-    a_m = a_m_constant(problem.order)
-    moment = inverse.first_moment(problem)
-    contraction = inverse.contraction_conditions(problem)
+    p = inverse.inverse_map(s)
+    contraction = inverse.contraction_conditions(s)
     outputs = [(_json_text(_problem_doc(p)), args.output)]
     if args.report:
-        outputs.append((_json_text({
-            "a_m": {"value": a_m},
-            "first_moment": {"total": moment.total,
-                             "tail_decay_exponent": moment.tail_decay_exponent},
-            "contraction": {"condition_i": contraction.condition_i,
-                            "condition_ii_p": contraction.condition_ii_p,
-                            "contraction": contraction.contraction},
-        }), args.report))
+        outputs.append((_json_text({"a_m": {"value": a_m_constant(s.order)},
+                                    "first_moment": dataclasses.asdict(inverse.first_moment(s)),
+                                    "contraction": dataclasses.asdict(contraction)}), args.report))
     if not contraction.contraction:
         print(f"warning: contraction sum {contraction.condition_ii_p:.6g} >= 1; "
               "existence is not guaranteed at this data size", file=sys.stderr)
@@ -198,14 +215,9 @@ def cmd_inverse(args) -> int:
     return 0
 
 
-def cmd_det(args) -> int:
-    import csv
-
+def cmd_det(s: SpectralData, args) -> int:
     from . import fredholm
 
-    problem = load_problem(args.input)
-    if not isinstance(problem, SpectralData):
-        raise InputError("det expects a spectral-mode problem file")
     for flag, steps in (("--re-steps", args.re_steps), ("--im-steps", args.im_steps)):
         if steps < 2:
             raise InputError(f"{flag} must be at least 2, got {steps}")
@@ -213,16 +225,14 @@ def cmd_det(args) -> int:
         raise InputError(f"--im-max must be > 0, got {args.im_max}")
     re_grid = np.linspace(0.0, 2 * np.pi, args.re_steps)
     im_grid = np.linspace(0.0, args.im_max, args.im_steps)
-    report = fredholm.scan_halfplane(problem, re_grid, im_grid, tol=args.tol,
+    report = fredholm.scan_halfplane(s, re_grid, im_grid, tol=args.tol,
                                      n_max=args.n_max, det_tol=args.det_tol)
-    # the scan refuses a determinant that is not finite, so every row is finite
-    grid = io.StringIO()
-    writer = csv.writer(grid, lineterminator="\n")
-    writer.writerow(["re(z)", "im(z)", "re(D)", "im(D)", "|D|"])
-    for (iy, ix), d in np.ndenumerate(report.values):
-        d = complex(d)
-        writer.writerow([repr(float(v)) for v in (re_grid[ix], im_grid[iy], d.real, d.imag, abs(d))])
-    outputs = [(grid.getvalue(), args.output)]
+    # the scan refuses a determinant that is not finite, so every row is finite; no field of
+    # the CSV holds a character that RFC 4180 quotes
+    grid = "re(z),im(z),re(D),im(D),|D|\n" + "".join(
+        ",".join(repr(float(v)) for v in (re_grid[ix], im_grid[iy], d.real, d.imag, abs(complex(d)))) + "\n"
+        for (iy, ix), d in np.ndenumerate(report.values))
+    outputs = [(grid, args.output)]
     if args.report:
         outputs.append((_json_text({
             "zero_free": report.zero_free,
@@ -231,7 +241,9 @@ def cmd_det(args) -> int:
             "winding": report.winding,
             "convention": report.convention,
             "non_converged": [_complex_json(z) for z in report.flagged],
-            "truncation_bound": report.truncation_bound,
+            # an overflowing bound reads null, its logarithm finite
+            "truncation_bound": _finite_or_null(report.truncation_bound),
+            "truncation_bound_log10": _finite_or_null(report.truncation_bound_log10),
         }), args.report))
     _write(outputs)
     if report.flagged:
@@ -242,63 +254,49 @@ def cmd_det(args) -> int:
 def _verify_checks(p: PotentialCoefficients, args) -> list[dict]:
     from . import analytic, fredholm, inverse
 
-    order = p.order
     v, s = forward_map(p)
     # every check below reads these tables: refuse them before any check runs
     if not (np.isfinite(v.table).all() and np.isfinite(s.table).all()):
         raise NonFiniteResultError("the forward map's V table or spectral data is not finite")
     checks = []
 
+    def check(name: str, value, passed=None, **fields) -> None:
+        """Record check name: it passes where value <= its tolerance, unless passed says otherwise."""
+        threshold = getattr(args, TOLERANCES[name][0])
+        checks.append({"name": name, "value": float(value), "threshold": threshold,
+                       "pass": bool(value <= threshold if passed is None else passed), **fields})
+
     p_back = inverse.inverse_map(s)
-    err = float(np.abs(p_back.coeffs - p.coeffs).max())
     # report only: the error in p's own norm, sum n^gamma |p_gamma n|, relative to p's; the
     # unweighted error of the top coefficients grows with the data's conditioning at large m
-    weighted = PotentialCoefficients(order, p.n_max, p_back.coeffs - p.coeffs).weighted_norm()
+    weighted = PotentialCoefficients(p.order, p.n_max, p_back.coeffs - p.coeffs).weighted_norm()
     scale = p.weighted_norm()
-    checks.append({"name": "round_trip", "value": err, "threshold": args.round_tol,
-                   "pass": bool(err <= args.round_tol),
-                   "weighted": weighted / scale if scale else weighted})
+    check("round_trip", np.abs(p_back.coeffs - p.coeffs).max(),
+          weighted=weighted / scale if scale else weighted)
 
     grid = np.linspace(0.0, 3.0, 5)
     t_idx, u_idx = np.triu_indices(grid.size)  # the 15 points with u >= t, t outermost
-    march = max(map(abs, analytic.marchenko_residual(v, s, grid[t_idx], grid[u_idx])))
-    checks.append({"name": "marchenko_residual", "value": float(march),
-                   "threshold": args.marchenko_tol, "pass": bool(march <= args.marchenko_tol)})
-
-    jump = analytic.jump_residual(v, s)
-    checks.append({"name": "jump_relation", "value": jump,
-                   "threshold": args.jump_tol, "pass": bool(jump <= args.jump_tol)})
+    check("marchenko_residual", max(map(abs, analytic.marchenko_residual(v, s, grid[t_idx], grid[u_idx]))))
+    check("jump_relation", analytic.jump_residual(v, s))
 
     a = complex(args.shift_re, args.shift_im)
     _, s_shifted = forward_map(p.shifted(a))
-    trans = float(np.abs(s_shifted.table - analytic.shift_spectral(s, a).table).max())
-    checks.append({"name": "translation_law", "value": trans,
-                   "threshold": args.translation_tol, "pass": bool(trans <= args.translation_tol)})
-
-    ode = analytic.ode_mode_residual(p, v)
-    checks.append({"name": "ode_residual", "value": ode,
-                   "threshold": args.ode_tol, "pass": bool(ode <= args.ode_tol)})
+    check("translation_law", np.abs(s_shifted.table - analytic.shift_spectral(s, a).table).max())
+    check("ode_residual", analytic.ode_mode_residual(p, v))
 
     scan = fredholm.scan_halfplane(s, np.linspace(0, 2 * np.pi, 17), [0.0])
-    det_ok = scan.winding == 0 and scan.min_modulus >= args.det_floor
-    checks.append({"name": "determinant_zero_free", "value": float(scan.min_modulus),
-                   "threshold": args.det_floor, "pass": bool(det_ok),
-                   "winding": int(scan.winding)})
+    check("determinant_zero_free", scan.min_modulus, scan.winding == 0 and scan.min_modulus >= args.det_floor,
+          winding=int(scan.winding))
 
     # every mode of the kernel trace against the top coefficient, q_{2m-2, alpha}
     modes = analytic.q0_from_kernel(v)
-    q_target = q_from_p(p)[order.gamma_count - 1]
-    q0_err = max(abs(modes.get(alpha, 0j) - q) for alpha, q in enumerate(q_target, 1))
-    checks.append({"name": "q0_trace", "value": float(q0_err),
-                   "threshold": args.q0_tol, "pass": bool(q0_err <= args.q0_tol)})
+    q_target = q_from_p(p)[p.order.gamma_count - 1]
+    check("q0_trace", max(abs(modes.get(alpha, 0j) - q) for alpha, q in enumerate(q_target, 1)))
     return checks
 
 
-def cmd_verify(args) -> int:
-    problem = load_problem(args.input)
-    if not isinstance(problem, PotentialCoefficients):
-        raise InputError("verify expects a potential-mode problem file")
-    checks = _verify_checks(problem, args)
+def cmd_verify(p: PotentialCoefficients, args) -> int:
+    checks = _verify_checks(p, args)
     failed = [c["name"] for c in checks if not c["pass"]]
     _write([(_json_text({"checks": checks, "all_pass": not failed, "failed": failed}),
              args.report or args.output)])
@@ -313,22 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "determinant criterion for exponential-series "
                                                  "periodic coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fwd = sub.add_parser("forward", help="potential file -> spectral data file")
-    fwd.add_argument("--input", required=True)
-    fwd.add_argument("--output", default="-")
+    commands = {}
+    # each command reads one mode of problem file (_load)
+    for name, func, mode, text, output_help in (
+            ("forward", cmd_forward, "potential", "potential file -> spectral data file", None),
+            ("inverse", cmd_inverse, "spectral", "spectral data file -> potential file", None),
+            ("det", cmd_det, "spectral", "scan the determinant over [0, 2pi] x [0, im-max]",
+             "CSV grid destination"),
+            ("verify", cmd_verify, "potential", "run the full consistency battery on a potential", None)):
+        command = commands[name] = sub.add_parser(name, help=text)
+        command.set_defaults(func=func, mode=mode)
+        command.add_argument("--input", required=True)
+        command.add_argument("--output", default="-", help=output_help)
+    fwd, inv, det, ver = commands.values()
     fwd.add_argument("--emit-v", default=None, help="also write the V table to this path")
-    fwd.set_defaults(func=cmd_forward)
-
-    inv = sub.add_parser("inverse", help="spectral data file -> potential file")
-    inv.add_argument("--input", required=True)
-    inv.add_argument("--output", default="-")
     inv.add_argument("--report", default=None, help="write condition reports to this path")
-    inv.set_defaults(func=cmd_inverse)
 
-    det = sub.add_parser("det", help="scan the determinant over [0, 2pi] x [0, im-max]")
-    det.add_argument("--input", required=True)
-    det.add_argument("--output", default="-", help="CSV grid destination")
     det.add_argument("--report", default=None, help="JSON verdict destination")
     det.add_argument("--re-steps", type=int, default=33)
     det.add_argument("--im-max", type=finite, default=10.0)
@@ -337,37 +335,32 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--n-max", type=int, default=None, help="cap the block truncation below the data depth")
     det.add_argument("--det-tol", type=finite, default=1e-10,
                      help="tolerance on the truncation bound, relative to 1 + |D|")
-    det.set_defaults(func=cmd_det)
 
-    ver = sub.add_parser("verify", help="run the full consistency battery on a potential")
-    ver.add_argument("--input", required=True)
-    ver.add_argument("--output", default="-")
     ver.add_argument("--report", default=None)
-    ver.add_argument("--round-tol", type=finite, default=1e-8)
-    ver.add_argument("--marchenko-tol", type=finite, default=1e-9)
-    ver.add_argument("--jump-tol", type=finite, default=1e-9)
-    ver.add_argument("--translation-tol", type=finite, default=1e-9)
-    ver.add_argument("--ode-tol", type=finite, default=1e-12)
-    ver.add_argument("--det-floor", type=finite, default=0.5)
-    ver.add_argument("--q0-tol", type=finite, default=1e-7)
+    for arg, default in TOLERANCES.values():
+        ver.add_argument("--" + arg.replace("_", "-"), type=finite, default=default)
     ver.add_argument("--shift-re", type=finite, default=0.5)
     ver.add_argument("--shift-im", type=finite, default=0.5)
-    ver.set_defaults(func=cmd_verify)
     return parser
 
 
-_MATH_ERRORS = (DegenerateDenominatorError, NonFiniteResultError)
+def _load(args):
+    """The problem file args.input, refused unless it holds the mode that args.command reads."""
+    problem = load_problem(args.input)
+    if not isinstance(problem, LAYOUTS[args.mode][0]):
+        raise InputError(f"{args.command} expects a {args.mode}-mode problem file")
+    return problem
+
+
+# the exit code of each error class, the subclasses before InvspecError
+EXIT_CODES = ((DegenerateDenominatorError, 2), (NonFiniteResultError, 2), (ConvergenceError, 3),
+              (VerificationError, 4), (InvspecError, 1))
 
 
 def exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, _MATH_ERRORS):
-        return 2
-    if isinstance(exc, ConvergenceError):
-        return 3
-    if isinstance(exc, VerificationError):
-        return 4
-    if isinstance(exc, InvspecError):
-        return 1
+    for cls, code in EXIT_CODES:
+        if isinstance(exc, cls):
+            return code
     raise exc
 
 
@@ -380,7 +373,7 @@ def main(argv=None) -> int:
     try:
         # every output is checked finite before it is written: overflow warnings only add noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            return args.func(_load(args), args)
     except Exception as exc:  # noqa: BLE001 - mapped onto the exit-code contract
         code = exit_code_for(exc)
         print(f"error: {exc}", file=sys.stderr)

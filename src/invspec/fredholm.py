@@ -17,6 +17,7 @@ minimum modulus principle), so the modulus floor lives on the real axis too.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,12 +79,14 @@ def _determinants(s: SpectralData, n_max: int | None):
     return n_cap, dets
 
 
-def _truncation_bound(s: SpectralData, n_cap: int) -> float:
-    """t exp(1 + a + b), the bound on |D_N - D_n0| of _determinants, n0 = n_cap < N = s.n_max.
+def _truncation_bound(s: SpectralData, n_cap: int) -> tuple[float, float]:
+    """t exp(1 + a + b), the bound on |D_N - D_n0| of _determinants, n0 = n_cap < N = s.n_max,
+    and its log10, log10 t + (1 + a + b) / ln 10, which does not overflow.
 
     The column 2-norms of J(0) over all N row blocks are summed n0^2 / N column blocks at a
     time, so no step holds more entries than the scan's own operator: data deeper than
-    HARD_BLOCK_CAP never forms its full-depth operator.  The bound is inf when it overflows.
+    HARD_BLOCK_CAP never forms its full-depth operator.  The bound is inf when it overflows;
+    a zero tail gives the bound 0 and the log10 -inf.
     """
     depth, w = s.n_max, roots_of_unity(s.order)[1:]
     # den[r, l, n, j] = r w_l (1 - w_j) - n (1 - w_l), as in core.cauchy_denominators
@@ -96,8 +99,11 @@ def _truncation_bound(s: SpectralData, n_cap: int) -> float:
         sq[lo:lo + per] = (np.abs(den) ** -2).sum(axis=(0, 1))
     norms = np.abs((1 - w) * s.table) * np.sqrt(sq)
     head, tail = float(norms[:n_cap].sum()), float(norms[n_cap:].sum())
+    if not tail:
+        return 0.0, -math.inf
+    exponent = 1 + tail + 2 * head
     with np.errstate(over="ignore"):
-        return tail * float(np.exp(1 + tail + 2 * head)) if tail else 0.0
+        return tail * float(np.exp(exponent)), math.log10(tail) + exponent / math.log(10)
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,9 @@ class ScanReport:
 
     ``values[iy, ix]`` is the determinant at grid point re_grid[ix] + i im_grid[iy].
     ``truncation_bound`` bounds |D_N - D_n0| over the closed upper half plane when the scan
-    cuts the data (n0 < N), and is None when it does not.
+    cuts the data (n0 < N), and is None when it does not; it is inf when it overflows.
+    ``truncation_bound_log10`` is its log10, finite where the bound is inf, -inf where the
+    bound is 0 (a zero tail), and None when the scan does not cut the data.
     """
 
     min_modulus: float
@@ -115,6 +123,7 @@ class ScanReport:
     winding: int
     flagged: tuple
     truncation_bound: float | None
+    truncation_bound_log10: float | None
     values: np.ndarray = field(compare=False, repr=False)
     convention: str = CONVENTION
 
@@ -154,9 +163,9 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
     n_cap, dets = _determinants(s, n_max)
     zs = (re_grid[None, :] + 1j * im_grid[:, None]).ravel()
     values = dets(zs).reshape(im_grid.size, re_grid.size)
-    flagged, bound = (), None
+    flagged, bound, bound_log10 = (), None, None
     if n_cap < s.n_max:
-        bound = _truncation_bound(s, n_cap)
+        bound, bound_log10 = _truncation_bound(s, n_cap)
         flagged = tuple(complex(z) for z in zs[bound >= det_tol * (1.0 + np.abs(values.ravel()))])
     modulus = np.abs(values)
     iy, ix = np.unravel_index(np.argmin(modulus), modulus.shape)
@@ -165,4 +174,4 @@ def scan_halfplane(s: SpectralData, re_grid, im_grid, tol: float = 1e-6,
     zero_free = bool(min_mod > tol and winding == 0)
     values.setflags(write=False)
     return ScanReport(min_mod, complex(re_grid[ix], im_grid[iy]), zero_free, winding, flagged,
-                      bound, values)
+                      bound, bound_log10, values)

@@ -715,3 +715,318 @@ def test_json_round_trip_is_lossless(tmp_path):
     (tmp_path / "round.json").write_text(json.dumps(doc))
     p2 = load_problem(str(tmp_path / "round.json"))
     assert np.array_equal(p.coeffs, p2.coeffs)
+
+
+# Each writer's layout as literal text, on inputs whose values are exact, so that a change of
+# entry order, key set, indent or trailing newline fails here.  The sign of a zero is a value,
+# not layout: the maps give -0.0 in places at m = 2, and "-0.0" reads as "0.0".
+ZERO_POTENTIAL_TEXTS = {
+    (1, "s.json"): """\
+{
+  "N": 2,
+  "entries": [
+    {
+      "im": 0.0,
+      "j": 1,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "im": 0.0,
+      "j": 1,
+      "n": 2,
+      "re": 0.0
+    }
+  ],
+  "m": 1,
+  "mode": "spectral",
+  "schema_version": "1"
+}
+""",
+    (1, "v.json"): """\
+{
+  "N": 2,
+  "entries": [
+    {
+      "alpha": 1,
+      "im": 0.0,
+      "j": 1,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "alpha": 2,
+      "im": 0.0,
+      "j": 1,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "alpha": 2,
+      "im": 0.0,
+      "j": 1,
+      "n": 2,
+      "re": 0.0
+    }
+  ],
+  "m": 1,
+  "mode": "vtable",
+  "schema_version": "1"
+}
+""",
+    (1, "back.json"): """\
+{
+  "N": 2,
+  "entries": [
+    {
+      "gamma": 0,
+      "im": 0.0,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "gamma": 0,
+      "im": 0.0,
+      "n": 2,
+      "re": 0.0
+    }
+  ],
+  "m": 1,
+  "mode": "potential",
+  "schema_version": "1"
+}
+""",
+    (2, "s.json"): """\
+{
+  "N": 1,
+  "entries": [
+    {
+      "im": 0.0,
+      "j": 1,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "im": 0.0,
+      "j": 2,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "im": 0.0,
+      "j": 3,
+      "n": 1,
+      "re": 0.0
+    }
+  ],
+  "m": 2,
+  "mode": "spectral",
+  "schema_version": "1"
+}
+""",
+    (2, "v.json"): """\
+{
+  "N": 1,
+  "entries": [
+    {
+      "alpha": 1,
+      "im": 0.0,
+      "j": 1,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "alpha": 1,
+      "im": 0.0,
+      "j": 2,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "alpha": 1,
+      "im": 0.0,
+      "j": 3,
+      "n": 1,
+      "re": 0.0
+    }
+  ],
+  "m": 2,
+  "mode": "vtable",
+  "schema_version": "1"
+}
+""",
+    (2, "back.json"): """\
+{
+  "N": 1,
+  "entries": [
+    {
+      "gamma": 0,
+      "im": 0.0,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "gamma": 1,
+      "im": 0.0,
+      "n": 1,
+      "re": 0.0
+    },
+    {
+      "gamma": 2,
+      "im": 0.0,
+      "n": 1,
+      "re": 0.0
+    }
+  ],
+  "m": 2,
+  "mode": "potential",
+  "schema_version": "1"
+}
+""",
+
+}
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 2), (2, 1)])
+def test_writers_keep_their_layout_on_the_zero_potential(tmp_path, m, n_max):
+    from invspec import cli
+
+    write_problem(tmp_path / "p.json", "potential", m, n_max, [])
+    path = {name: str(tmp_path / name)
+            for name in ("p.json", "s.json", "v.json", "back.json", "r.json", "card.json")}
+    assert cli.main(["forward", "--input", path["p.json"], "--output", path["s.json"],
+                     "--emit-v", path["v.json"]]) == 0
+    assert cli.main(["inverse", "--input", path["s.json"], "--output", path["back.json"],
+                     "--report", path["r.json"]]) == 0
+    assert cli.main(["verify", "--input", path["p.json"], "--report", path["card.json"]]) == 0
+    for name in ("s.json", "v.json", "back.json"):
+        assert (tmp_path / name).read_text().replace("-0.0", "0.0") == ZERO_POTENTIAL_TEXTS[m, name]
+    # the reports: their keys, and the one format every JSON output shares
+    report, card = ((tmp_path / name).read_text() for name in ("r.json", "card.json"))
+    for text in (report, card):
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    report, card = json.loads(report), json.loads(card)
+    assert {key: set(value) for key, value in report.items()} == {
+        "a_m": {"value"}, "first_moment": {"total", "tail_decay_exponent"},
+        "contraction": {"condition_i", "condition_ii_p", "contraction"}}
+    assert set(card) == {"checks", "all_pass", "failed"}
+    extra = {"round_trip": {"weighted"}, "determinant_zero_free": {"winding"}}
+    assert [(c["name"], set(c)) for c in card["checks"]] == [
+        (name, {"name", "value", "threshold", "pass", *extra.get(name, ())})
+        for name in ("round_trip", "marchenko_residual", "jump_relation", "translation_law",
+                     "ode_residual", "determinant_zero_free", "q0_trace")]
+
+
+ZERO_DATA_CSV = """\
+re(z),im(z),re(D),im(D),|D|
+0.0,0.0,1.0,0.0,1.0
+6.283185307179586,0.0,1.0,0.0,1.0
+0.0,1.0,1.0,0.0,1.0
+6.283185307179586,1.0,1.0,0.0,1.0
+"""
+
+ZERO_DATA_REPORT = """\
+{
+  "argmin": {
+    "im": 0.0,
+    "re": 0.0
+  },
+  "convention": "det(E-F)",
+  "min_modulus": 1.0,
+  "non_converged": [],
+  "truncation_bound": %s,
+  "truncation_bound_log10": null,
+  "winding": 0,
+  "zero_free": true
+}
+"""
+
+
+@pytest.mark.parametrize("cut, bound", [([], "null"), (["--n-max", "1"], "0.0")])
+def test_det_writers_keep_their_layout_on_zero_data(tmp_path, cut, bound):
+    # D is exactly 1; a cut of zero data bounds the truncation by 0, whose log10 JSON cannot hold
+    from invspec import cli
+
+    write_problem(tmp_path / "s.json", "spectral", 1, 2, [])
+    assert cli.main(["det", "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "g.csv"),
+                     "--report", str(tmp_path / "d.json"), "--re-steps", "2", "--im-steps", "2",
+                     "--im-max", "1", *cut]) == 0
+    assert (tmp_path / "g.csv").read_text() == ZERO_DATA_CSV
+    assert (tmp_path / "d.json").read_text() == ZERO_DATA_REPORT % bound
+
+
+@pytest.mark.parametrize("command, mode, outputs", [
+    ("forward", "potential", ["--output", "s.json", "--emit-v", "missing/v.json"]),
+    ("forward", "potential", ["--emit-v", "missing/v.json"]),
+    ("forward", "potential", ["--output", "missing/s.json", "--emit-v", "v.json"]),
+    ("inverse", "spectral", ["--output", "p.json", "--report", "missing/r.json"]),
+    ("det", "spectral", ["--output", "g.csv", "--report", "missing/d.json"]),
+    ("verify", "potential", ["--report", "missing/card.json"]),
+])
+def test_an_unwritable_output_exits_1_and_writes_no_file(tmp_path, capsys, command, mode, outputs):
+    # each file is staged beside its target before any is put in place: the first file once
+    # was written before the second failed, and the failure left with its traceback
+    from invspec import cli
+
+    write_problem(tmp_path / "in.json", mode, 1, 2, [])
+    outputs = [str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg for arg in outputs]
+    assert cli.main([command, "--input", str(tmp_path / "in.json"), *outputs]) == 1
+    missing = next(arg for arg in outputs if "missing" in arg)
+    assert capsys.readouterr() == ("", f"error: cannot write {missing}: No such file or directory\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
+
+
+def test_an_output_onto_a_directory_or_through_a_link_keeps_the_contract(tmp_path, capsys):
+    # a path that is not a regular file is opened where it is: a directory there is malformed
+    # input; a link to a regular file stays a link, and the file behind it takes the output
+    from invspec import cli
+
+    write_problem(tmp_path / "p.json", "potential", 1, 2, [])
+    (tmp_path / "dir").mkdir()
+    args = ["forward", "--input", str(tmp_path / "p.json"), "--output", str(tmp_path / "s.json")]
+    assert cli.main([*args, "--emit-v", str(tmp_path / "dir")]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'dir'}: Is a directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["dir", "p.json"]
+    (tmp_path / "link.json").symlink_to(tmp_path / "real.json")
+    (tmp_path / "real.json").write_text("old")
+    assert cli.main([*args, "--emit-v", str(tmp_path / "link.json")]) == 0
+    assert (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "real.json").read_text() == ZERO_POTENTIAL_TEXTS[1, "v.json"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "dir", "link.json", "p.json", "real.json", "s.json"]
+
+
+@pytest.mark.parametrize("command, mode", [("forward", "potential"), ("inverse", "spectral"),
+                                           ("det", "spectral"), ("verify", "potential")])
+def test_a_depth_that_cannot_be_allocated_exits_1(tmp_path, capsys, command, mode):
+    # numpy raises MemoryError, not ValueError, for a table it cannot allocate; N = 10^17 is
+    # past every address space, so no overcommit setting lets the allocation through
+    from invspec import cli
+
+    write_problem(tmp_path / "in.json", mode, 1, 10 ** 17, [])
+    assert cli.main([command, "--input", str(tmp_path / "in.json"), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed problem file {tmp_path / 'in.json'}: m=1, N={10 ** 17}: "
+                          "Unable to allocate")
+    assert len(err.splitlines()) == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
+
+
+def test_det_report_holds_an_overflowing_truncation_bound_as_its_log10(tmp_path):
+    # column-norm sums past about 350 overflow the bound: it reads null and its log10 holds it,
+    # so the run exits 3 and writes both files, as it does without --report
+    write_problem(tmp_path / "s.json", "spectral", 1, 2,
+                  [{"j": 1, "n": n, "re": 3e5, "im": 0.0} for n in (1, 2)])
+    args = ["det", "--input", str(tmp_path / "s.json"), "--output", str(tmp_path / "g.csv"), "--n-max", "1"]
+    result = run_cli(*args, "--report", str(tmp_path / "d.json"))
+    assert result.returncode == 3
+    assert result.stderr == "error: determinant not converged at 693 grid points\n"
+    verdict = json.loads((tmp_path / "d.json").read_text())
+    assert verdict["truncation_bound"] is None and verdict["truncation_bound_log10"] > 308
+    s = load_problem(str(tmp_path / "s.json"))
+    scan = fredholm.scan_halfplane(s, np.linspace(0, 2 * np.pi, 33), np.linspace(0, 10, 21), n_max=1)
+    assert verdict["truncation_bound_log10"] == scan.truncation_bound_log10
+    assert len(verdict["non_converged"]) == 693
+    grid = (tmp_path / "g.csv").read_bytes()
+    assert len(grid.splitlines()) == 694
+    assert run_cli(*args).returncode == 3 and (tmp_path / "g.csv").read_bytes() == grid

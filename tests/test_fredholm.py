@@ -39,12 +39,17 @@ def det_at(s: SpectralData, z: complex, n_max: int | None = None) -> complex:
     return complex(fredholm._determinants(s, n_max)[1](np.array([complex(z)]))[0])
 
 
-def uniform_bound(s: SpectralData, n0: int) -> float:
-    """t exp(1 + a + b) from the full-depth J(0) = D^-1 F(0) D, D = diag(1 - w_l), its column
-    2-norms taken by numpy: a over all columns, b over blocks n <= n0, t over the rest."""
+def uniform_sums(s: SpectralData, n0: int) -> tuple[float, float]:
+    """(b, t): the column 2-norms of the full-depth J(0) = D^-1 F(0) D, D = diag(1 - w_l),
+    taken by numpy and summed over the blocks n <= n0 and over the rest."""
     d = np.tile(1 - roots_of_unity(s.order)[1:], s.n_max)
     norms = np.linalg.norm(prefactor(s, s.n_max) * d[None, :] / d[:, None], axis=0)
-    head, tail = norms[:n0 * s.order.j_count].sum(), norms[n0 * s.order.j_count:].sum()
+    return norms[:n0 * s.order.j_count].sum(), norms[n0 * s.order.j_count:].sum()
+
+
+def uniform_bound(s: SpectralData, n0: int) -> float:
+    """t exp(1 + a + b), a = b + t the sum over all columns (uniform_sums)."""
+    head, tail = uniform_sums(s, n0)
     return float(tail * np.exp(1 + (head + tail) + head))
 
 
@@ -530,6 +535,25 @@ def test_a_scan_past_the_block_cap_never_forms_its_full_depth_operator():
     assert peak < 16 * 2 ** 20
     assert report.truncation_bound > 0
     assert len(report.flagged) == 5
+
+
+def test_the_bound_log10_is_finite_where_the_bound_overflows():
+    re_grid, im_grid = np.linspace(0, 2 * np.pi, 9), [0.0, 1.0]
+    s = random_spectral(Order(2), 6, np.random.default_rng(3), scale=0.3)
+    assert scan_halfplane(s, re_grid, im_grid).truncation_bound_log10 is None
+    report = scan_halfplane(s, re_grid, im_grid, n_max=4)
+    assert report.truncation_bound_log10 == pytest.approx(np.log10(report.truncation_bound), abs=1e-13)
+    # column-norm sums past about 350: exp overflows, log10 t + (1 + a + b) / ln 10 does not
+    s = SpectralData(Order(1), 2, np.array([[3e5], [3e5]], dtype=complex))
+    head, tail = uniform_sums(s, 1)
+    report = scan_halfplane(s, re_grid, im_grid, n_max=1)
+    assert report.truncation_bound == np.inf
+    assert report.truncation_bound_log10 == pytest.approx(
+        np.log10(tail) + (1 + (head + tail) + head) / np.log(10), rel=1e-13)
+    assert report.truncation_bound_log10 > 308
+    # a zero tail: the bound is 0, its log10 -inf
+    s = SpectralData(Order(1), 2, np.array([[3e5], [0.0]], dtype=complex))
+    assert scan_halfplane(s, re_grid, im_grid, n_max=1).truncation_bound_log10 == -np.inf
 
 
 def test_an_overflowing_bound_flags_every_point():
