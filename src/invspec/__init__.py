@@ -4,17 +4,17 @@ that characterizes admissible spectral data.
 
 The public names load on first use (PEP 562): ``import invspec`` imports
 neither numpy nor any submodule, and ``invspec.forward_map`` imports
-``invspec.forward`` the first time it is read.
+``invspec.kernel`` the first time it is read.
 """
 
 import importlib
 
 _EXPORTS = {
     "core": ("Order", "PotentialCoefficients", "SpectralData", "VTable", "a_m_constant",
-             "roots_of_unity"),
-    "forward": ("forward_map", "q_from_p", "series_q"),
+             "q_from_p", "roots_of_unity", "series_q"),
+    "kernel": ("forward_map", "inverse_map"),
     "inverse": ("ContractionReport", "MomentReport", "contraction_conditions", "first_moment",
-                "inverse_map", "v_from_s"),
+                "v_from_s"),
     "analytic": ("jump_residual", "marchenko_residual", "ode_mode_residual", "q0_from_kernel",
                  "shift_spectral"),
     "fredholm": ("ScanReport", "scan_halfplane"),

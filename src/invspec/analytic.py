@@ -6,15 +6,14 @@ solution is e^{ikt} sum_alpha a_alpha(k) e^{-alpha t}, a_0 = 1, with
 a_alpha(k) = sum_{j, n <= alpha} V[j, n, alpha] / (i n + k (1 - w_j)); in the
 periodic variable x = i t, lam = -i k its terms carry V_na / (i [n + lam (1 - w_j)]).
 The half-line equation it solves carries the coefficient table
-``forward.series_q`` (equal to (-1)^m times the classical rescaling).
+``core.series_q`` (equal to (-1)^m times the classical rescaling).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import PotentialCoefficients, SpectralData, VTable, jump_factors, roots_of_unity
+from .core import PotentialCoefficients, SpectralData, VTable, jump_factors, roots_of_unity, series_q
 from .errors import InputError
-from .forward import series_q
 
 
 def ode_mode_residual(p: PotentialCoefficients, v: VTable) -> float:

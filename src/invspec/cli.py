@@ -30,17 +30,17 @@ import sys
 
 import numpy as np
 
-from .core import Order, PotentialCoefficients, SpectralData, a_m_constant
+from .core import Order, PotentialCoefficients, SpectralData, a_m_constant, q_from_p
 from .errors import (ConvergenceError, DegenerateDenominatorError, InputError, InvspecError,
                      NonFiniteResultError, VerificationError)
-from .forward import forward_map, q_from_p
+from .kernel import forward_map, inverse_map
 
 SCHEMA_VERSION = "1"
 # mode -> (data type, index key, first index, the type's table read as [index, n], and back
 # into the type's own C-ordered table); both have 2m - 1 rows, gamma = 0..2m-2 and j = 1..2m-1
 LAYOUTS = {
     "potential": (PotentialCoefficients, "gamma", 0, lambda p: p.coeffs, lambda rows: rows),
-    "spectral": (SpectralData, "j", 1, lambda s: s.table.T, lambda rows: rows.T.copy()),
+    "spectral": (SpectralData, "j", 1, lambda s: s.table.T, lambda table: table.T.copy()),
 }
 # verify's checks: name -> (the argument holding its tolerance, its default)
 TOLERANCES = {
@@ -158,31 +158,34 @@ def _write(outputs: list[tuple[str, str | None]]) -> None:
 
     Every file is staged before any is written, so a run that cannot write one of them writes
     none: a new or regular file as a temporary file beside it, renamed into place once all are
-    staged, and anything else (a device such as /dev/null) opened where it is.  An OSError
-    while staging is malformed input.
+    staged, and anything else (a device such as /dev/null) opened where it is.  Devices and
+    stdout are written last, after the renames, so when one of them fails the staged files are
+    already in place.  Either OSError is malformed input.
     """
-    renames, streams = [], []  # (temporary file, target path); (text, stdout or an open device)
-    with contextlib.ExitStack() as devices:
-        try:
+    renames, streams = [], []  # (temporary file, target path); (text, stdout or an open device, name)
+    try:
+        with contextlib.ExitStack() as devices:
             for text, path in outputs:
                 if path is None or path == "-":
-                    streams.append((text, sys.stdout))
+                    streams.append((text, sys.stdout, "stdout"))
                 elif os.path.exists(path) and not os.path.isfile(path):
-                    streams.append((text, devices.enter_context(open(path, "w", newline=""))))
+                    streams.append((text, devices.enter_context(open(path, "w", newline="")), path))
                 else:
                     target = os.path.realpath(path)
                     tmp = f"{target}.{os.getpid()}-{len(renames)}.tmp"
                     with open(tmp, "x", newline="") as fh:
                         renames.append((tmp, target))
                         fh.write(text)
-        except OSError as exc:
-            for tmp, _ in renames:
+            for tmp, target in renames:
+                os.replace(tmp, target)
+            for text, stream, path in streams:
+                stream.write(text)
+                stream.flush()
+    except OSError as exc:
+        for tmp, _ in renames:
+            with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
-            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
-        for tmp, target in renames:
-            os.replace(tmp, target)
-        for text, stream in streams:
-            stream.write(text)
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_forward(p: PotentialCoefficients, args) -> int:
@@ -201,7 +204,7 @@ def cmd_forward(p: PotentialCoefficients, args) -> int:
 def cmd_inverse(s: SpectralData, args) -> int:
     from . import inverse
 
-    p = inverse.inverse_map(s)
+    p = inverse_map(s)
     contraction = inverse.contraction_conditions(s)
     outputs = [(_json_text(_problem_doc(p)), args.output)]
     if args.report:
@@ -266,7 +269,7 @@ def _verify_checks(p: PotentialCoefficients, args) -> list[dict]:
         checks.append({"name": name, "value": float(value), "threshold": threshold,
                        "pass": bool(value <= threshold if passed is None else passed), **fields})
 
-    p_back = inverse.inverse_map(s)
+    p_back = inverse_map(s)
     # report only: the error in p's own norm, sum n^gamma |p_gamma n|, relative to p's; the
     # unweighted error of the top coefficients grows with the data's conditioning at large m
     weighted = PotentialCoefficients(p.order, p.n_max, p_back.coeffs - p.coeffs).weighted_norm()

@@ -1,4 +1,4 @@
-"""Root-of-unity lattice, the shared data tables, the Cauchy denominators and the jump factors.
+"""Root-of-unity lattice, data tables, the potential's rescalings, Cauchy denominators and jump factors.
 
 Index conventions used throughout the package: the operator order parameter
 ``m`` gives 2m-1 nontrivial branch indices j = 1..2m-1 and coefficient orders
@@ -84,6 +84,21 @@ class PotentialCoefficients:
         """Coefficient-wise translation p_{gamma n} -> p_{gamma n} e^{i n a}."""
         phase = np.exp(1j * a * np.arange(1, self.n_max + 1))
         return PotentialCoefficients(self.order, self.n_max, self.coeffs * phase[None, :])
+
+
+def series_q(p: PotentialCoefficients) -> np.ndarray:
+    """Half-line coefficient table carried by the V recurrences: (-i)^gamma p_{gamma n}.
+
+    This is the table for which the recurrence-built series solves the
+    half-line equation; it differs from q_from_p by the factor (-1)^m.
+    """
+    g = np.arange(p.order.gamma_count)
+    return (-1j) ** g[:, None] * p.coeffs
+
+
+def q_from_p(p: PotentialCoefficients) -> np.ndarray:
+    """Classical half-line rescaling q_{gamma n} = (-1)^m (-i)^gamma p_{gamma n}."""
+    return (-1) ** p.order.m * series_q(p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,7 +112,7 @@ class ScanReport:
 
     ``values[iy, ix]`` is the determinant at grid point re_grid[ix] + i im_grid[iy].
     ``truncation_bound`` bounds |D_N - D_n0| over the closed upper half plane when the scan
-    cuts the data (n0 < N), and is None when it does not; it is inf when it overflows.
+    cuts the data (n0 < N), and is None when it does not; it is inf on overflow.
     ``truncation_bound_log10`` is its log10, finite where the bound is inf, -inf where the
     bound is 0 (a zero tail), and None when the scan does not cut the data.
     """
@@ -131,11 +131,18 @@ class ScanReport:
 def _winding(dets, row, re_grid) -> int:
     """Winding number of the determinant along the real axis, in order of re, closed around the period.
 
-    ``row`` holds the determinant at re_grid on Im z = 0, so the walk costs nothing
-    unless it runs near a zero; ``dets`` evaluates it at other points.
+    ``row`` holds the determinant at re_grid on Im z = 0, and ``dets`` evaluates it at other
+    points.  The walk takes the grid's points merged with the 16 points 2 pi k / 16 of
+    verify's scan, moved into the grid's period, a point within rounding (1e-12) of a grid
+    point counted once, so no grid walks coarser than verify.  That is a floor on the walk's
+    resolution, not a certificate: ROADMAP item 1's certificate is still the real fix.
     """
-    order = np.argsort(re_grid)
-    path, vals = re_grid[order], row[order]
+    lo = re_grid.min()
+    extra = lo + np.mod(2 * np.pi * np.arange(16) / 16 - lo, 2 * np.pi)
+    extra = extra[np.abs(extra[:, None] - re_grid).min(axis=1) > 1e-12]
+    path = np.concatenate([re_grid, extra])
+    order = np.argsort(path)
+    path, vals = path[order], np.concatenate([row, dets(extra)])[order]
     if np.abs(vals).min() < 0.3:
         # refine when the axis runs near a zero; phase steps must stay < pi
         step = np.diff(path, append=path[0] + 2 * np.pi)

@@ -1,20 +1,16 @@
-"""Inverse spectral map: spectral data to potential coefficients, and the V table in closed form.
+"""The V table in closed form from spectral data, and the data's condition reports.
 
-inverse_map runs the pole recurrence of the shared kernel (``kernel.py``)
-backward: at column alpha the residues at the new poles, n = alpha, are the
-data S_alpha, and the relation there is a (2m-1) x (2m-1) Vandermonde system
-for the column's new coefficients sq[., alpha].  A column costs five numpy
-calls over the views the kernel planned for it in a pooled workspace: the
-earlier columns' share d, one matvec; the solution x0 and its refinement,
-two stacked products with the kernel's solve tables; and the column's
-weighted values at the later poles, one matvec and one multiply.  The map
-divides only at poles n >= alpha, where |Q_alpha| is bounded away from zero
-in closed form (kernel.py), so it has no guard.
+The inverse map itself, spectral data to potential coefficients, is
+kernel.inverse_map: it runs the pole recurrence that the forward map runs,
+backward.
 
 v_from_s is the Cauchy closed form of the V table: V_nn^(j) = S_nj seeds
 each column, and an entry at column n + beta is a weighted sum over the full
 column beta.  Every denominator it divides by has modulus at least 2
-sin^2(pi/2m) (n + r) (core.cauchy_denominators), so it needs no guard either.
+sin^2(pi/2m) (n + r) (core.cauchy_denominators), so it needs no guard.
+
+first_moment and contraction_conditions evaluate the data's moment and
+solvability sums.
 """
 from __future__ import annotations
 
@@ -22,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PotentialCoefficients, SpectralData, VTable, a_m_constant, jump_factors
-from .kernel import diagonal_kernel
+from .core import SpectralData, VTable, a_m_constant, jump_factors
 
 
 def v_from_s(s: SpectralData) -> VTable:
@@ -39,23 +34,6 @@ def v_from_s(s: SpectralData) -> VTable:
         acc = cols[beta - 1].reshape(-1)[:beta * jc] @ inv_den[:beta * jc, :head]
         flat[beta * n_max::n_max + 1] = (lead[:head] * acc).reshape(-1, jc)
     return VTable._from_sweep(order, n_max, cols.transpose(2, 1, 0).copy())
-
-
-def inverse_map(s: SpectralData) -> PotentialCoefficients:
-    """Spectral data to potential coefficients."""
-    order, n_max = s.order, s.n_max
-    kern = diagonal_kernel(order.m, n_max)
-    with kern.workspace() as ws:
-        np.multiply(s.table, kern.t_scale, out=ws.u[:, :order.j_count])
-        for lag_d, values_d, d, first, td, x0, solve, u, slot, lag, values, acc, weights, row in ws.inverse:
-            np.matmul(lag_d, values_d, out=d)
-            np.matmul(first, td, out=x0)
-            np.matmul(solve, u, out=slot)
-            np.matmul(lag, values, out=acc)
-            np.multiply(weights, acc, out=row)
-        # p = sq / (-i)^gamma, the inverse of forward.series_q
-        g = np.arange(order.gamma_count)
-        return PotentialCoefficients(order, n_max, ws.lag_rows[::-1].T / (-1j) ** g[:, None])
 
 
 @dataclass(frozen=True)

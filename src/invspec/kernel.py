@@ -1,4 +1,4 @@
-"""The pole recurrence that the forward and inverse maps share, as numpy tensors.
+"""The pole recurrence, read forward by forward_map and backward by inverse_map.
 
 The half-line solution is e^{ikt} sum_alpha a_alpha(k) e^{-alpha t}, a_0 = 1,
 and the half-line equation reads, column by column,
@@ -7,11 +7,12 @@ and the half-line equation reads, column by column,
 
     Q_alpha(k) = (k + i alpha)^2m - k^2m = prod_{l=0..2m-1} (i alpha + k (1 - w_l)),
 
-with sq = forward.series_q(p).  a_alpha has simple poles at k_nj = -i n /
+with sq = core.series_q(p).  a_alpha has simple poles at k_nj = -i n /
 (1 - w_j), n <= alpha: Q_alpha brings those at n = alpha, a_{alpha-r} the
 others.  Its residues are the V table, V[j, n, alpha] = (1 - w_j) Res
 a_alpha(k_nj), and the spectral data are its diagonal, S_alpha j = V[j,
-alpha, alpha].
+alpha, alpha].  The column sweep is lower triangular, so entries with alpha
+<= N never depend on deeper potential modes.
 
 At a pole ik = c_nj = n / (1 - w_j), and column alpha's relation gives the
 value a_alpha(k_nj) at the poles n > alpha and, divided by Q'_alpha(k_alpha
@@ -27,11 +28,13 @@ residues of the later columns at k_nj solve the relation at k':
     Res a_{n+beta}(k_nj) = Res a_n(k_nj) a_beta(k'),   V[j, n, n + beta] = S_nj a_beta(w_j k_nj),
 
 the jump relation that analytic.jump_residual checks.  a_beta is regular at
-k', since Re ik' = -n/2 < 0 < Re c.  The forward map is given sq and runs
-the value recurrence at the poles n >= alpha, which gives S_alpha, and at
-the mirror points n <= N - alpha, the entries V[j, n, n + alpha].  The
-inverse map is given S: at n = alpha the relation is a Vandermonde system in
-the column's new coefficients sq[., alpha], which pair with a_0 = 1,
+k', since Re ik' = -n/2 < 0 < Re c.  So forward_map, given sq, runs the
+value recurrence at the poles n >= alpha, which gives S_alpha, and at the
+mirror points n <= N - alpha, the values a_alpha(w_j k_nj), and carries no
+residue from column to column: V is assembled once, after the sweep, as the
+products S_nj a_beta(w_j k_nj).  inverse_map is given S: at n = alpha the
+relation is a Vandermonde system in the column's new coefficients sq[.,
+alpha], which pair with a_0 = 1,
 
     sum_gamma (alpha c_1j)^gamma sq[gamma, alpha] = t_alpha j - d_alpha j,
 
@@ -48,7 +51,10 @@ and weights[alpha - 1] = (ik - alpha)^gamma (-1 / Q_alpha(k)), with
 Q'_alpha at the pole n = alpha, turns it into column alpha's row in one
 multiply.  The points a forward column reads, poles n >= alpha and mirrors
 n <= N - alpha, are one contiguous slice of G's columns, and weights[alpha
-- 1] holds exactly those; the inverse reads its poles n > alpha.
+- 1] holds exactly those, so a forward column is those two numpy calls.  An
+inverse column is five: the earlier columns' share d at n = alpha, one
+matvec; the solution x0 and its refinement, two stacked products with the
+solve tables; and its row at the poles n > alpha, one matvec and one multiply.
 
 A kernel tabulates, once per (m, N), everything the sweeps read.  Every Q
 it divides by is bounded away from zero in closed form, so neither map has a
@@ -89,7 +95,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Order, roots_of_unity
+from .core import Order, PotentialCoefficients, SpectralData, VTable, roots_of_unity, series_q
 
 
 class DiagonalKernel:
@@ -177,20 +183,12 @@ class Workspace:
     """The buffers one sweep call writes, and each column's steps over them.
 
     lags holds the coefficients sq newest first, sq[., N - 1 - r] at row r,
-    which the forward sweep loads and the inverse sweep writes; g holds G as
-    rows (s, gamma), s = 0..N, over the points [poles | mirrors], its first
-    block column 0's g0; acc is a column's sum at the points it reads, and
-    u[alpha - 1] the inverse's (t, d, x0) of column alpha.  A step is a tuple
-    of the table slices and buffer views one column reads and writes, in the
-    order its sweep passes them to numpy:
-
-    - forward[k] for alpha = k + 1: (lags, G's rows s = 0..k at the poles n
-      >= alpha and the mirrors n <= N - alpha, acc there; weights[k], G's row
-      alpha there).
-    - inverse[k]: (lags of s >= 1, G's rows s = 1..k at n = alpha, d; the
-      first columns of solve[k], (t, d), x0; solve[k], u[k], the lag slot of
-      sq[., alpha]; lags, G's rows s = 0..k at the poles n > alpha, acc
-      there; the weights of those poles, G's row alpha there).
+    which forward_map loads and inverse_map writes; g holds G as rows (s,
+    gamma), s = 0..N, over the points [poles | mirrors], its first block
+    column 0's g0; acc is a column's sum at the points it reads, and u[alpha -
+    1] the inverse's (t, d, x0) of column alpha.  forward[k] and inverse[k]
+    hold the table slices and buffer views that column alpha = k + 1 of each
+    map passes to numpy, in the order the map's loop unpacks them.
 
     The buffers are zeroed once, when the Workspace is built, and g's first
     block set to g0.  A call reads only entries it wrote itself or g0.  Row s
@@ -231,3 +229,47 @@ class Workspace:
 def diagonal_kernel(m: int, n_max: int) -> DiagonalKernel:
     """The shared kernel for order m and depth n_max, built on first use."""
     return DiagonalKernel(m, n_max)
+
+
+def forward_map(p: PotentialCoefficients) -> tuple[VTable, SpectralData]:
+    """Build the full V table from the potential and read off the spectral data."""
+    order = p.order
+    n_max = p.n_max
+    kern = diagonal_kernel(order.m, n_max)
+    size, jc = order.gamma_count, order.j_count
+    with kern.workspace() as ws:
+        np.copyto(ws.lag_rows, series_q(p)[:, ::-1].T)
+        for lag, values, acc, weights, row in ws.forward:
+            np.matmul(lag, values, out=acc)
+            np.multiply(weights, acc, out=row)
+        # G's gamma = 0 rows as [s, poles | mirrors, n, j]: the residue at the pole n = s, and
+        # a_s(w_j k_nj) at the mirrors, where a_0 = 1
+        g = ws.g[::size].reshape(n_max + 1, 2, n_max, jc)
+        s = np.multiply((1 - kern.w)[:, None], np.diagonal(g[1:, 0], axis1=0, axis2=1))
+        products = np.multiply(s[:, :, None], g[:n_max, 1].transpose(2, 1, 0))
+    # read with a row stride one longer than its rows, V shears: diagonals[j, n, beta] is
+    # V[j, n, n + beta], copied where n + beta <= N; the N spare entries hold the view's reach
+    flat = np.zeros(jc * n_max * n_max + n_max, dtype=complex)
+    item = flat.itemsize
+    diagonals = np.ndarray((jc, n_max, n_max), complex, flat,
+                           strides=(n_max * n_max * item, (n_max + 1) * item, item))
+    np.copyto(diagonals, products, where=kern.in_table)
+    v = VTable._from_sweep(order, n_max, flat[:jc * n_max * n_max].reshape(jc, n_max, n_max))
+    return v, v.diagonal()
+
+
+def inverse_map(s: SpectralData) -> PotentialCoefficients:
+    """Spectral data to potential coefficients."""
+    order, n_max = s.order, s.n_max
+    kern = diagonal_kernel(order.m, n_max)
+    with kern.workspace() as ws:
+        np.multiply(s.table, kern.t_scale, out=ws.u[:, :order.j_count])
+        for lag_d, values_d, d, first, td, x0, solve, u, slot, lag, values, acc, weights, row in ws.inverse:
+            np.matmul(lag_d, values_d, out=d)
+            np.matmul(first, td, out=x0)
+            np.matmul(solve, u, out=slot)
+            np.matmul(lag, values, out=acc)
+            np.multiply(weights, acc, out=row)
+        # p = sq / (-i)^gamma, the inverse of series_q
+        g = np.arange(order.gamma_count)
+        return PotentialCoefficients(order, n_max, ws.lag_rows[::-1].T / (-1j) ** g[:, None])

@@ -144,6 +144,20 @@ def test_det_counts_a_zero_on_the_imaginary_axis(tmp_path):
     assert (verdict["zero_free"], verdict["winding"]) == (False, 1)
 
 
+def test_det_counts_the_zero_on_a_coarse_grid(tmp_path):
+    # the same zero at z = i ln 2: two steps sampled one point of the circle and wound 0, three
+    # wound 1 only through phase steps of exactly pi; the walk takes verify's 16 points too
+    inp = tmp_path / "s.json"
+    verdict_out = tmp_path / "verdict.json"
+    write_problem(inp, "spectral", 1, 1, [{"j": 1, "n": 1, "re": 0.0, "im": 4.0}])
+    for re_steps in ("2", "3"):
+        result = run_cli("det", "--input", str(inp), "--output", str(tmp_path / "g.csv"),
+                         "--report", str(verdict_out), "--re-steps", re_steps)
+        assert result.returncode == 0, result.stderr
+        verdict = json.loads(verdict_out.read_text())
+        assert (verdict["zero_free"], verdict["winding"]) == (False, 1), re_steps
+
+
 def test_det_exit_3_when_truncation_forced(tmp_path):
     inp = tmp_path / "s.json"
     entries = [{"j": 1, "n": n, "re": 0.8 ** n, "im": 0.0} for n in range(1, 21)]
@@ -599,12 +613,12 @@ def test_forward_maps_every_order_until_its_tables_overflow(tmp_path, capsys):
 
 
 def test_verify_refuses_a_non_finite_forward_map_before_any_check(tmp_path, monkeypatch, capsys):
-    from invspec import analytic, cli, fredholm, inverse
+    from invspec import analytic, cli, fredholm
 
     def unreachable(*args, **kwargs):
         raise AssertionError("verify ran a check on the non-finite forward map")
 
-    for module, name in [(inverse, "inverse_map"), (analytic, "marchenko_residual"),
+    for module, name in [(cli, "inverse_map"), (analytic, "marchenko_residual"),
                          (analytic, "jump_residual"), (analytic, "shift_spectral"),
                          (analytic, "ode_mode_residual"), (fredholm, "scan_halfplane"),
                          (analytic, "q0_from_kernel")]:
@@ -974,6 +988,22 @@ def test_an_unwritable_output_exits_1_and_writes_no_file(tmp_path, capsys, comma
     missing = next(arg for arg in outputs if "missing" in arg)
     assert capsys.readouterr() == ("", f"error: cannot write {missing}: No such file or directory\n")
     assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command, to_stdout", [("forward", False), ("forward", True),
+                                                ("verify", False), ("verify", True)])
+def test_a_failed_write_to_a_device_or_stdout_exits_1_without_a_traceback(tmp_path, command, to_stdout):
+    # /dev/full refuses every write: the device's close, and stdout's write, once raised
+    # OSError out of the CLI as a traceback
+    write_problem(tmp_path / "p.json", "potential", 1, 2, [])
+    args = [sys.executable, "-m", "invspec", command, "--input", str(tmp_path / "p.json")]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(args if to_stdout else [*args, "--output", "/dev/full"],
+                                stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+    name = "stdout" if to_stdout else "/dev/full"
+    assert (result.returncode, result.stderr) == (1, f"error: cannot write {name}: No space left on device\n")
 
 
 def test_an_output_onto_a_directory_or_through_a_link_keeps_the_contract(tmp_path, capsys):

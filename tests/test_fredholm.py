@@ -149,6 +149,17 @@ def test_a_zero_on_the_imaginary_axis_is_counted(re_steps, im_steps):
     assert (report.winding, report.zero_free) == (1, False)
 
 
+def test_a_two_point_grid_walks_verifys_points():
+    # the same zero: re_grid = [0, 2 pi] samples one point of the circle, which wound 0; the walk
+    # merges in the 16 points of verify's scan, where 17 points and 33 add none
+    table = np.zeros((4, 1), dtype=complex)
+    table[0, 0] = 4j
+    s = SpectralData(Order(1), 4, table)
+    report = scan_halfplane(s, [0.0, 2 * np.pi], [0.0, 1.0])
+    assert (report.winding, report.zero_free) == (1, False)
+    assert report.values.shape == (2, 2)
+
+
 def test_a_zero_above_the_grid_is_counted():
     # S_11 = 2i e^12: D = 1 - e^{12} e^{iz} vanishes at z = 12i, above the grid's top at Im z = 10,
     # whose edge subtracted it from the rectangle's count

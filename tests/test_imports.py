@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-SUBMODULES = ("analytic", "cli", "core", "errors", "forward", "fredholm", "inverse", "kernel")
+SUBMODULES = ("analytic", "cli", "core", "errors", "fredholm", "inverse", "kernel")
 
 
 def run_fresh(code: str) -> dict:
@@ -54,8 +54,19 @@ def test_every_export_resolves_to_its_home_object():
     assert out["cached"] is True
     assert out["star"] == sorted(out["names"])
     assert set(out["names"]) <= set(out["dir"])
-    assert out["homes"] == ["invspec.analytic", "invspec.core", "invspec.forward",
-                            "invspec.fredholm", "invspec.inverse"]
+    assert out["homes"] == ["invspec.analytic", "invspec.core", "invspec.fredholm",
+                            "invspec.inverse", "invspec.kernel"]
+
+
+def test_analytic_loads_no_kernel():
+    # analytic reads the potential's rescaling from core, not the maps' kernel
+    out = run_fresh("""
+        import json, sys
+        import invspec.analytic
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("invspec."))))
+    """)
+    assert "invspec.kernel" not in out
+    assert "invspec.analytic" in out
 
 
 def test_unknown_name_raises_attribute_error():
